@@ -1,0 +1,151 @@
+"""Interleaved before/after comparison of two checkouts with savbench.
+
+    python3 scripts/bench_compare.py --base REV --tag TAG [--pairs 10] [--seed 1]
+        [--workloads NAME ...] [--workdir DIR]
+
+Exports the base revision with ``git archive`` into DIR/base (a temporary
+directory by default) and compares it with this checkout's working tree.
+Each pair runs ``python3 savbench/run.py --workload W --seed S --trace 0``
+once on each side, the side that runs first alternating from pair to pair,
+so that drift in the machine's speed hits both sides alike.  Each side runs
+its own savbench.
+
+Writes BENCH_<TAG>.json at the root of this checkout after every pair: the
+end-to-end metrics of each pair, each side's median and quartiles, and per
+metric the number of pairs in which this checkout is better than the base.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+HEAD = Path(__file__).resolve().parent.parent
+
+
+def export_base(rev: str, workdir: Path) -> Path:
+    """The tree of ``rev`` as a plain directory under ``workdir``."""
+    target = workdir / "base"
+    archive = workdir / "base.tar"
+    workdir.mkdir(parents=True, exist_ok=True)
+    subprocess.run(["git", "archive", "--output", str(archive), rev], cwd=HEAD, check=True)
+    target.mkdir(parents=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(target, filter="data")
+    archive.unlink()
+    return target
+
+
+def run_side(checkout: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "savbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:]}
+    result = json.loads(lines[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        **{name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for metric, direction in better.items():
+        done = [p for p in pairs if metric in p["base"] and metric in p["head"]]
+        if not done:
+            continue
+        base = [p["base"][metric] for p in done]
+        head = [p["head"][metric] for p in done]
+        sign = 1.0 if direction == "lower" else -1.0
+        base_q, head_q = quartiles(base), quartiles(head)
+        wins = sum(1 for b, h in zip(base, head) if sign * (b - h) > 0)
+        gain = sign * (base_q["median"] - head_q["median"])
+        out[metric] = {
+            "better": direction,
+            "base": base_q,
+            "head": head_q,
+            "head_wins": wins,
+            "pairs": len(done),
+            "median_ratio_base_over_head": base_q["median"] / head_q["median"],
+            # A gain counts when the head wins 9 of 10 pairs and the medians
+            # differ by more than the base's own interquartile spread.
+            "gain_holds": wins >= 0.9 * len(done) and gain > base_q["q3"] - base_q["q1"],
+        }
+    return out
+
+
+def git_rev(rev: str) -> str:
+    return subprocess.run(
+        ["git", "rev-parse", rev], cwd=HEAD, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--tag", required=True, help="output is BENCH_<tag>.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workloads", nargs="+", default=None,
+                        help="default: every workload in BENCHMARK.json")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="where the base is exported (default: a temporary directory)")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((HEAD / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_compare_"))
+    base_dir = export_base(args.base, workdir)
+    sides = {"base": base_dir, "head": HEAD}
+
+    report = {
+        "tag": args.tag,
+        "base_rev": git_rev(args.base),
+        "head_rev": git_rev("HEAD") + " + working tree",
+        "seed": args.seed,
+        "machine": {"nproc": len(os.sched_getaffinity(0)), "platform": platform.platform(),
+                    "python": platform.python_version()},
+        "command": "python3 savbench/run.py --workload W --seed S --trace 0",
+        "workloads": {w: {"pairs": [], "summary": {}} for w in workloads},
+    }
+    out = HEAD / f"BENCH_{args.tag}.json"
+    for i in range(args.pairs):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        for workload in workloads:
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_side(sides[side], workload, args.seed)
+            entry = report["workloads"][workload]
+            entry["pairs"].append(pair)
+            entry["summary"] = summary(entry["pairs"], better)
+            wall = {s: pair[s].get("wall_s") for s in ("base", "head")}
+            print(f"pair {i + 1}/{args.pairs} {workload}: wall_s {wall}", file=sys.stderr)
+            out.write_text(json.dumps(report, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,6 @@ import sys
 
 from .config import ConfigError, load_config
 from .experiments import build_problem, run_convergence, run_phase_separation
-from .linsolve import SolverConfig
 from .output import write_convergence_csv, write_vtk_surface
 
 __all__ = ["main", "build_parser"]
@@ -47,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, nargs="+", default=[3, 4, 5])
     p_conv.add_argument("--scheme", choices=["bdf1", "bdf2"], default=None)
     p_conv.add_argument("--t-end", type=float, default=None)
-    p_conv.add_argument("--solver", choices=["direct", "krylov"], default=None)
     p_conv.add_argument("--output", default=None, help="write the table as CSV")
 
     p_mesh = sub.add_parser("mesh-info", help="report mesh statistics for a config")
@@ -77,14 +75,13 @@ def _cmd_solve(args) -> int:
 def _cmd_converge(args) -> int:
     config = load_config(args.config, args.override)
     scheme = args.scheme or (config.scheme if config.scheme in ("bdf1", "bdf2") else "bdf1")
-    solver = SolverConfig(method=args.solver) if args.solver else config.solver_config()
     rows = run_convergence(
         levels=args.levels,
         epsilon=config.epsilon if args.epsilon is None else args.epsilon,
         scheme=scheme,
         t_end=config.t_end if args.t_end is None else args.t_end,
         c_shift=config.c_shift,
-        solver_config=solver,
+        solver_config=config.solver_config(),
         geometry_divisions=config.geometry_divisions,
         progress=args.verbose,
     )

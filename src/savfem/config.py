@@ -69,10 +69,7 @@ class RunConfig:
     dt_max: float = 10.0
     ratio_max: float = 3.5
     max_retries: int = 10
-    solver: str = "direct"
     solver_rel_tolerance: float = 1e-10
-    solver_max_iterations: int = 2000
-    preconditioner: str = "none"
     output_dir: str = "out"
     run_name: str = "run"
     vtk_interval: int = 0
@@ -111,12 +108,7 @@ class RunConfig:
         )
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            method=self.solver,
-            rel_tolerance=self.solver_rel_tolerance,
-            max_iterations=self.solver_max_iterations,
-            preconditioner=self.preconditioner,
-        )
+        return SolverConfig(rel_tolerance=self.solver_rel_tolerance)
 
     def controller(self) -> TimeController:
         return TimeController(
@@ -135,10 +127,18 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# Keys of the removed GMRES path: it could not solve the shipped problems,
+# and every block system is now solved by sparse LU.
+_REMOVED_KEYS = ("solver", "solver_max_iterations", "preconditioner")
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _coerce(key: str, raw: str):
+    if key in _REMOVED_KEYS:
+        raise ConfigError(
+            f"config key {key!r} was removed with the Krylov solver path; "
+            "block systems are always solved by sparse LU"
+        )
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     typ = _FIELD_TYPES[key]

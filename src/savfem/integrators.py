@@ -30,6 +30,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     AssembledForms,
@@ -39,7 +40,13 @@ from .assembly import (
     compute_mass,
     l2_norm_gamma,
 )
-from .linsolve import BlockSystem, SolverConfig, solve_rank_one_system
+from .linsolve import (
+    BlockPattern,
+    BlockSystem,
+    LinearSolveError,
+    SolverConfig,
+    solve_rank_one_system,
+)
 from .physics import PhysicsParams, guarded_shifted_energy
 
 __all__ = [
@@ -125,19 +132,43 @@ def _reference_forms(forms: AssembledForms, c_ref: np.ndarray, physics: PhysicsP
     return forms.mobility, forms.sav_load, s
 
 
+def _block_pattern(forms: AssembledForms) -> BlockPattern:
+    """The fixed block pattern of the forms' mesh, built at its first solve."""
+    pattern = forms.active._cache.get("block_pattern")
+    if pattern is None:
+        mass = forms.mass
+        for form in (forms.stiffness, forms.stab_h, forms.stab_invh):
+            if not (
+                np.array_equal(form.indptr, mass.indptr)
+                and np.array_equal(form.indices, mass.indices)
+            ):
+                raise LinearSolveError("the static forms do not share one CSR pattern")
+        pattern = BlockPattern.build(forms.active.dof_coords, mass)
+        forms.active._cache["block_pattern"] = pattern
+    return pattern
+
+
+def _on_pattern(form: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """``data`` on the CSR pattern of ``form``; unlike a sparse add, this
+    keeps explicit zeros, so every block has the fixed pattern."""
+    return sp.csr_matrix((data, form.indices, form.indptr), shape=form.shape)
+
+
 def _solve_block(forms, physics, cc_scale, rhs_c, rhs_mu, w, s, solver_config):
     eps2 = physics.epsilon**2
     system = BlockSystem(
         b_cc=cc_scale * forms.mass,
-        b_cmu=forms.mobility + forms.stab_h,
-        b_muc=(-eps2) * forms.stiffness + (-eps2) * forms.stab_invh,
+        b_cmu=_on_pattern(forms.mobility, forms.mobility.data + forms.stab_h.data),
+        b_muc=_on_pattern(
+            forms.stiffness, (-eps2) * forms.stiffness.data + (-eps2) * forms.stab_invh.data
+        ),
         b_mumu=forms.mass,
         rank_one_scale=-1.0 / (2.0 * s),
         rank_one_left=w,
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    return solve_rank_one_system(system, solver_config)
+    return solve_rank_one_system(system, solver_config, _block_pattern(forms))
 
 
 def bdf1_step(

@@ -40,10 +40,10 @@ class TestDefaults:
         )
 
     def test_derived_objects(self):
-        config = RunConfig(epsilon=0.3, rho=2.0, solver="krylov", tol=5e-4)
+        config = RunConfig(epsilon=0.3, rho=2.0, solver_rel_tolerance=1e-9, tol=5e-4)
         assert config.physics().epsilon == 0.3
         assert config.physics().rho == 2.0
-        assert config.solver_config().method == "krylov"
+        assert config.solver_config().rel_tolerance == 1e-9
         assert config.controller().tol == 5e-4
 
 
@@ -105,6 +105,15 @@ class TestParsing:
         assert config.level == 5 and isinstance(config.level, int)
         assert config.dt == pytest.approx(1e-3)
         assert config.run_name == "trial"
+
+    def test_removed_solver_keys_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("solver = krylov\n")
+        with pytest.raises(ConfigError, match="'solver' was removed"):
+            load_config(path)
+        for key in ("solver_max_iterations", "preconditioner"):
+            with pytest.raises(ConfigError, match=f"'{key}' was removed"):
+                parse_overrides([f"{key}=1"])
 
     def test_bad_literal_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

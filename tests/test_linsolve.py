@@ -6,7 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from savfem.assembly import assemble_f0prime_load, assemble_surface_stiffness
+from savfem.experiments import bernoulli_ic
 from savfem.linsolve import (
+    BlockPattern,
     BlockSystem,
     LinearSolveError,
     SingularUpdateError,
@@ -14,6 +17,7 @@ from savfem.linsolve import (
     apply_operator,
     solve_rank_one_system,
 )
+from savfem.physics import PhysicsParams
 
 
 def random_system(rng, n, sigma=None, density=0.4):
@@ -60,7 +64,7 @@ def test_matches_dense_oracle_batch(rng):
         exact = dense_solve(system)
         err = np.linalg.norm(np.concatenate([c, mu]) - exact) / np.linalg.norm(exact)
         assert err < 1e-10, f"system {k}: rel error {err:.2e}"
-        assert stats.method == "direct"
+        assert stats.fallback is False
         assert stats.rel_residual <= 1e-10
 
 
@@ -118,56 +122,101 @@ def test_singular_update_detected():
         solve_rank_one_system(system)
 
 
-def test_krylov_matches_direct(rng):
-    system = random_system(rng, 30)
-    c_d, mu_d, _ = solve_rank_one_system(system, SolverConfig(method="direct"))
-    c_k, mu_k, stats = solve_rank_one_system(
-        system, SolverConfig(method="krylov", rel_tolerance=1e-10, max_iterations=5000)
+def on_pattern(pattern, data):
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
+    # One BDF2 system on the level-3 sphere at Bernoulli data, built the way
+    # the integrators build it: blocks on the common CSR pattern.
+    forms = sphere_l3_forms
+    active = forms.active
+    physics = PhysicsParams(epsilon=0.05)
+    eps2 = physics.epsilon**2
+    n = active.n_dofs
+    c = bernoulli_ic(active, 0.5, 1)
+    mobility = assemble_surface_stiffness(active, c, physics.mobility)
+    w = assemble_f0prime_load(active, c)
+    system = BlockSystem(
+        b_cc=(1.5 / 0.005) * forms.mass,
+        b_cmu=on_pattern(mobility, mobility.data + forms.stab_h.data),
+        b_muc=on_pattern(forms.stiffness, -eps2 * (forms.stiffness.data + forms.stab_invh.data)),
+        b_mumu=forms.mass,
+        rank_one_scale=-0.3,
+        rank_one_left=w,
+        rank_one_right=w,
+        rhs=np.concatenate([(1.5 / 0.005) * (forms.mass @ c), 0.2 * w]),
     )
-    assert stats.method == "krylov"
-    assert stats.iterations > 0
-    err = np.linalg.norm(c_k - c_d) + np.linalg.norm(mu_k - mu_d)
-    assert err < 1e-7 * (np.linalg.norm(c_d) + np.linalg.norm(mu_d))
+    pattern = BlockPattern.build(active.dof_coords, forms.mass)
 
+    assert np.array_equal(np.sort(pattern.order), np.arange(2 * n))
+    assert np.array_equal(pattern.order[1::2], pattern.order[0::2] + n)  # (c_i, mu_i) pairs
+    assert pattern.indptr[-1] == 4 * forms.mass.nnz
 
-def test_krylov_diagonal_block_preconditioner(rng):
-    system = random_system(rng, 30)
+    c_p, mu_p, stats = solve_rank_one_system(system, pattern=pattern)
     exact = dense_solve(system)
-    c, mu, _ = solve_rank_one_system(
-        system,
-        SolverConfig(
-            method="krylov",
-            rel_tolerance=1e-10,
-            max_iterations=5000,
-            preconditioner="diagonal_block",
-        ),
+    err = np.linalg.norm(np.concatenate([c_p, mu_p]) - exact) / np.linalg.norm(exact)
+    assert err < 1e-10
+    assert stats.fallback is False
+    assert stats.rel_residual <= 1e-10
+
+
+def interleaved_trap(rng, n=50):
+    """Blocks b_cc = 1e-20 I, b_cmu = I + 0.1 R, b_muc = b_mumu = I on one
+    symmetric pattern: each dof's 2x2 block has a tiny leading pivot, so the
+    pivot-free LU in interleaved order is useless and pivoting is needed."""
+    r = sp.random(n, n, density=0.1, random_state=np.random.RandomState(7), format="csr")
+    r = (r + r.T).tocsr()
+    pattern = (sp.identity(n, format="csr") + r).tocsr()
+    pattern.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    eye = (rows == pattern.indices).astype(float)
+    r_data = np.asarray(r[rows, pattern.indices]).ravel()
+    system = BlockSystem(
+        b_cc=on_pattern(pattern, 1e-20 * eye),
+        b_cmu=on_pattern(pattern, eye + 0.1 * r_data),
+        b_muc=on_pattern(pattern, eye.copy()),
+        b_mumu=on_pattern(pattern, eye.copy()),
+        rank_one_scale=0.5,
+        rank_one_left=rng.standard_normal(n),
+        rank_one_right=rng.standard_normal(n),
+        rhs=rng.standard_normal(2 * n),
     )
+    return system, BlockPattern.build(rng.random((n, 3)), pattern)
+
+
+def test_pivot_free_failure_falls_back_to_pivoting(rng, caplog):
+    system, pattern = interleaved_trap(rng)
+    with caplog.at_level("WARNING", logger="savfem.linsolve"):
+        c, mu, stats = solve_rank_one_system(system, pattern=pattern)
+    assert stats.fallback is True
+    assert stats.rel_residual <= 1e-10
+    assert "COLAMD" in caplog.text
+    exact = dense_solve(system)
     err = np.linalg.norm(np.concatenate([c, mu]) - exact) / np.linalg.norm(exact)
-    assert err < 1e-8
+    assert err < 1e-10
 
 
-def test_krylov_iteration_cap_raises(rng):
-    system = random_system(rng, 40)
-    with pytest.raises(LinearSolveError, match="GMRES"):
-        solve_rank_one_system(
-            system, SolverConfig(method="krylov", rel_tolerance=1e-10, max_iterations=1)
-        )
+def test_block_off_the_fixed_pattern_raises(rng):
+    system, pattern = interleaved_trap(rng)
+    system.b_cc = sp.csr_matrix(system.b_cc.toarray())  # drops the explicit zeros
+    with pytest.raises(LinearSolveError, match="block cc"):
+        solve_rank_one_system(system, pattern=pattern)
 
 
 class TestSolverConfig:
     def test_defaults(self):
         config = SolverConfig()
-        assert config.method == "direct"
         assert config.rel_tolerance == 1e-10
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"method": "cholesky"},
             {"rel_tolerance": 0.0},
             {"rel_tolerance": 0.5},
-            {"max_iterations": 0},
-            {"preconditioner": "ilu"},
+            {"rel_tolerance": -1e-12},
+            {"rel_tolerance": float("nan")},
+            {"rel_tolerance": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
