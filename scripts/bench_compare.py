@@ -4,7 +4,8 @@
         [--workloads NAME ...] [--workdir DIR]
 
 Exports the base revision with ``git archive`` into DIR/base (a temporary
-directory by default) and compares it with this checkout's working tree.
+directory by default, deleted at exit; an existing DIR/base is refused) and
+compares it with this checkout's working tree.
 Each pair runs ``python3 savbench/run.py --workload W --seed S --trace 0``
 once on each side, the side that runs first alternating from pair to pair,
 so that drift in the machine's speed hits both sides alike.  Each side runs
@@ -13,6 +14,9 @@ its own savbench.
 Writes BENCH_<TAG>.json at the root of this checkout after every pair: the
 end-to-end metrics of each pair, each side's median and quartiles, and per
 metric the number of pairs in which this checkout is better than the base.
+A pair in which either side is not correct or has failed operations is kept
+in the pairs but left out of the medians and win counts, and counted as
+``failed_pairs``; a gain never holds while any pair failed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,10 +74,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def pair_failed(pair: dict) -> bool:
+    return any(
+        not pair[side].get("correct") or pair[side].get("failed", 0) > 0 for side in ("base", "head")
+    )
+
+
 def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: both sides' quartiles and the head's wins over the pairs
+    that did not fail."""
+    any_failed = any(pair_failed(p) for p in pairs)
+    ok = [p for p in pairs if not pair_failed(p)]
     out = {}
     for metric, direction in better.items():
-        done = [p for p in pairs if metric in p["base"] and metric in p["head"]]
+        done = [p for p in ok if metric in p["base"] and metric in p["head"]]
         if not done:
             continue
         base = [p["base"][metric] for p in done]
@@ -90,7 +105,9 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
             "median_ratio_base_over_head": base_q["median"] / head_q["median"],
             # A gain counts when the head wins 9 of 10 pairs and the medians
             # differ by more than the base's own interquartile spread.
-            "gain_holds": wins >= 0.9 * len(done) and gain > base_q["q3"] - base_q["q1"],
+            "gain_holds": not any_failed
+            and wins >= 0.9 * len(done)
+            and gain > base_q["q3"] - base_q["q1"],
         }
     return out
 
@@ -116,9 +133,18 @@ def main(argv=None) -> int:
     spec = json.loads((HEAD / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    if args.workdir is not None and (args.workdir / "base").exists():
+        parser.error(f"{args.workdir / 'base'} already exists; remove it or pick another --workdir")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_compare_"))
-    base_dir = export_base(args.base, workdir)
-    sides = {"base": base_dir, "head": HEAD}
+    try:
+        return compare(args, workdir, better, workloads)
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
+def compare(args, workdir: Path, better: dict[str, str], workloads: list[str]) -> int:
+    sides = {"base": export_base(args.base, workdir), "head": HEAD}
 
     report = {
         "tag": args.tag,
@@ -128,7 +154,7 @@ def main(argv=None) -> int:
         "machine": {"nproc": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                     "python": platform.python_version()},
         "command": "python3 savbench/run.py --workload W --seed S --trace 0",
-        "workloads": {w: {"pairs": [], "summary": {}} for w in workloads},
+        "workloads": {w: {"pairs": [], "failed_pairs": 0, "summary": {}} for w in workloads},
     }
     out = HEAD / f"BENCH_{args.tag}.json"
     for i in range(args.pairs):
@@ -139,6 +165,7 @@ def main(argv=None) -> int:
                 pair[side] = run_side(sides[side], workload, args.seed)
             entry = report["workloads"][workload]
             entry["pairs"].append(pair)
+            entry["failed_pairs"] = sum(1 for p in entry["pairs"] if pair_failed(p))
             entry["summary"] = summary(entry["pairs"], better)
             wall = {s: pair[s].get("wall_s") for s in ("base", "head")}
             print(f"pair {i + 1}/{args.pairs} {workload}: wall_s {wall}", file=sys.stderr)

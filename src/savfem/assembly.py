@@ -5,16 +5,21 @@ restricted to the discrete surface Gamma_h:
 
     mass       (u, v)_{Gamma_h}
     stiffness  (k grad_G u, grad_G v)_{Gamma_h}   with optional coefficient k
-    stab       (n.grad u, n.grad v)_{Omega_h}     normal-gradient volume term
+    stab       (w_e n.grad u, n.grad v)_{Omega_h}  kernel grad_i . M_e . grad_j,
+               M_e = sum_s |T_s| n_s n_s^T; w_e = 1, h_e or 1/h_e
 
-The stabilization matrix is assembled unweighted or with a per-element
-weight (the schemes use the element diameter h_e and its inverse); its
-elementwise kernel is grad_i . M_e . grad_j with the active mesh's normal
-metric M_e = sum_s |T_s| n_s n_s^T over the geometry lattice.  Because basis
-gradients and normals are constant per patch (cut lattice sub-tetrahedron),
-the coefficient stiffness factorizes as (int_p k ds) * G_p with a cached
-per-patch Gram tensor G_p, which makes the per-step mobility reassembly
-cheap.
+Three operators, built once per active mesh, carry every form:
+  - the CSR pattern of the element scatter ``elem_dofs``, with the position
+    of each element entry (e, i, j) in its ``data``;
+  - B (Q x N, ``data`` is ``sq_bary``): c_h at the surface quadrature points
+    is B c, and a load (f, psi_j) is B^T (w f);
+  - G (nnz x n_p): patch p's Gram tensor grad_G psi_i . grad_G psi_j at its
+    element's pattern positions.  Gradients and normals are constant per
+    patch, so the coefficient stiffness is G k_p with k_p = int_p k ds.
+Mass and stabilization are one ``bincount`` over the positions.  Every
+matrix is ``data`` on the one pattern with explicit zeros kept, so no form
+needs a sparse add or a duplicate summation, and blocks combine by adding
+``data``.
 
 The degree-4 surface rule integrates every nonlinear P1 integrand used here
 exactly: f0(c_h) and f0'(c_h) psi_j are quartic per element, the mobility
@@ -24,9 +29,9 @@ weight is quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .mesh import ActiveMesh
@@ -44,51 +49,52 @@ __all__ = [
     "compute_E1",
     "compute_mass",
     "l2_norm_gamma",
-    "export_matrix_market",
 ]
 
 
-def _patch_gram(active: ActiveMesh) -> np.ndarray:
-    g = active._cache.get("patch_gram")
-    if g is None:
+class _Operators(NamedTuple):
+    indptr: np.ndarray  # CSR pattern of the element scatter, shared by every form
+    indices: np.ndarray
+    positions: np.ndarray  # (n_e * 16,) element entry (e, i, j) -> index into data
+    interp: sp.csr_matrix  # B, Q x N
+    patch_to_pattern: sp.csc_matrix  # G, nnz x n_p
+
+
+def _operators(active: ActiveMesh) -> _Operators:
+    ops = active._cache.get("operators")
+    if ops is None:
+        n, q, n_p = active.n_dofs, len(active.sq_weights), active.n_patches
+        d = active.elem_dofs.astype(np.int64)
+        keys, pos = np.unique((d[:, :, None] * n + d[:, None, :]).reshape(-1), return_inverse=True)
+        pos = pos.reshape(-1, 16)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        indices = (keys % n).astype(np.int32)
+        for a in (indptr, indices):
+            a.setflags(write=False)  # shared by every form: nothing may sort or prune in place
+        qdofs = active.elem_dofs[active.sq_elem].reshape(-1)
+        b = sp.csr_matrix((active.sq_bary.reshape(-1), qdofs, np.arange(0, 4 * q + 1, 4)), shape=(q, n))
         tg = active.patch_tangential_grads
-        g = np.einsum("pik,pjk->pij", tg, tg)
-        active._cache["patch_gram"] = g
-    return g
+        gram = np.einsum("pik,pjk->pij", tg, tg).reshape(-1)
+        rows = pos[active.patch_elem].reshape(-1)
+        g = sp.csc_matrix((gram, rows, np.arange(0, 16 * n_p + 1, 16)), shape=(len(keys), n_p))
+        ops = active._cache["operators"] = _Operators(indptr, indices, pos.reshape(-1), b, g)
+    return ops
 
 
-def _scatter_pattern(active: ActiveMesh):
-    pat = active._cache.get("pattern")
-    if pat is None:
-        d = active.elem_dofs
-        n_e = active.n_elements
-        rows = np.broadcast_to(d[:, :, None], (n_e, 4, 4)).reshape(-1)
-        cols = np.broadcast_to(d[:, None, :], (n_e, 4, 4)).reshape(-1)
-        pat = (rows, cols)
-        active._cache["pattern"] = pat
-    return pat
+def _on_pattern(active: ActiveMesh, data: np.ndarray) -> sp.csr_matrix:
+    ops = _operators(active)
+    return sp.csr_matrix((data, ops.indices, ops.indptr), shape=(active.n_dofs, active.n_dofs))
 
 
-def _to_csr(active: ActiveMesh, elem_mats: np.ndarray) -> sp.csr_matrix:
-    rows, cols = _scatter_pattern(active)
-    n = active.n_dofs
-    mat = sp.coo_matrix((elem_mats.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
-
-
-def _qdofs(active: ActiveMesh) -> np.ndarray:
-    q = active._cache.get("qdofs")
-    if q is None:
-        q = active.elem_dofs[active.sq_elem]
-        active._cache["qdofs"] = q
-    return q
+def _scatter(active: ActiveMesh, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """Sum of (n_e, 4, 4) element matrices on the pattern."""
+    ops = _operators(active)
+    return _on_pattern(active, np.bincount(ops.positions, elem_mats.reshape(-1), len(ops.indices)))
 
 
 def interpolate_at_surface_qp(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
     """P1 values of the DOF vector c at all surface quadrature points."""
-    c = np.asarray(c, dtype=float)
-    return np.einsum("qi,qi->q", active.sq_bary, c[_qdofs(active)])
+    return _operators(active).interp @ np.asarray(c, dtype=float)
 
 
 def assemble_surface_mass(active: ActiveMesh) -> sp.csr_matrix:
@@ -96,10 +102,8 @@ def assemble_surface_mass(active: ActiveMesh) -> sp.csr_matrix:
     contrib = active.sq_weights[:, None, None] * (
         active.sq_bary[:, :, None] * active.sq_bary[:, None, :]
     )
-    elem_mats = np.add.reduceat(contrib.reshape(len(contrib), -1), active.sq_offsets[:-1]).reshape(
-        -1, 4, 4
-    )
-    return _to_csr(active, elem_mats)
+    elem_mats = np.add.reduceat(contrib.reshape(len(contrib), -1), active.sq_offsets[:-1])
+    return _scatter(active, elem_mats)
 
 
 def assemble_surface_stiffness(active: ActiveMesh, coefficient=None, coeff_map=None) -> sp.csr_matrix:
@@ -118,9 +122,7 @@ def assemble_surface_stiffness(active: ActiveMesh, coefficient=None, coeff_map=N
             vals = coeff_map(vals)
         weight = active.sq_weights * vals
     k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
-    patch_mats = k_p[:, None, None] * _patch_gram(active)
-    elem_mats = np.add.reduceat(patch_mats, active.patch_offsets[:-1], axis=0)
-    return _to_csr(active, elem_mats)
+    return _on_pattern(active, _operators(active).patch_to_pattern @ k_p)
 
 
 def assemble_normal_stabilization(active: ActiveMesh, element_weight=None) -> sp.csr_matrix:
@@ -132,7 +134,7 @@ def assemble_normal_stabilization(active: ActiveMesh, element_weight=None) -> sp
     elem_mats = np.einsum("eik,ekl,ejl->eij", active.grads, active.stab_metric, active.grads)
     if element_weight is not None:
         elem_mats = np.asarray(element_weight, dtype=float).reshape(-1, 1, 1) * elem_mats
-    return _to_csr(active, elem_mats)
+    return _scatter(active, elem_mats)
 
 
 def assemble_f0prime_load(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
@@ -151,9 +153,7 @@ def assemble_load(active: ActiveMesh, values) -> np.ndarray:
         vals = np.asarray(values(active.sq_points), dtype=float)
     else:
         vals = np.asarray(values, dtype=float)
-    out = np.zeros(active.n_dofs)
-    np.add.at(out, _qdofs(active), (active.sq_weights * vals)[:, None] * active.sq_bary)
-    return out
+    return _operators(active).interp.T @ (active.sq_weights * vals)
 
 
 def compute_E1(active: ActiveMesh, c: np.ndarray) -> float:
@@ -171,11 +171,6 @@ def l2_norm_gamma(active: ActiveMesh, c: np.ndarray) -> float:
     """||c_h||_{L2(Gamma_h)}."""
     vals = interpolate_at_surface_qp(active, c)
     return float(np.sqrt(np.dot(active.sq_weights, vals**2)))
-
-
-def export_matrix_market(path, matrix) -> None:
-    """Debug export of an assembled matrix in Matrix Market format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 @dataclass

@@ -62,24 +62,22 @@ def write_vtk_surface(path: str | Path, active: ActiveMesh, c: np.ndarray) -> No
         raise ValueError(f"expected {active.n_dofs} dof values, got shape {c.shape}")
     values = np.einsum("pi,pi->p", active.poly_bary, c[active.elem_dofs[active.poly_elem]])
 
+    points, tri = active.poly_points, active.tri_index
+    n, m = len(points), len(tri)
+    # one %-format per section; "%.9g" gives the same text as f"{x:.9g}"
+    text = "".join(
+        [
+            f"# vtk DataFile Version 3.0\ntrace surface\nASCII\nDATASET POLYDATA\nPOINTS {n} float\n",
+            ("%.9g %.9g %.9g\n" * n) % tuple(points.ravel().tolist()),
+            f"POLYGONS {m} {4 * m}\n",
+            ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist()),
+            f"POINT_DATA {n}\nSCALARS concentration float 1\nLOOKUP_TABLE default\n",
+            ("%.9g\n" * n) % tuple(values.tolist()),
+        ]
+    )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "trace surface",
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {len(active.poly_points)} float",
-    ]
-    lines.extend(" ".join(f"{x:.9g}" for x in p) for p in active.poly_points)
-    tri = active.tri_index
-    lines.append(f"POLYGONS {len(tri)} {4 * len(tri)}")
-    lines.extend(f"3 {a} {b} {d}" for a, b, d in tri)
-    lines.append(f"POINT_DATA {len(active.poly_points)}")
-    lines.append("SCALARS concentration float 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(f"{v:.9g}" for v in values)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
 
 
 def write_convergence_csv(path: str | Path, rows) -> None:

@@ -18,13 +18,12 @@ from savfem.assembly import (
     assemble_surface_stiffness,
     compute_E1,
     compute_mass,
-    export_matrix_market,
     interpolate_at_surface_qp,
     l2_norm_gamma,
 )
 from savfem.levelset import from_callable, sphere
 from savfem.mesh import build_active_mesh, build_mesh
-from savfem.physics import PhysicsParams, f0
+from savfem.physics import PhysicsParams, f0, f0_prime
 
 
 Z0 = 0.37  # irrational-ish plane height, cuts every column of cubes
@@ -203,14 +202,113 @@ class TestAssembledForms:
             assemble_forms(bad)
 
 
-def test_export_matrix_market_roundtrip(tmp_path, sphere_l2):
-    import scipy.io
+# Oracles: the element-scatter formulas the assembly used before its forms
+# were built from cached operators (COO -> CSR with duplicate summation,
+# np.add.at for loads, a gathered einsum for interpolation).
 
-    mass = assemble_surface_mass(sphere_l2)
-    path = tmp_path / "mass.mtx"
-    export_matrix_market(path, mass)
-    back = sp.csr_matrix(scipy.io.mmread(path))
-    assert abs(mass - back).max() < 1e-12
+
+def _coo_oracle(active, elem_mats):
+    d = active.elem_dofs
+    rows = np.broadcast_to(d[:, :, None], elem_mats.shape).reshape(-1)
+    cols = np.broadcast_to(d[:, None, :], elem_mats.shape).reshape(-1)
+    n = active.n_dofs
+    mat = sp.coo_matrix((elem_mats.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def _interp_oracle(active, c):
+    return np.einsum("qi,qi->q", active.sq_bary, c[active.elem_dofs[active.sq_elem]])
+
+
+def _load_oracle(active, vals):
+    out = np.zeros(active.n_dofs)
+    qdofs = active.elem_dofs[active.sq_elem]
+    np.add.at(out, qdofs, (active.sq_weights * vals)[:, None] * active.sq_bary)
+    return out
+
+
+def _mass_oracle(active):
+    contrib = active.sq_weights[:, None, None] * (
+        active.sq_bary[:, :, None] * active.sq_bary[:, None, :]
+    )
+    flat = np.add.reduceat(contrib.reshape(len(contrib), -1), active.sq_offsets[:-1])
+    return _coo_oracle(active, flat.reshape(-1, 4, 4))
+
+
+def _stiffness_oracle(active, weight):
+    tg = active.patch_tangential_grads
+    k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
+    patch_mats = k_p[:, None, None] * np.einsum("pik,pjk->pij", tg, tg)
+    return _coo_oracle(active, np.add.reduceat(patch_mats, active.patch_offsets[:-1], axis=0))
+
+
+class TestOperatorsAgainstElementScatter:
+    @pytest.fixture(scope="class")
+    def bernoulli(self, sphere_l2):
+        rng = np.random.default_rng(7)
+        return (rng.random(sphere_l2.n_dofs) < 0.5).astype(float)
+
+    @staticmethod
+    def assert_same_matrix(mat, oracle):
+        np.testing.assert_array_equal(mat.indptr, oracle.indptr)
+        np.testing.assert_array_equal(mat.indices, oracle.indices)
+        scale = np.abs(oracle.data).max()
+        np.testing.assert_allclose(mat.data, oracle.data, rtol=0.0, atol=1e-13 * scale)
+
+    def test_interpolation(self, sphere_l2, bernoulli):
+        vals = interpolate_at_surface_qp(sphere_l2, bernoulli)
+        np.testing.assert_allclose(vals, _interp_oracle(sphere_l2, bernoulli), rtol=0.0, atol=1e-13)
+
+    def test_interpolation_operator_shares_sq_bary(self, sphere_l2):
+        from savfem.assembly import _operators
+
+        assert np.shares_memory(_operators(sphere_l2).interp.data, sphere_l2.sq_bary)
+
+    def test_loads(self, sphere_l2, bernoulli):
+        for vals in (f0_prime(_interp_oracle(sphere_l2, bernoulli)), sphere_l2.sq_points[:, 0]):
+            oracle = _load_oracle(sphere_l2, vals)
+            np.testing.assert_allclose(
+                assemble_load(sphere_l2, vals), oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max()
+            )
+        oracle = _load_oracle(sphere_l2, f0_prime(_interp_oracle(sphere_l2, bernoulli)))
+        np.testing.assert_allclose(
+            assemble_f0prime_load(sphere_l2, bernoulli), oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max()
+        )
+
+    def test_mass_and_stiffness(self, sphere_l2):
+        self.assert_same_matrix(assemble_surface_mass(sphere_l2), _mass_oracle(sphere_l2))
+        self.assert_same_matrix(
+            assemble_surface_stiffness(sphere_l2), _stiffness_oracle(sphere_l2, sphere_l2.sq_weights)
+        )
+
+    def test_mobility_keeps_exact_zeros(self, sphere_l2, bernoulli):
+        physics = PhysicsParams(epsilon=1.0)
+        mob = assemble_surface_stiffness(sphere_l2, bernoulli, physics.mobility)
+        weight = sphere_l2.sq_weights * physics.mobility(_interp_oracle(sphere_l2, bernoulli))
+        oracle = _stiffness_oracle(sphere_l2, weight)
+        self.assert_same_matrix(mob, oracle)
+        # entries whose elements all have M(c_h) = 0 are exact zeros, still stored
+        vals = physics.mobility(interpolate_at_surface_qp(sphere_l2, bernoulli))
+        alive = np.add.reduceat(vals, sphere_l2.sq_offsets[:-1]) > 0.0
+        counts = _coo_oracle(sphere_l2, np.broadcast_to(alive[:, None, None], (len(alive), 4, 4)) * 1.0)
+        dead = counts.data == 0.0
+        assert dead.sum() > 0
+        assert np.all(mob.data[dead] == 0.0)
+
+    def test_stabilization(self, sphere_l2):
+        a = sphere_l2
+        elem = np.einsum("eik,ekl,ejl->eij", a.grads, a.stab_metric, a.grads)
+        for weight in (None, a.diameters, 1.0 / a.diameters):
+            w = 1.0 if weight is None else weight[:, None, None]
+            self.assert_same_matrix(assemble_normal_stabilization(a, weight), _coo_oracle(a, w * elem))
+
+    def test_every_form_has_one_pattern(self, sphere_l2_forms, bernoulli):
+        forms = sphere_l2_forms
+        mob = assemble_surface_stiffness(forms.active, bernoulli, PhysicsParams(epsilon=1.0).mobility)
+        for form in (forms.stiffness, forms.stab, forms.stab_h, forms.stab_invh, mob):
+            np.testing.assert_array_equal(form.indptr, forms.mass.indptr)
+            np.testing.assert_array_equal(form.indices, forms.mass.indices)
 
 
 def test_E1_matches_quadrature_of_f0(sphere_l2, rng):

@@ -110,6 +110,36 @@ class TestVtkSurface:
         tail = lines[-n_pts:]
         assert all(float(v) == pytest.approx(0.25, abs=1e-7) for v in tail)
 
+    @staticmethod
+    def line_by_line(active, c):
+        """The writer's earlier formatter, one f-string per value: the oracle."""
+        values = np.einsum("pi,pi->p", active.poly_bary, c[active.elem_dofs[active.poly_elem]])
+        lines = [
+            "# vtk DataFile Version 3.0",
+            "trace surface",
+            "ASCII",
+            "DATASET POLYDATA",
+            f"POINTS {len(active.poly_points)} float",
+        ]
+        lines.extend(" ".join(f"{x:.9g}" for x in p) for p in active.poly_points)
+        tri = active.tri_index
+        lines.append(f"POLYGONS {len(tri)} {4 * len(tri)}")
+        lines.extend(f"3 {a} {b} {d}" for a, b, d in tri)
+        lines.append(f"POINT_DATA {len(active.poly_points)}")
+        lines.append("SCALARS concentration float 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{v:.9g}" for v in values)
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_bytes_match_line_by_line_formatter(self, tmp_path, sphere_l2):
+        n = sphere_l2.n_dofs
+        mixed = np.resize([0.0, 1.0, -0.75, 1e-20, 0.3, -1e-20, 2.5], n)
+        rng = np.random.default_rng(3)
+        for c in (np.zeros(n), np.ones(n), np.full(n, 1e-20), mixed, rng.uniform(-1.0, 2.0, n)):
+            path = tmp_path / "surf.vtk"
+            write_vtk_surface(path, sphere_l2, c)
+            assert path.read_bytes() == self.line_by_line(sphere_l2, c)
+
     def test_wrong_length_rejected(self, tmp_path, sphere_l2):
         with pytest.raises(ValueError, match="dof"):
             write_vtk_surface(tmp_path / "bad.vtk", sphere_l2, np.zeros(3))
