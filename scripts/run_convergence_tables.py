@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from savfem.experiments import run_convergence
-from savfem.output import write_convergence_csv
+from savfem.output import format_convergence_table, write_convergence_csv
 
 
 def main() -> int:
@@ -28,13 +28,7 @@ def main() -> int:
             args.levels, epsilon=args.epsilon, scheme=scheme, t_end=args.t_end, progress=True
         )
         print(f"\n{scheme}, epsilon = {args.epsilon}")
-        print("level        h        dt    dofs       error   rate")
-        for row in rows:
-            rate = "   -" if row.rate is None else f"{row.rate:.2f}"
-            print(
-                f"{row.level:5d} {row.h:.6f} {row.dt:.6g} {row.n_dofs:7d} "
-                f"{row.error:.5e}  {rate}"
-            )
+        print(format_convergence_table(rows))
         csv = out_dir / f"convergence_{scheme}_eps{args.epsilon:g}.csv"
         write_convergence_csv(csv, rows)
         print(f"csv: {csv}")

@@ -21,7 +21,6 @@ from .experiments import (
     ConvergenceRow,
     RunResult,
     bernoulli_ic,
-    compute_l2_error,
     constant_ic,
     initial_state,
     observed_rate,
@@ -39,10 +38,8 @@ from .integrators import (
     bdf1_step,
     bdf2_step,
     bdf2_variable_step,
-    energy_balance_residual_bdf1,
-    energy_balance_residual_bdf2,
-    modified_energy_bdf1,
-    modified_energy_bdf2,
+    energy_balance_terms,
+    modified_energy,
 )
 from .levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
 from .linsolve import (

@@ -5,8 +5,8 @@ restricted to the discrete surface Gamma_h:
 
     mass       (u, v)_{Gamma_h}
     stiffness  (k grad_G u, grad_G v)_{Gamma_h}   with optional coefficient k
-    stab       (w_e n.grad u, n.grad v)_{Omega_h}  kernel grad_i . M_e . grad_j,
-               M_e = sum_s |T_s| n_s n_s^T; w_e = 1, h_e or 1/h_e
+    stab       (n.grad u, n.grad v)_{Omega_h}     kernel grad_i . M_e . grad_j,
+               M_e = sum_s |T_s| n_s n_s^T
 
 Three operators, built once per active mesh, carry every form:
   - the CSR pattern of the element scatter ``elem_dofs``, with the position
@@ -28,14 +28,14 @@ weight is quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import ActiveMesh
-from .physics import f0, f0_prime
+from .physics import PhysicsParams, f0, f0_prime
 
 __all__ = [
     "AssembledForms",
@@ -44,6 +44,7 @@ __all__ = [
     "assemble_surface_stiffness",
     "assemble_normal_stabilization",
     "assemble_f0prime_load",
+    "assemble_coefficient_forms",
     "assemble_load",
     "interpolate_at_surface_qp",
     "compute_E1",
@@ -125,15 +126,9 @@ def assemble_surface_stiffness(active: ActiveMesh, coefficient=None, coeff_map=N
     return _on_pattern(active, _operators(active).patch_to_pattern @ k_p)
 
 
-def assemble_normal_stabilization(active: ActiveMesh, element_weight=None) -> sp.csr_matrix:
-    """(w_e n.grad u, n.grad v)_{Omega_h} over the cut tetrahedra.
-
-    ``element_weight`` is an optional per-element factor (scalar or (n_e,)
-    array); the schemes use the element diameter and its inverse.
-    """
+def assemble_normal_stabilization(active: ActiveMesh) -> sp.csr_matrix:
+    """(n.grad u, n.grad v)_{Omega_h} over the cut tetrahedra."""
     elem_mats = np.einsum("eik,ekl,ejl->eij", active.grads, active.stab_metric, active.grads)
-    if element_weight is not None:
-        elem_mats = np.asarray(element_weight, dtype=float).reshape(-1, 1, 1) * elem_mats
     return _scatter(active, elem_mats)
 
 
@@ -141,6 +136,17 @@ def assemble_f0prime_load(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
     """Load vector w_j = (f0'(c_h), psi_j)_{Gamma_h}."""
     vals = f0_prime(interpolate_at_surface_qp(active, c))
     return assemble_load(active, vals)
+
+
+def assemble_coefficient_forms(
+    active: ActiveMesh, c_ref: np.ndarray, physics: PhysicsParams
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The mobility stiffness (M(c) grad u, grad v) and the SAV load
+    (f0'(c), psi_j) of one step, at its reference field ``c_ref``."""
+    return (
+        assemble_surface_stiffness(active, c_ref, physics.mobility),
+        assemble_f0prime_load(active, c_ref),
+    )
 
 
 def assemble_load(active: ActiveMesh, values) -> np.ndarray:
@@ -173,31 +179,20 @@ def l2_norm_gamma(active: ActiveMesh, c: np.ndarray) -> float:
     return float(np.sqrt(np.dot(active.sq_weights, vals**2)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledForms:
-    """Static forms of one active mesh plus the per-step coefficient forms.
+    """Static forms of one active mesh.
 
-    ``stab_h`` / ``stab_invh`` carry the per-element diameter weighting used
-    by the schemes; ``h_stab`` is the common element diameter (the band mesh
-    is uniform, which is asserted at assembly).  ``mobility`` and
-    ``sav_load`` are refreshed by the integrators at each step's reference
-    field.
+    The schemes scale ``stab`` by ``h_stab``, the common element diameter
+    (the band mesh is uniform, which is asserted at assembly), in the
+    c-equation and by its inverse in the mu-equation.
     """
 
     active: ActiveMesh
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     stab: sp.csr_matrix
-    stab_h: sp.csr_matrix
-    stab_invh: sp.csr_matrix
     h_stab: float
-    mobility: sp.csr_matrix | None = field(default=None)
-    sav_load: np.ndarray | None = field(default=None)
-
-    def update_coefficient_forms(self, c_ref: np.ndarray, physics) -> None:
-        """Assemble the mobility stiffness and SAV load at the reference field."""
-        self.mobility = assemble_surface_stiffness(self.active, c_ref, physics.mobility)
-        self.sav_load = assemble_f0prime_load(self.active, c_ref)
 
 
 def assemble_forms(active: ActiveMesh) -> AssembledForms:
@@ -210,7 +205,5 @@ def assemble_forms(active: ActiveMesh) -> AssembledForms:
         mass=assemble_surface_mass(active),
         stiffness=assemble_surface_stiffness(active),
         stab=assemble_normal_stabilization(active),
-        stab_h=assemble_normal_stabilization(active, d),
-        stab_invh=assemble_normal_stabilization(active, 1.0 / d),
         h_stab=h,
     )

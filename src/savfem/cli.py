@@ -8,7 +8,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .experiments import build_problem, run_convergence, run_phase_separation
-from .output import write_convergence_csv, write_vtk_surface
+from .output import format_convergence_table, write_convergence_csv, write_vtk_surface
 
 __all__ = ["main", "build_parser"]
 
@@ -85,13 +85,7 @@ def _cmd_converge(args) -> int:
         geometry_divisions=config.geometry_divisions,
         progress=args.verbose,
     )
-    print("level        h        dt    dofs       error   rate")
-    for row in rows:
-        rate = "   -" if row.rate is None else f"{row.rate:.2f}"
-        print(
-            f"{row.level:5d} {row.h:.6f} {row.dt:.6g} {row.n_dofs:7d} "
-            f"{row.error:.5e}  {rate}"
-        )
+    print(format_convergence_table(rows))
     if args.output:
         write_convergence_csv(args.output, rows)
         print(f"csv: {args.output}")

@@ -15,19 +15,15 @@ from .assembly import (
     assemble_forms,
     assemble_load,
     compute_E1,
-    interpolate_at_surface_qp,
     l2_norm_gamma,
 )
 from .config import SPHERE_BOX, RunConfig
 from .integrators import (
     EnergyReport,
     StateSnapshot,
-    TimeController,
     adapt_step,
     bdf1_step,
     bdf2_step,
-    energy_balance_residual_bdf1,
-    energy_balance_residual_bdf2,
     make_energy_report,
 )
 from .levelset import sphere
@@ -41,7 +37,6 @@ __all__ = [
     "bernoulli_ic",
     "constant_ic",
     "initial_state",
-    "compute_l2_error",
     "observed_rate",
     "ConvergenceRow",
     "run_convergence",
@@ -74,13 +69,6 @@ def initial_state(forms: AssembledForms, physics: PhysicsParams, c0: np.ndarray)
     return StateSnapshot(c=c0, mu=np.zeros_like(c0), r=r0, t=0.0, dt_used=0.0)
 
 
-def compute_l2_error(active: ActiveMesh, c: np.ndarray, exact_fn) -> float:
-    """||c_h - exact||_{L2(Gamma_h)} with the exact field evaluated at the
-    surface quadrature points."""
-    diff = interpolate_at_surface_qp(active, c) - np.asarray(exact_fn(active.sq_points), dtype=float)
-    return float(np.sqrt(np.dot(active.sq_weights, diff**2)))
-
-
 def observed_rate(coarse_error: float, fine_error: float) -> float:
     """log2 error ratio under mesh halving; +inf when the fine error is zero."""
     if coarse_error < 0 or fine_error < 0:
@@ -88,6 +76,28 @@ def observed_rate(coarse_error: float, fine_error: float) -> float:
     if fine_error == 0.0:
         return math.inf
     return math.log2(coarse_error / fine_error)
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end {t_end} is not a multiple of dt {dt}")
+    return n_steps
+
+
+def _advance(scheme, prev, state, dt, forms, physics, solver_config, forcing=None, controller=None):
+    """One accepted step from (prev, state), and its number of rejected attempts.
+
+    Every step of a "bdf1" run and the first step (``prev`` None) of the
+    others is a BDF1 step of size dt; then a "bdf2" run takes uniform BDF2
+    steps and an "adaptive" run the controller's steps.
+    """
+    if scheme == "bdf1" or prev is None:
+        return bdf1_step(state, dt, forms, physics, solver_config, forcing), 0
+    if scheme == "bdf2":
+        return bdf2_step(prev, state, dt, forms, physics, solver_config, forcing), 0
+    nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver_config, forcing)
+    return nxt, sum(1 for a in attempts if not a.accepted)
 
 
 @dataclass(frozen=True)
@@ -133,16 +143,9 @@ def run_convergence(
         state = initial_state(forms, physics, c_star)
 
         dt = REFERENCE_DT * 2.0 ** (3 - level)
-        n_steps = int(round(t_end / dt))
-        if abs(n_steps * dt - t_end) > 1e-9 * t_end:
-            raise ValueError(f"t_end {t_end} is not a multiple of dt {dt}")
-
         prev = None
-        for _ in range(n_steps):
-            if scheme == "bdf1" or prev is None:
-                nxt = bdf1_step(state, dt, forms, physics, solver_config, forcing)
-            else:
-                nxt = bdf2_step(prev, state, dt, forms, physics, solver_config, forcing)
+        for _ in range(_step_count(t_end, dt)):
+            nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver_config, forcing)
             prev, state = state, nxt
 
         error = l2_norm_gamma(active, state.c - c_star)
@@ -154,11 +157,10 @@ def run_convergence(
             )
         )
         if progress:
-            elapsed = time.perf_counter() - t0
             log.info(
                 "level %d: h=%.4e dofs=%d error=%.4e rate=%s (%.1fs)",
                 level, mesh.h, active.n_dofs, error,
-                "-" if rate is None else f"{rate:.2f}", elapsed,
+                "-" if rate is None else f"{rate:.2f}", time.perf_counter() - t0,
             )
     return rows
 
@@ -191,20 +193,23 @@ class RunResult:
     energy_csv: Path | None
     vtk_files: list[Path] = field(default_factory=list)
     active: ActiveMesh | None = None
-    forms: AssembledForms | None = None
 
 
 def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     """Time loop for one phase-separation run described by ``config``.
 
     Unforced flow; per accepted step one diagnostics row is emitted (rows
-    start at the first computed step).  BDF2 runs bootstrap with a single
-    BDF1 step at the same dt.  Adaptive runs do not clamp the final step to
-    t_end, so the last accepted step size is a genuine controller product.
+    start at the first computed step) and, every ``vtk_interval`` steps and
+    after the last, a VTK snapshot.  BDF2 and adaptive runs bootstrap with a
+    single BDF1 step of size dt.  Adaptive runs do not clamp the final step
+    to t_end, so the last accepted step size is a genuine controller product.
     """
+    adaptive = config.scheme == "adaptive"
+    n_steps = None if adaptive else _step_count(config.t_end, config.dt)
     _, active, forms = build_problem(config)
     physics = config.physics()
     solver_config = config.solver_config()
+    controller = config.controller() if adaptive else None
     state = initial_state(forms, physics, _initial_concentration(config, active))
 
     out_dir = config.resolved_output_dir()
@@ -223,66 +228,23 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
             vtk_files.append(path)
 
     reports: list[EnergyReport] = []
-    accepted = 0
+    prev = None
     rejected = 0
+    done = False
     try:
         maybe_vtk(0, state)
-        if config.scheme == "bdf1":
-            n_steps = int(round(config.t_end / config.dt))
-            if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-                raise ValueError(f"t_end {config.t_end} is not a multiple of dt {config.dt}")
-            for k in range(1, n_steps + 1):
-                nxt = bdf1_step(state, config.dt, forms, physics, solver_config)
-                res = energy_balance_residual_bdf1(state, nxt, config.dt, forms, physics)
-                report = make_energy_report(nxt, state, forms, physics, res, "bdf1")
-                state = nxt
-                accepted += 1
-                reports.append(report)
-                if sink:
-                    sink.write(report)
-                maybe_vtk(k, state, final=k == n_steps)
-        elif config.scheme == "bdf2":
-            n_steps = int(round(config.t_end / config.dt))
-            if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-                raise ValueError(f"t_end {config.t_end} is not a multiple of dt {config.dt}")
-            prev = None
-            for k in range(1, n_steps + 1):
-                if prev is None:
-                    nxt = bdf1_step(state, config.dt, forms, physics, solver_config)
-                    res = energy_balance_residual_bdf1(state, nxt, config.dt, forms, physics)
-                else:
-                    nxt = bdf2_step(prev, state, config.dt, forms, physics, solver_config)
-                    res = energy_balance_residual_bdf2(prev, state, nxt, config.dt, forms, physics)
-                report = make_energy_report(nxt, state, forms, physics, res, "bdf2")
-                prev, state = state, nxt
-                accepted += 1
-                reports.append(report)
-                if sink:
-                    sink.write(report)
-                maybe_vtk(k, state, final=k == n_steps)
-        else:  # adaptive
-            controller = config.controller()
-            nxt = bdf1_step(state, controller.dt, forms, physics, solver_config)
-            res = energy_balance_residual_bdf1(state, nxt, controller.dt, forms, physics)
+        while not done:
+            nxt, n_rejected = _advance(
+                config.scheme, prev, state, config.dt, forms, physics, solver_config,
+                controller=controller,
+            )
+            reports.append(make_energy_report(prev, state, nxt, forms, physics, config.scheme))
             prev, state = state, nxt
-            accepted += 1
-            report = make_energy_report(state, prev, forms, physics, res, "bdf2")
-            reports.append(report)
+            rejected += n_rejected
             if sink:
-                sink.write(report)
-            while state.t < config.t_end:
-                nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver_config)
-                rejected += sum(1 for a in attempts if not a.accepted)
-                # Variable-step analogue of the uniform balance, diagnostic
-                # only: it is an exact identity only for equal steps.
-                res = energy_balance_residual_bdf2(prev, state, nxt, nxt.dt_used, forms, physics)
-                report = make_energy_report(nxt, state, forms, physics, res, "bdf2")
-                prev, state = state, nxt
-                accepted += 1
-                reports.append(report)
-                if sink:
-                    sink.write(report)
-                maybe_vtk(accepted, state, final=state.t >= config.t_end)
+                sink.write(reports[-1])
+            done = state.t >= config.t_end if adaptive else len(reports) == n_steps
+            maybe_vtk(len(reports), state, final=done)
     finally:
         if sink:
             sink.close()
@@ -290,10 +252,9 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
     return RunResult(
         state=state,
         reports=reports,
-        accepted=accepted,
+        accepted=len(reports),
         rejected=rejected,
         energy_csv=sink.path if sink else None,
         vtk_files=vtk_files,
         active=active,
-        forms=forms,
     )

@@ -1,32 +1,29 @@
 """Energy-stable SAV time integrators for the surface Cahn-Hilliard flow.
 
-Each step solves one linear block system for (c^{n+1}, mu^{n+1}) followed by
-a scalar update of the auxiliary variable r.  Denominators sqrt(E1(.)) are
-shifted to sqrt(E1(.) + C) uniformly, which keeps the discrete energy
-balance an exact algebraic identity:
+BDF1, BDF2 and variable-step BDF2 are one scheme, the variable-step BDF2
+difference D c = (alpha c^{n+1} - beta c^n + gamma c^{n-1}) / dt (Chen,
+Wang, Yan and Zhang, SINUM 2019) at a reference field ~c.  BDF1 is (1, 1, 0)
+with ~c = c^n; BDF2 at the ratio q = dt^n / dt^{n-1} is
+(alpha, beta, gamma)(q) with ~c = 2c^n - c^{n-1}, and (3/2, 2, 1/2) at q = 1.
+One step solves a block system with a rank-one term, then updates r:
 
-BDF1 (reference field c^n):
+    rho (D c, v) + (M(~c) grad mu^{n+1}, grad v) + h (stab)              = 0
+    (mu^{n+1}, q) - eps^2 (grad c^{n+1}, grad q) - h^{-1} eps^2 (stab)   = r^{n+1} (w, q) / S
+    alpha r^{n+1} = beta r^n - gamma r^{n-1} + (w, dt D c) / (2 S)
 
-    (rho/dt) (c^{n+1}, v) + (M(c^n) grad mu^{n+1}, grad v) + h (stab)      = (rho/dt)(c^n, v)
-    (mu^{n+1}, q) - eps^2 (grad c^{n+1}, grad q) - h^{-1} eps^2 (stab)
-                  - (1/(2(E1+C))) (w, c^{n+1})(w, q)                       = rhs_mu
-    r^{n+1} = r^n + (w, c^{n+1} - c^n) / (2 sqrt(E1+C)),   w_j = (f0'(c^n), psi_j)
+with w_j = (f0'(~c), psi_j), S = sqrt(E1(~c) + C) and ``stab`` the
+normal-gradient form scaled by the uniform element diameter h.
 
-BDF2 uses the extrapolation ~c = 2c^n - c^{n-1} as reference field, the
-(3, -4, 1)/(2 dt) difference, and the corresponding three-term r-update; the
-variable-step variant replaces (3/2, 2, 1/2) by (alpha, beta, gamma)(q) with
-q = dt^n / dt^{n-1}.
-
-The modified energies and balance residuals implement the summation-by-parts
-identities of the schemes exactly (all normal-gradient energy terms carry
-the per-element h^{-1} eps^2 / 2 weight that the stabilized c-equation
-produces), so after a converged linear solve the balance residual is at the
-level of the solver tolerance.
+The modified energy and the balance terms implement the summation-by-parts
+identities of BDF1 and uniform BDF2 exactly (the normal-gradient energy
+terms carry the h^{-1} eps^2 / 2 weight of the stabilized mu-equation), so
+after a converged solve the balance residual is at the solver tolerance.
+On variable steps the uniform identity does not hold: its residual is a
+diagnostic only.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +31,7 @@ import scipy.sparse as sp
 
 from .assembly import (
     AssembledForms,
-    assemble_f0prime_load,
-    assemble_surface_stiffness,
+    assemble_coefficient_forms,
     compute_E1,
     compute_mass,
     l2_norm_gamma,
@@ -52,6 +48,7 @@ from .physics import PhysicsParams, guarded_shifted_energy
 __all__ = [
     "StateSnapshot",
     "SchemeCoefficients",
+    "BDF1",
     "TimeController",
     "StepAttempt",
     "EnergyReport",
@@ -60,18 +57,12 @@ __all__ = [
     "bdf1_step",
     "bdf2_step",
     "bdf2_variable_step",
-    "modified_energy_bdf1",
-    "modified_energy_bdf2",
-    "energy_balance_terms_bdf1",
-    "energy_balance_residual_bdf1",
-    "energy_balance_terms_bdf2",
-    "energy_balance_residual_bdf2",
+    "modified_energy",
+    "energy_balance_terms",
     "adapt_step",
     "proposed_factor",
     "make_energy_report",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class HistoryError(RuntimeError):
@@ -86,8 +77,10 @@ class TimeStepError(RuntimeError):
 class StateSnapshot:
     """One accepted time level: concentration, potential, auxiliary variable.
 
-    ``dt_used`` is the step that produced this state (0 for initial data).
-    Snapshots are treated as immutable history.
+    ``dt_used`` is the step that produced this state (0 for initial data),
+    ``mobility`` the mobility stiffness that step assembled at its reference
+    field (None for initial data).  Snapshots are treated as immutable
+    history.
     """
 
     c: np.ndarray
@@ -95,6 +88,7 @@ class StateSnapshot:
     r: float
     t: float
     dt_used: float
+    mobility: sp.csr_matrix | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -118,18 +112,7 @@ class SchemeCoefficients:
         )
 
 
-def _check_finite(state: StateSnapshot) -> StateSnapshot:
-    if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.mu)) and np.isfinite(state.r)):
-        raise TimeStepError("time step produced non-finite values")
-    return state
-
-
-def _reference_forms(forms: AssembledForms, c_ref: np.ndarray, physics: PhysicsParams):
-    """Mobility stiffness, SAV load and shifted energy at the reference field."""
-    forms.update_coefficient_forms(c_ref, physics)
-    e1 = compute_E1(forms.active, c_ref)
-    s = guarded_shifted_energy(e1, physics.c_shift)
-    return forms.mobility, forms.sav_load, s
+BDF1 = SchemeCoefficients(alpha=1.0, beta=1.0, gamma=0.0, q=0.0)
 
 
 def _block_pattern(forms: AssembledForms) -> BlockPattern:
@@ -137,7 +120,7 @@ def _block_pattern(forms: AssembledForms) -> BlockPattern:
     pattern = forms.active._cache.get("block_pattern")
     if pattern is None:
         mass = forms.mass
-        for form in (forms.stiffness, forms.stab_h, forms.stab_invh):
+        for form in (forms.stiffness, forms.stab):
             if not (
                 np.array_equal(form.indptr, mass.indptr)
                 and np.array_equal(form.indices, mass.indices)
@@ -154,13 +137,41 @@ def _on_pattern(form: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, form.indices, form.indptr), shape=form.shape)
 
 
-def _solve_block(forms, physics, cc_scale, rhs_c, rhs_mu, w, s, solver_config):
-    eps2 = physics.epsilon**2
+def _sav_step(
+    prev2: StateSnapshot,
+    prev1: StateSnapshot,
+    dt: float,
+    coef: SchemeCoefficients,
+    c_ref: np.ndarray,
+    forms: AssembledForms,
+    physics: PhysicsParams,
+    solver_config: SolverConfig | None,
+    forcing: np.ndarray | None,
+) -> StateSnapshot:
+    """The step with difference ``coef`` and reference field ``c_ref``.
+
+    ``forcing`` is an optional pre-assembled load vector (f, psi_j) added to
+    the concentration equation.
+    """
+    mobility, w = assemble_coefficient_forms(forms.active, c_ref, physics)
+    s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
+    sq = np.sqrt(s)
+    al, be, ga = coef.alpha, coef.beta, coef.gamma
+    rho, eps2, h = physics.rho, physics.epsilon**2, forms.h_stab
+
+    rhs_c = (be * rho / dt) * (forms.mass @ prev1.c) - (ga * rho / dt) * (forms.mass @ prev2.c)
+    if forcing is not None:
+        rhs_c = rhs_c + forcing
+    rhs_mu = (
+        (be * prev1.r - ga * prev2.r) / (al * sq)
+        - be * np.dot(w, prev1.c) / (2.0 * al * s)
+        + ga * np.dot(w, prev2.c) / (2.0 * al * s)
+    ) * w
     system = BlockSystem(
-        b_cc=cc_scale * forms.mass,
-        b_cmu=_on_pattern(forms.mobility, forms.mobility.data + forms.stab_h.data),
+        b_cc=(al * rho / dt) * forms.mass,
+        b_cmu=_on_pattern(mobility, mobility.data + h * forms.stab.data),
         b_muc=_on_pattern(
-            forms.stiffness, (-eps2) * forms.stiffness.data + (-eps2) * forms.stab_invh.data
+            forms.stiffness, (-eps2) * forms.stiffness.data + (-eps2) * (forms.stab.data / h)
         ),
         b_mumu=forms.mass,
         rank_one_scale=-1.0 / (2.0 * s),
@@ -168,7 +179,11 @@ def _solve_block(forms, physics, cc_scale, rhs_c, rhs_mu, w, s, solver_config):
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    return solve_rank_one_system(system, solver_config, _block_pattern(forms))
+    c, mu, _ = solve_rank_one_system(system, solver_config, _block_pattern(forms))
+    r = (be * prev1.r - ga * prev2.r + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)) / al
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(r)):
+        raise TimeStepError("time step produced non-finite values")
+    return StateSnapshot(c=c, mu=mu, r=float(r), t=prev1.t + dt, dt_used=dt, mobility=mobility)
 
 
 def bdf1_step(
@@ -179,25 +194,10 @@ def bdf1_step(
     solver_config: SolverConfig | None = None,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
-    """One first-order SAV step from ``prev``.
-
-    ``forcing`` is an optional pre-assembled load vector (f, psi_j) added to
-    the concentration equation.
-    """
+    """One first-order SAV step from ``prev``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _, w, s = _reference_forms(forms, prev.c, physics)
-    sq = np.sqrt(s)
-    rho = physics.rho
-
-    rhs_c = (rho / dt) * (forms.mass @ prev.c)
-    if forcing is not None:
-        rhs_c = rhs_c + forcing
-    rhs_mu = (prev.r / sq - np.dot(w, prev.c) / (2.0 * s)) * w
-
-    c, mu, _ = _solve_block(forms, physics, rho / dt, rhs_c, rhs_mu, w, s, solver_config)
-    r = prev.r + np.dot(w, c - prev.c) / (2.0 * sq)
-    return _check_finite(StateSnapshot(c=c, mu=mu, r=float(r), t=prev.t + dt, dt_used=dt))
+    return _sav_step(prev, prev, dt, BDF1, prev.c, forms, physics, solver_config, forcing)
 
 
 def bdf2_step(
@@ -220,23 +220,9 @@ def bdf2_step(
         raise HistoryError(
             f"uniform BDF2 needs equal steps: prev dt {prev1.dt_used!r} vs dt {dt!r}"
         )
-    c_tilde = 2.0 * prev1.c - prev2.c
-    _, w, s = _reference_forms(forms, c_tilde, physics)
-    sq = np.sqrt(s)
-    rho = physics.rho
-
-    rhs_c = (2.0 * rho / dt) * (forms.mass @ prev1.c) - (0.5 * rho / dt) * (forms.mass @ prev2.c)
-    if forcing is not None:
-        rhs_c = rhs_c + forcing
-    rhs_mu = (
-        (4.0 * prev1.r - prev2.r) / (3.0 * sq)
-        - 2.0 * np.dot(w, prev1.c) / (3.0 * s)
-        + np.dot(w, prev2.c) / (6.0 * s)
-    ) * w
-
-    c, mu, _ = _solve_block(forms, physics, 1.5 * rho / dt, rhs_c, rhs_mu, w, s, solver_config)
-    r = (4.0 * prev1.r - prev2.r + np.dot(w, 3.0 * c - 4.0 * prev1.c + prev2.c) / (2.0 * sq)) / 3.0
-    return _check_finite(StateSnapshot(c=c, mu=mu, r=float(r), t=prev1.t + dt, dt_used=dt))
+    coef = SchemeCoefficients.from_ratio(1.0)
+    c_ref = 2.0 * prev1.c - prev2.c
+    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver_config, forcing)
 
 
 def bdf2_variable_step(
@@ -249,124 +235,76 @@ def bdf2_variable_step(
     solver_config: SolverConfig | None = None,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
-    """Variable-step BDF2 with ratio q = dt / dt_prev.
-
-    Reduces exactly to bdf2_step at q = 1.
-    """
+    """Variable-step BDF2 with ratio q = dt / dt_prev; bdf2_step at q = 1."""
     if dt <= 0 or dt_prev <= 0:
         raise ValueError("dt and dt_prev must be positive")
     coef = SchemeCoefficients.from_ratio(dt / dt_prev)
-    al, be, ga = coef.alpha, coef.beta, coef.gamma
-    c_tilde = 2.0 * prev1.c - prev2.c
-    _, w, s = _reference_forms(forms, c_tilde, physics)
-    sq = np.sqrt(s)
-    rho = physics.rho
-
-    rhs_c = (be * rho / dt) * (forms.mass @ prev1.c) - (ga * rho / dt) * (forms.mass @ prev2.c)
-    if forcing is not None:
-        rhs_c = rhs_c + forcing
-    rhs_mu = (
-        (be * prev1.r - ga * prev2.r) / (al * sq)
-        - be * np.dot(w, prev1.c) / (2.0 * al * s)
-        + ga * np.dot(w, prev2.c) / (2.0 * al * s)
-    ) * w
-
-    c, mu, _ = _solve_block(forms, physics, al * rho / dt, rhs_c, rhs_mu, w, s, solver_config)
-    r = (
-        be * prev1.r
-        - ga * prev2.r
-        + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)
-    ) / al
-    return _check_finite(StateSnapshot(c=c, mu=mu, r=float(r), t=prev1.t + dt, dt_used=dt))
+    c_ref = 2.0 * prev1.c - prev2.c
+    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver_config, forcing)
 
 
 def _quad_form(mat, v) -> float:
     return float(v @ (mat @ v))
 
 
-def modified_energy_bdf1(state: StateSnapshot, forms: AssembledForms, physics: PhysicsParams) -> float:
-    """(eps^2/2)||grad_G c||^2 + r^2 + (eps^2/2) c^T S_invh c."""
-    eps2 = physics.epsilon**2
-    return (
-        0.5 * eps2 * _quad_form(forms.stiffness, state.c)
-        + state.r**2
-        + 0.5 * eps2 * _quad_form(forms.stab_invh, state.c)
-    )
-
-
-def modified_energy_bdf2(
-    state: StateSnapshot, prev: StateSnapshot, forms: AssembledForms, physics: PhysicsParams
-) -> float:
-    """Six-term BDF2 energy of the pair (state, prev)."""
-    eps2 = physics.epsilon**2
-    d = 2.0 * state.c - prev.c
-    return (
-        0.5 * eps2 * (_quad_form(forms.stiffness, state.c) + _quad_form(forms.stiffness, d))
-        + state.r**2
-        + (2.0 * state.r - prev.r) ** 2
-        + 0.5 * eps2 * (_quad_form(forms.stab_invh, state.c) + _quad_form(forms.stab_invh, d))
-    )
-
-
-def energy_balance_terms_bdf1(
-    prev: StateSnapshot,
-    nxt: StateSnapshot,
-    dt: float,
+def modified_energy(
+    state: StateSnapshot,
     forms: AssembledForms,
     physics: PhysicsParams,
-) -> np.ndarray:
-    """Signed terms of the BDF1 energy balance; they sum to zero exactly.
+    prev: StateSnapshot | None = None,
+) -> float:
+    """BDF1 energy (eps^2/2)||grad_G c||^2 + r^2 + (eps^2/2h) c^T stab c.
 
-    The mobility form is re-assembled at the step's reference field c^n, so
-    the terms match the matrices the step actually used.
+    With ``prev``, the BDF2 energy of the pair: the BDF1 energy of the state
+    plus that of (2c - c_prev, 2r - r_prev).
     """
-    eps2 = physics.epsilon**2
-    a_mob = assemble_surface_stiffness(forms.active, prev.c, physics.mobility)
-    d = nxt.c - prev.c
-    return np.array(
-        [
-            modified_energy_bdf1(nxt, forms, physics) - modified_energy_bdf1(prev, forms, physics),
-            0.5 * eps2 * _quad_form(forms.stiffness, d),
-            (nxt.r - prev.r) ** 2,
-            0.5 * eps2 * _quad_form(forms.stab_invh, d),
-            (dt / physics.rho) * _quad_form(a_mob, nxt.mu),
-            (dt / physics.rho) * _quad_form(forms.stab_h, nxt.mu),
-        ]
-    )
+    eps2, h = physics.epsilon**2, forms.h_stab
+
+    def bdf1(c, r):
+        return (
+            0.5 * eps2 * _quad_form(forms.stiffness, c)
+            + r**2
+            + (0.5 * eps2 / h) * _quad_form(forms.stab, c)
+        )
+
+    energy = bdf1(state.c, state.r)
+    if prev is not None:
+        energy += bdf1(2.0 * state.c - prev.c, 2.0 * state.r - prev.r)
+    return energy
 
 
-def energy_balance_residual_bdf1(prev, nxt, dt, forms, physics) -> float:
-    return float(abs(energy_balance_terms_bdf1(prev, nxt, dt, forms, physics).sum()))
-
-
-def energy_balance_terms_bdf2(
-    prev2: StateSnapshot,
+def energy_balance_terms(
+    prev2: StateSnapshot | None,
     prev1: StateSnapshot,
     nxt: StateSnapshot,
-    dt: float,
     forms: AssembledForms,
     physics: PhysicsParams,
 ) -> np.ndarray:
-    """Signed terms of the uniform BDF2 energy balance (zero sum)."""
-    eps2 = physics.epsilon**2
-    c_tilde = 2.0 * prev1.c - prev2.c
-    a_mob = assemble_surface_stiffness(forms.active, c_tilde, physics.mobility)
-    d2 = nxt.c - 2.0 * prev1.c + prev2.c
+    """Signed terms of the energy balance of the step prev1 -> nxt.
+
+    Without ``prev2`` it is the BDF1 balance: BDF1 energies and first
+    differences.  With ``prev2`` it is the uniform BDF2 balance: pair
+    energies, second differences and a factor 2 on the dissipation.  The
+    terms sum to zero up to the solver tolerance; the dissipation uses the
+    mobility the step assembled (``nxt.mobility``) and the step ``nxt.dt_used``.
+    """
+    eps2, h = physics.epsilon**2, forms.h_stab
+    if prev2 is None:
+        dc, dr, factor = nxt.c - prev1.c, nxt.r - prev1.r, 1.0
+    else:
+        dc, dr, factor = nxt.c - 2.0 * prev1.c + prev2.c, nxt.r - 2.0 * prev1.r + prev2.r, 2.0
+    pair = None if prev2 is None else prev1
+    tau = factor * nxt.dt_used / physics.rho
     return np.array(
         [
-            modified_energy_bdf2(nxt, prev1, forms, physics)
-            - modified_energy_bdf2(prev1, prev2, forms, physics),
-            0.5 * eps2 * _quad_form(forms.stiffness, d2),
-            (nxt.r - 2.0 * prev1.r + prev2.r) ** 2,
-            0.5 * eps2 * _quad_form(forms.stab_invh, d2),
-            (2.0 * dt / physics.rho) * _quad_form(a_mob, nxt.mu),
-            (2.0 * dt / physics.rho) * _quad_form(forms.stab_h, nxt.mu),
+            modified_energy(nxt, forms, physics, pair) - modified_energy(prev1, forms, physics, prev2),
+            0.5 * eps2 * _quad_form(forms.stiffness, dc),
+            dr**2,
+            (0.5 * eps2 / h) * _quad_form(forms.stab, dc),
+            tau * _quad_form(nxt.mobility, nxt.mu),
+            tau * h * _quad_form(forms.stab, nxt.mu),
         ]
     )
-
-
-def energy_balance_residual_bdf2(prev2, prev1, nxt, dt, forms, physics) -> float:
-    return float(abs(energy_balance_terms_bdf2(prev2, prev1, nxt, dt, forms, physics).sum()))
 
 
 @dataclass
@@ -464,34 +402,35 @@ class EnergyReport:
 
 
 def make_energy_report(
+    prev2: StateSnapshot | None,
+    prev1: StateSnapshot,
     state: StateSnapshot,
-    prev: StateSnapshot | None,
     forms: AssembledForms,
     physics: PhysicsParams,
-    balance_residual: float,
     scheme: str,
 ) -> EnergyReport:
-    """Assemble the diagnostics row for one accepted state.
+    """The diagnostics row of the accepted step prev1 -> state.
 
-    ``scheme`` picks the modified energy: "bdf1" uses the single-state
-    energy, "bdf2" the pair energy with ``prev``.
+    ``scheme`` picks the modified energy: "bdf1" the single-state energy,
+    "bdf2" and "adaptive" the pair energy with ``prev1``.  The balance
+    residual is that of the BDF1 identity for the steps of a "bdf1" run and
+    for a first step (``prev2`` None), and of the uniform BDF2 identity
+    otherwise.
     """
-    if scheme == "bdf2":
-        if prev is None:
-            raise ValueError("bdf2 energy needs the previous state")
-        energy = modified_energy_bdf2(state, prev, forms, physics)
-    else:
-        energy = modified_energy_bdf1(state, forms, physics)
+    if prev1 is None:
+        raise ValueError("the report needs the previous state")
+    bdf1 = scheme == "bdf1"
+    terms = energy_balance_terms(None if bdf1 else prev2, prev1, state, forms, physics)
     e1 = compute_E1(forms.active, state.c)
     report = EnergyReport(
         t=state.t,
         dt=state.dt_used,
-        modified_energy=energy,
+        modified_energy=modified_energy(state, forms, physics, None if bdf1 else prev1),
         e1=e1,
         r=state.r,
         r_consistency=float(abs(state.r**2 - (e1 + physics.c_shift))),
         mass=compute_mass(forms.active, state.c),
-        balance_residual=float(balance_residual),
+        balance_residual=float(abs(terms.sum())),
     )
     for name, value in vars(report).items():
         if not np.isfinite(value):

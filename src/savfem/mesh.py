@@ -31,7 +31,7 @@ import numpy as np
 
 from .cutcells import ZERO_SHIFT_SCALE
 from .levelset import LevelSetField, interpolate_p1
-from .quadrature import tet_bary_rule, triangle_bary_rule
+from .quadrature import triangle_bary_rule
 
 __all__ = ["MeshError", "BackgroundMesh", "ActiveMesh", "build_mesh", "build_active_mesh"]
 
@@ -221,7 +221,6 @@ class ActiveMesh:
     poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates
     poly_elem: np.ndarray  # (P,)
     tri_index: np.ndarray  # (T, 3) into poly_points
-    tri_elem: np.ndarray  # (T,)
     sq_points: np.ndarray  # (Q, 3)
     sq_weights: np.ndarray  # (Q,)
     sq_bary: np.ndarray  # (Q, 4) parent barycentric coordinates
@@ -229,11 +228,7 @@ class ActiveMesh:
     sq_patch: np.ndarray  # (Q,)
     sq_offsets: np.ndarray  # (n_e + 1,)
     sq_patch_offsets: np.ndarray  # (n_p + 1,)
-    bq_points: np.ndarray  # (B, 3)
-    bq_weights: np.ndarray  # (B,)
-    bq_elem: np.ndarray  # (B,)
     surface_degree: int
-    bulk_degree: int
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -290,7 +285,6 @@ def build_active_mesh(
     phi_nodal: np.ndarray | None = None,
     levelset: LevelSetField | None = None,
     surface_degree: int = 4,
-    bulk_degree: int = 2,
     geometry_divisions: int = 2,
 ) -> ActiveMesh:
     """Extract the cut tetrahedra of ``mesh`` and precompute trace data.
@@ -385,7 +379,6 @@ def build_active_mesh(
     sub_to_parent = lat_bary[subtets[patch_sub]]  # (n_p, 4, 4)
     poly_bary = np.einsum("pk,pkf->pf", poly_sub_bary, sub_to_parent[poly_patch])
     poly_elem = patch_elem[poly_patch]
-    tri_elem = patch_elem[tri_patch]
 
     rule_bary, rule_w = triangle_bary_rule(surface_degree)
     tri_coords = poly_points[tri_index]  # (T, 3, 3)
@@ -401,12 +394,6 @@ def build_active_mesh(
     sq_elem = patch_elem[sq_patch]
     sq_offsets = np.concatenate([[0], np.cumsum(np.bincount(sq_elem, minlength=n_e))])
     sq_patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(sq_patch, minlength=n_p))])
-
-    tb, tw = tet_bary_rule(bulk_degree)
-    nb = len(tw)
-    bq_points = np.einsum("qi,eij->eqj", tb, coords).reshape(-1, 3)
-    bq_weights = (tw[None, :] * volumes[:, None]).reshape(-1)
-    bq_elem = np.repeat(np.arange(n_e), nb)
 
     return ActiveMesh(
         mesh=mesh,
@@ -428,7 +415,6 @@ def build_active_mesh(
         poly_bary=poly_bary,
         poly_elem=poly_elem,
         tri_index=tri_index,
-        tri_elem=tri_elem,
         sq_points=sq_points,
         sq_weights=sq_weights,
         sq_bary=sq_bary,
@@ -436,11 +422,7 @@ def build_active_mesh(
         sq_patch=sq_patch,
         sq_offsets=sq_offsets,
         sq_patch_offsets=sq_patch_offsets,
-        bq_points=bq_points,
-        bq_weights=bq_weights,
-        bq_elem=bq_elem,
         surface_degree=surface_degree,
-        bulk_degree=bulk_degree,
     )
 
 

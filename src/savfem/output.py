@@ -14,6 +14,7 @@ __all__ = [
     "EnergyCsvSink",
     "write_vtk_surface",
     "write_convergence_csv",
+    "format_convergence_table",
 ]
 
 ENERGY_CSV_HEADER = "t,dt,modified_energy,E1,r,r_consistency,mass,balance_residual"
@@ -89,3 +90,14 @@ def write_convergence_csv(path: str | Path, rows) -> None:
         rate = "" if row.rate is None else f"{row.rate:.6f}"
         out.append(f"{row.level},{row.h:.16e},{row.dt:.16e},{row.n_dofs},{row.error:.16e},{rate}")
     path.write_text("\n".join(out) + "\n")
+
+
+def format_convergence_table(rows) -> str:
+    """The error/rate table of a convergence study, one line per row."""
+    lines = ["level        h        dt    dofs       error   rate"]
+    for row in rows:
+        rate = "   -" if row.rate is None else f"{row.rate:.2f}"
+        lines.append(
+            f"{row.level:5d} {row.h:.6f} {row.dt:.6g} {row.n_dofs:7d} {row.error:.5e}  {rate}"
+        )
+    return "\n".join(lines)

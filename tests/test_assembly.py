@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from savfem.assembly import (
+    assemble_coefficient_forms,
     assemble_f0prime_load,
     assemble_forms,
     assemble_load,
@@ -82,10 +83,13 @@ class TestPlaneOracle:
         np.testing.assert_allclose(np.abs(signs), 1.0, atol=1e-12)
 
     def test_element_weighted_stab(self, plane_active):
-        stab = assemble_normal_stabilization(plane_active)
-        stab_h = assemble_normal_stabilization(plane_active, plane_active.diameters)
-        h = plane_active.diameters[0]
-        assert abs(stab_h - h * stab).max() < 1e-12 * h
+        # the schemes scale stab by the uniform diameter h: the form with
+        # each element weighted by its own diameter
+        a = plane_active
+        elem = np.einsum("eik,ekl,ejl->eij", a.grads, a.stab_metric, a.grads)
+        stab_h = _coo_oracle(a, a.diameters[:, None, None] * elem)
+        h = float(np.mean(a.diameters))
+        assert abs(stab_h - h * assemble_normal_stabilization(a)).max() < 1e-12 * h
 
     def test_mobility_coefficient_factorization(self, plane_active):
         # constant c = 1/2 gives M = 1/4 exactly, a pure rescaling
@@ -177,19 +181,26 @@ class TestSphere:
 
 class TestAssembledForms:
     def test_bundle_contents(self, sphere_l2_forms):
-        forms = sphere_l2_forms
-        h = forms.h_stab
-        assert abs(forms.stab_h - h * forms.stab).max() < 1e-12 * h
-        assert abs(forms.stab_invh - forms.stab / h).max() < 1e-12 / h
-        assert forms.mobility is None or forms.mobility.shape == forms.mass.shape
+        import dataclasses
 
-    def test_update_coefficient_forms(self, sphere_l2_forms):
+        forms = sphere_l2_forms
+        assert forms.h_stab == pytest.approx(np.mean(forms.active.diameters), rel=1e-15)
+        for form in (forms.stiffness, forms.stab):
+            assert form.shape == forms.mass.shape
+        # static forms only: nothing per step is stored on the bundle
+        assert [f.name for f in dataclasses.fields(forms)] == [
+            "active", "mass", "stiffness", "stab", "h_stab"
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            forms.stab = None
+
+    def test_coefficient_forms(self, sphere_l2_forms):
         forms = sphere_l2_forms
         physics = PhysicsParams(epsilon=1.0)
         c = np.full(forms.active.n_dofs, 0.5)
-        forms.update_coefficient_forms(c, physics)
-        assert abs(forms.mobility - 0.25 * forms.stiffness).max() < 1e-14
-        assert np.abs(forms.sav_load).max() < 1e-15
+        mobility, load = assemble_coefficient_forms(forms.active, c, physics)
+        assert abs(mobility - 0.25 * forms.stiffness).max() < 1e-14
+        assert np.abs(load).max() < 1e-15
 
     def test_non_uniform_diameters_rejected(self, sphere_l2):
         import dataclasses
@@ -299,14 +310,17 @@ class TestOperatorsAgainstElementScatter:
     def test_stabilization(self, sphere_l2):
         a = sphere_l2
         elem = np.einsum("eik,ekl,ejl->eij", a.grads, a.stab_metric, a.grads)
-        for weight in (None, a.diameters, 1.0 / a.diameters):
-            w = 1.0 if weight is None else weight[:, None, None]
-            self.assert_same_matrix(assemble_normal_stabilization(a, weight), _coo_oracle(a, w * elem))
+        stab = assemble_normal_stabilization(a)
+        self.assert_same_matrix(stab, _coo_oracle(a, elem))
+        # the uniform scalings the schemes use equal the diameter-weighted forms
+        h = float(np.mean(a.diameters))
+        for scale, weight in ((h, a.diameters), (1.0 / h, 1.0 / a.diameters)):
+            self.assert_same_matrix(scale * stab, _coo_oracle(a, weight[:, None, None] * elem))
 
     def test_every_form_has_one_pattern(self, sphere_l2_forms, bernoulli):
         forms = sphere_l2_forms
         mob = assemble_surface_stiffness(forms.active, bernoulli, PhysicsParams(epsilon=1.0).mobility)
-        for form in (forms.stiffness, forms.stab, forms.stab_h, forms.stab_invh, mob):
+        for form in (forms.stiffness, forms.stab, mob):
             np.testing.assert_array_equal(form.indptr, forms.mass.indptr)
             np.testing.assert_array_equal(form.indices, forms.mass.indices)
 

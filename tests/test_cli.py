@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from savfem import cli
 from savfem.cli import main
+from savfem.experiments import ConvergenceRow
+from savfem.output import format_convergence_table
 
 
 @pytest.fixture()
@@ -76,6 +79,28 @@ class TestConverge:
         fields = lines[1].split()
         assert fields[0] == "2"
         assert float(fields[4]) > 0.0
+
+    # the bytes the table printer of the CLI and of
+    # scripts/run_convergence_tables.py wrote line by line
+    TABLE_ROWS = [
+        ConvergenceRow(level=3, h=0.2083333333, dt=0.02, n_dofs=664, error=3.453e-3, rate=None),
+        ConvergenceRow(level=4, h=0.1041666667, dt=0.01, n_dofs=2764, error=7.654321e-4, rate=2.17456),
+        ConvergenceRow(level=10, h=1 / 768, dt=0.0003125, n_dofs=1234567, error=1.5e-9, rate=12.0),
+    ]
+    TABLE = (
+        "level        h        dt    dofs       error   rate\n"
+        "    3 0.208333 0.02     664 3.45300e-03     -\n"
+        "    4 0.104167 0.01    2764 7.65432e-04  2.17\n"
+        "   10 0.001302 0.0003125 1234567 1.50000e-09  12.00\n"
+    )
+
+    def test_table_format(self):
+        assert format_convergence_table(self.TABLE_ROWS) + "\n" == self.TABLE
+
+    def test_printed_table(self, sphere_cfg, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_convergence", lambda **kwargs: self.TABLE_ROWS)
+        assert main(["converge", "--config", str(sphere_cfg)]) == 0
+        assert capsys.readouterr().out == self.TABLE
 
     def test_csv_output(self, sphere_cfg, tmp_path, capsys):
         out_csv = tmp_path / "conv.csv"

@@ -143,6 +143,21 @@ class TestPhaseSeparation:
             assert path.exists()
             assert "DATASET POLYDATA" in path.read_text()
 
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "adaptive"])
+    @pytest.mark.parametrize("t_end", [0.004, 0.012])
+    def test_snapshot_after_every_accepted_step(self, scheme, t_end, tmp_path, monkeypatch):
+        # with vtk_interval = 1 every accepted step writes one snapshot,
+        # including an adaptive run's BDF1 bootstrap step, also when that
+        # step already reaches t_end
+        monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
+        config = quick_config(scheme=scheme, dt=0.004, t_end=t_end, vtk_interval=1)
+        result = run_phase_separation(config)
+        names = [path.name for path in result.vtk_files]
+        assert names == [f"quick_{k:06d}.vtk" for k in range(result.accepted + 1)]
+        assert sorted(p.name for p in tmp_path.glob("*.vtk")) == names
+        if scheme != "adaptive":
+            assert result.accepted == round(t_end / 0.004)
+
     def test_reproducible_outputs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path / "a"))
         first = run_phase_separation(quick_config())

@@ -1,14 +1,22 @@
 """Time integrator algebra: coefficients, balance identities, adaptivity."""
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from savfem.assembly import (
+    assemble_f0prime_load,
+    assemble_surface_stiffness,
+    compute_E1,
+)
 from savfem.experiments import constant_ic, initial_state
 from savfem.integrators import (
+    BDF1,
     HistoryError,
     SchemeCoefficients,
     StateSnapshot,
@@ -18,16 +26,13 @@ from savfem.integrators import (
     bdf1_step,
     bdf2_step,
     bdf2_variable_step,
-    energy_balance_residual_bdf1,
-    energy_balance_residual_bdf2,
-    energy_balance_terms_bdf1,
-    energy_balance_terms_bdf2,
+    energy_balance_terms,
     make_energy_report,
-    modified_energy_bdf1,
-    modified_energy_bdf2,
+    modified_energy,
     proposed_factor,
 )
-from savfem.physics import EnergyFloorError, PhysicsParams
+from savfem.linsolve import BlockPattern, BlockSystem, solve_rank_one_system
+from savfem.physics import EnergyFloorError, PhysicsParams, guarded_shifted_energy
 
 
 @pytest.fixture()
@@ -64,6 +69,10 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="positive"):
             SchemeCoefficients.from_ratio(0.0)
 
+    def test_bdf1_is_the_zero_ratio_limit(self):
+        coef = SchemeCoefficients.from_ratio(1e-300)
+        assert (coef.alpha, coef.beta, coef.gamma) == (BDF1.alpha, BDF1.beta, BDF1.gamma)
+
 
 class TestEquilibrium:
     def test_constant_half_is_steady(self, sphere_l2_forms, physics):
@@ -87,7 +96,7 @@ class TestBalanceIdentities:
         state = seeded_state
         for _ in range(3):
             nxt = bdf1_step(state, 0.005, sphere_l2_forms, physics)
-            terms = energy_balance_terms_bdf1(state, nxt, 0.005, sphere_l2_forms, physics)
+            terms = energy_balance_terms(None, state, nxt, sphere_l2_forms, physics)
             rel = abs(terms.sum()) / np.abs(terms).max()
             assert rel < 1e-9
             state = nxt
@@ -97,7 +106,7 @@ class TestBalanceIdentities:
         state = bdf1_step(prev, 0.005, sphere_l2_forms, physics)
         for _ in range(3):
             nxt = bdf2_step(prev, state, 0.005, sphere_l2_forms, physics)
-            terms = energy_balance_terms_bdf2(prev, state, nxt, 0.005, sphere_l2_forms, physics)
+            terms = energy_balance_terms(prev, state, nxt, sphere_l2_forms, physics)
             rel = abs(terms.sum()) / np.abs(terms).max()
             assert rel < 1e-9
             prev, state = state, nxt
@@ -106,17 +115,15 @@ class TestBalanceIdentities:
         # the identity must be sensitive: a 1e-6 perturbation of c breaks it
         # (non-constant, since constants lie in the kernel of the gradient forms)
         nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
-        clean = energy_balance_residual_bdf1(seeded_state, nxt, 0.005, sphere_l2_forms, physics)
+        clean = abs(energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics).sum())
         bump = 1e-6 * sphere_l2_forms.active.dof_coords[:, 0]
         corrupted = dataclasses.replace(nxt, c=nxt.c + bump)
-        dirty = energy_balance_residual_bdf1(
-            seeded_state, corrupted, 0.005, sphere_l2_forms, physics
-        )
+        dirty = abs(energy_balance_terms(None, seeded_state, corrupted, sphere_l2_forms, physics).sum())
         assert dirty > 1e3 * max(clean, 1e-300)
 
     def test_dissipation_terms_nonnegative(self, sphere_l2_forms, physics, seeded_state):
         nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
-        terms = energy_balance_terms_bdf1(seeded_state, nxt, 0.005, sphere_l2_forms, physics)
+        terms = energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics)
         # terms[0] is the energy increment, the rest are dissipation
         assert np.all(terms[1:] >= -1e-14)
         assert terms[0] <= 1e-14
@@ -161,23 +168,23 @@ class TestModifiedEnergies:
         state = initial_state(sphere_l2_forms, physics, constant_ic(sphere_l2_forms.active, 0.5))
         area = sphere_l2_forms.active.area
         expected = area / 64.0 + physics.c_shift
-        assert modified_energy_bdf1(state, sphere_l2_forms, physics) == pytest.approx(
+        assert modified_energy(state, sphere_l2_forms, physics) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_bdf2_energy_of_identical_pair(self, sphere_l2_forms, physics):
         state = initial_state(sphere_l2_forms, physics, constant_ic(sphere_l2_forms.active, 0.5))
-        e1 = modified_energy_bdf1(state, sphere_l2_forms, physics)
-        e2 = modified_energy_bdf2(state, state, sphere_l2_forms, physics)
+        e1 = modified_energy(state, sphere_l2_forms, physics)
+        e2 = modified_energy(state, sphere_l2_forms, physics, prev=state)
         # with state == prev the pair energy doubles the r^2 and gradient parts
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
     def test_monotone_decay_short_run(self, sphere_l2_forms, physics, seeded_state):
         state = seeded_state
-        energies = [modified_energy_bdf1(state, sphere_l2_forms, physics)]
+        energies = [modified_energy(state, sphere_l2_forms, physics)]
         for _ in range(10):
             state = bdf1_step(state, 0.005, sphere_l2_forms, physics)
-            energies.append(modified_energy_bdf1(state, sphere_l2_forms, physics))
+            energies.append(modified_energy(state, sphere_l2_forms, physics))
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * np.abs(energies[0]))
 
@@ -252,18 +259,278 @@ class TestGuards:
 class TestEnergyReport:
     def test_fields(self, sphere_l2_forms, physics, seeded_state):
         nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
-        res = energy_balance_residual_bdf1(seeded_state, nxt, 0.005, sphere_l2_forms, physics)
-        report = make_energy_report(nxt, seeded_state, sphere_l2_forms, physics, res, "bdf1")
+        report = make_energy_report(None, seeded_state, nxt, sphere_l2_forms, physics, "bdf1")
         assert report.t == pytest.approx(0.005)
         assert report.dt == pytest.approx(0.005)
         assert report.modified_energy == pytest.approx(
-            modified_energy_bdf1(nxt, sphere_l2_forms, physics), rel=1e-14
+            modified_energy(nxt, sphere_l2_forms, physics), rel=1e-14
         )
         # r tracks sqrt(E1 + C) closely on a resolved step
         assert report.r_consistency < 1e-2 * (report.e1 + physics.c_shift)
-        assert report.balance_residual == pytest.approx(res, abs=0.0)
+        terms = energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics)
+        assert report.balance_residual == abs(terms.sum())
 
     def test_bdf2_report_needs_prev(self, sphere_l2_forms, physics, seeded_state):
         nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
         with pytest.raises(ValueError, match="previous"):
-            make_energy_report(nxt, None, sphere_l2_forms, physics, 0.0, "bdf2")
+            make_energy_report(None, None, nxt, sphere_l2_forms, physics, "bdf2")
+
+    def test_scheme_picks_energy_and_balance(self, sphere_l2_forms, physics, seeded_state):
+        forms = sphere_l2_forms
+        prev = seeded_state
+        state = bdf1_step(prev, 0.005, forms, physics)
+        nxt = bdf2_step(prev, state, 0.005, forms, physics)
+        first = abs(energy_balance_terms(None, state, nxt, forms, physics).sum())
+        second = abs(energy_balance_terms(prev, state, nxt, forms, physics).sum())
+        bdf1 = make_energy_report(prev, state, nxt, forms, physics, "bdf1")
+        assert bdf1.modified_energy == modified_energy(nxt, forms, physics)
+        assert bdf1.balance_residual == first
+        for scheme in ("bdf2", "adaptive"):
+            report = make_energy_report(prev, state, nxt, forms, physics, scheme)
+            assert report.modified_energy == modified_energy(nxt, forms, physics, prev=state)
+            assert report.balance_residual == second
+            bootstrap = make_energy_report(None, state, nxt, forms, physics, scheme)
+            assert bootstrap.balance_residual == first
+
+
+class TestStepMobility:
+    def test_snapshot_carries_the_step_mobility(self, sphere_l2_forms, physics, seeded_state):
+        active = sphere_l2_forms.active
+        assert seeded_state.mobility is None
+        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics)
+        expected = assemble_surface_stiffness(active, seeded_state.c, physics.mobility)
+        np.testing.assert_array_equal(state.mobility.data, expected.data)
+        nxt = bdf2_variable_step(seeded_state, state, 0.008, 0.004, sphere_l2_forms, physics)
+        c_ref = 2.0 * state.c - seeded_state.c
+        expected = assemble_surface_stiffness(active, c_ref, physics.mobility)
+        np.testing.assert_array_equal(nxt.mobility.data, expected.data)
+
+
+# Oracles: the three step routines and the two balance-term routines of the
+# integrators before BDF1, BDF2 and variable-step BDF2 became one step.  They
+# use per-element weighted copies of the stabilization (stab_h, stab_invh)
+# and reassemble the mobility for the balance.
+
+
+class _OracleForms(NamedTuple):
+    active: object
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix
+    stab_h: sp.csr_matrix
+    stab_invh: sp.csr_matrix
+    pattern: BlockPattern
+
+
+def _oracle_forms(forms, weighted: bool) -> _OracleForms:
+    """The static forms with stabilization copies: the per-element weighted
+    ones the old routines were given, or the folded step's h-scaled ones."""
+    a, stab, h = forms.active, forms.stab, forms.h_stab
+    if weighted:
+        elem = np.einsum("eik,ekl,ejl->eij", a.grads, a.stab_metric, a.grads)
+        rows = np.broadcast_to(a.elem_dofs[:, :, None], elem.shape).reshape(-1)
+        cols = np.broadcast_to(a.elem_dofs[:, None, :], elem.shape).reshape(-1)
+
+        def scaled(weight):
+            data = (weight[:, None, None] * elem).reshape(-1)
+            mat = sp.coo_matrix((data, (rows, cols)), shape=stab.shape).tocsr()
+            mat.sum_duplicates()
+            np.testing.assert_array_equal(mat.indices, stab.indices)
+            return mat
+
+        stab_h, stab_invh = scaled(a.diameters), scaled(1.0 / a.diameters)
+    else:
+        stab_h, stab_invh = _on(stab, h * stab.data), _on(stab, stab.data / h)
+    pattern = BlockPattern.build(a.dof_coords, forms.mass)
+    return _OracleForms(a, forms.mass, forms.stiffness, stab_h, stab_invh, pattern)
+
+
+def _on(form, data):
+    return sp.csr_matrix((data, form.indices, form.indptr), shape=form.shape)
+
+
+def _oracle_reference(forms, c_ref, physics):
+    mobility = assemble_surface_stiffness(forms.active, c_ref, physics.mobility)
+    w = assemble_f0prime_load(forms.active, c_ref)
+    s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
+    return mobility, w, s
+
+
+def _oracle_solve(forms, physics, mobility, cc_scale, rhs_c, rhs_mu, w, s):
+    eps2 = physics.epsilon**2
+    system = BlockSystem(
+        b_cc=cc_scale * forms.mass,
+        b_cmu=_on(mobility, mobility.data + forms.stab_h.data),
+        b_muc=_on(forms.stiffness, (-eps2) * forms.stiffness.data + (-eps2) * forms.stab_invh.data),
+        b_mumu=forms.mass,
+        rank_one_scale=-1.0 / (2.0 * s),
+        rank_one_left=w,
+        rank_one_right=w,
+        rhs=np.concatenate([rhs_c, rhs_mu]),
+    )
+    c, mu, _ = solve_rank_one_system(system, None, forms.pattern)
+    return c, mu
+
+
+def _oracle_bdf1(prev, dt, forms, physics):
+    mobility, w, s = _oracle_reference(forms, prev.c, physics)
+    sq = np.sqrt(s)
+    rho = physics.rho
+    rhs_c = (rho / dt) * (forms.mass @ prev.c)
+    rhs_mu = (prev.r / sq - np.dot(w, prev.c) / (2.0 * s)) * w
+    c, mu = _oracle_solve(forms, physics, mobility, rho / dt, rhs_c, rhs_mu, w, s)
+    r = prev.r + np.dot(w, c - prev.c) / (2.0 * sq)
+    return StateSnapshot(c=c, mu=mu, r=float(r), t=prev.t + dt, dt_used=dt)
+
+
+def _oracle_bdf2(prev2, prev1, dt, forms, physics):
+    mobility, w, s = _oracle_reference(forms, 2.0 * prev1.c - prev2.c, physics)
+    sq = np.sqrt(s)
+    rho = physics.rho
+    rhs_c = (2.0 * rho / dt) * (forms.mass @ prev1.c) - (0.5 * rho / dt) * (forms.mass @ prev2.c)
+    rhs_mu = (
+        (4.0 * prev1.r - prev2.r) / (3.0 * sq)
+        - 2.0 * np.dot(w, prev1.c) / (3.0 * s)
+        + np.dot(w, prev2.c) / (6.0 * s)
+    ) * w
+    c, mu = _oracle_solve(forms, physics, mobility, 1.5 * rho / dt, rhs_c, rhs_mu, w, s)
+    r = (4.0 * prev1.r - prev2.r + np.dot(w, 3.0 * c - 4.0 * prev1.c + prev2.c) / (2.0 * sq)) / 3.0
+    return StateSnapshot(c=c, mu=mu, r=float(r), t=prev1.t + dt, dt_used=dt)
+
+
+def _oracle_bdf2_variable(prev2, prev1, dt, dt_prev, forms, physics):
+    coef = SchemeCoefficients.from_ratio(dt / dt_prev)
+    al, be, ga = coef.alpha, coef.beta, coef.gamma
+    mobility, w, s = _oracle_reference(forms, 2.0 * prev1.c - prev2.c, physics)
+    sq = np.sqrt(s)
+    rho = physics.rho
+    rhs_c = (be * rho / dt) * (forms.mass @ prev1.c) - (ga * rho / dt) * (forms.mass @ prev2.c)
+    rhs_mu = (
+        (be * prev1.r - ga * prev2.r) / (al * sq)
+        - be * np.dot(w, prev1.c) / (2.0 * al * s)
+        + ga * np.dot(w, prev2.c) / (2.0 * al * s)
+    ) * w
+    c, mu = _oracle_solve(forms, physics, mobility, al * rho / dt, rhs_c, rhs_mu, w, s)
+    r = (
+        be * prev1.r
+        - ga * prev2.r
+        + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)
+    ) / al
+    return StateSnapshot(c=c, mu=mu, r=float(r), t=prev1.t + dt, dt_used=dt)
+
+
+def _quad(mat, v):
+    return float(v @ (mat @ v))
+
+
+def _oracle_energy_bdf1(state, forms, physics):
+    eps2 = physics.epsilon**2
+    return (
+        0.5 * eps2 * _quad(forms.stiffness, state.c)
+        + state.r**2
+        + 0.5 * eps2 * _quad(forms.stab_invh, state.c)
+    )
+
+
+def _oracle_energy_bdf2(state, prev, forms, physics):
+    eps2 = physics.epsilon**2
+    d = 2.0 * state.c - prev.c
+    return (
+        0.5 * eps2 * (_quad(forms.stiffness, state.c) + _quad(forms.stiffness, d))
+        + state.r**2
+        + (2.0 * state.r - prev.r) ** 2
+        + 0.5 * eps2 * (_quad(forms.stab_invh, state.c) + _quad(forms.stab_invh, d))
+    )
+
+
+def _oracle_balance_bdf1(prev, nxt, dt, forms, physics):
+    eps2 = physics.epsilon**2
+    a_mob = assemble_surface_stiffness(forms.active, prev.c, physics.mobility)
+    d = nxt.c - prev.c
+    return np.array(
+        [
+            _oracle_energy_bdf1(nxt, forms, physics) - _oracle_energy_bdf1(prev, forms, physics),
+            0.5 * eps2 * _quad(forms.stiffness, d),
+            (nxt.r - prev.r) ** 2,
+            0.5 * eps2 * _quad(forms.stab_invh, d),
+            (dt / physics.rho) * _quad(a_mob, nxt.mu),
+            (dt / physics.rho) * _quad(forms.stab_h, nxt.mu),
+        ]
+    )
+
+
+def _oracle_balance_bdf2(prev2, prev1, nxt, dt, forms, physics):
+    eps2 = physics.epsilon**2
+    a_mob = assemble_surface_stiffness(forms.active, 2.0 * prev1.c - prev2.c, physics.mobility)
+    d2 = nxt.c - 2.0 * prev1.c + prev2.c
+    return np.array(
+        [
+            _oracle_energy_bdf2(nxt, prev1, forms, physics)
+            - _oracle_energy_bdf2(prev1, prev2, forms, physics),
+            0.5 * eps2 * _quad(forms.stiffness, d2),
+            (nxt.r - 2.0 * prev1.r + prev2.r) ** 2,
+            0.5 * eps2 * _quad(forms.stab_invh, d2),
+            (2.0 * dt / physics.rho) * _quad(a_mob, nxt.mu),
+            (2.0 * dt / physics.rho) * _quad(forms.stab_h, nxt.mu),
+        ]
+    )
+
+
+def _rel_dev(new, old) -> float:
+    return float(np.abs(np.asarray(new) - old).max() / np.abs(old).max())
+
+
+class TestFoldedSchemeAgainstOracles:
+    """The folded step and balance against the three-copy routines.
+
+    Given the h-scaled stabilization the folded step uses, the old routines
+    give the same c, mu and r to 1e-14 (in fact bit for bit); given their
+    element-weighted copies, which equal h stab and stab / h to round-off,
+    they agree to the 1e-12 of criterion 6.  Balance terms are compared on
+    the scale of the modified energy, whose increment is their first term.
+    """
+
+    TOL = {"scaled": 1e-14, "weighted": 1e-12}
+
+    @pytest.fixture(scope="class", params=["scaled", "weighted"])
+    def oracle(self, request, sphere_l2_forms):
+        return request.param, _oracle_forms(sphere_l2_forms, request.param == "weighted")
+
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "q2", "q0.5"])
+    def test_steps(self, scheme, sphere_l2_forms, oracle, physics, seeded_state):
+        (kind, oracle_forms), forms, dt = oracle, sphere_l2_forms, 0.004
+        prev = seeded_state
+        state = bdf1_step(prev, dt, forms, physics)
+        for _ in range(3):
+            if scheme == "bdf1":
+                new = bdf1_step(state, dt, forms, physics)
+                old = _oracle_bdf1(state, dt, oracle_forms, physics)
+            elif scheme == "bdf2":
+                new = bdf2_step(prev, state, dt, forms, physics)
+                old = _oracle_bdf2(prev, state, dt, oracle_forms, physics)
+            else:
+                dt = float(scheme[1:]) * state.dt_used
+                new = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics)
+                old = _oracle_bdf2_variable(prev, state, dt, state.dt_used, oracle_forms, physics)
+            for a, b in ((new.c, old.c), (new.mu, old.mu), (new.r, old.r)):
+                assert _rel_dev(a, b) <= self.TOL[kind]
+            assert (new.t, new.dt_used) == (old.t, old.dt_used)
+            prev, state = state, new
+
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "q2", "q0.5"])
+    def test_balance_terms(self, scheme, sphere_l2_forms, oracle, physics, seeded_state):
+        (kind, oracle_forms), forms, dt = oracle, sphere_l2_forms, 0.004
+        prev = seeded_state
+        state = bdf1_step(prev, dt, forms, physics)
+        for _ in range(3):
+            if scheme == "bdf1":
+                nxt = bdf1_step(state, dt, forms, physics)
+                new = energy_balance_terms(None, state, nxt, forms, physics)
+                old = _oracle_balance_bdf1(state, nxt, dt, oracle_forms, physics)
+            else:
+                dt = (1.0 if scheme == "bdf2" else float(scheme[1:])) * state.dt_used
+                nxt = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics)
+                new = energy_balance_terms(prev, state, nxt, forms, physics)
+                old = _oracle_balance_bdf2(prev, state, nxt, dt, oracle_forms, physics)
+            scale = modified_energy(state, forms, physics, prev=prev)
+            assert np.abs(new - old).max() <= 1e-14 * scale
+            prev, state = state, nxt

@@ -132,15 +132,15 @@ def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
     forms = sphere_l3_forms
     active = forms.active
     physics = PhysicsParams(epsilon=0.05)
-    eps2 = physics.epsilon**2
+    eps2, h = physics.epsilon**2, forms.h_stab
     n = active.n_dofs
     c = bernoulli_ic(active, 0.5, 1)
     mobility = assemble_surface_stiffness(active, c, physics.mobility)
     w = assemble_f0prime_load(active, c)
     system = BlockSystem(
         b_cc=(1.5 / 0.005) * forms.mass,
-        b_cmu=on_pattern(mobility, mobility.data + forms.stab_h.data),
-        b_muc=on_pattern(forms.stiffness, -eps2 * (forms.stiffness.data + forms.stab_invh.data)),
+        b_cmu=on_pattern(mobility, mobility.data + h * forms.stab.data),
+        b_muc=on_pattern(forms.stiffness, -eps2 * (forms.stiffness.data + forms.stab.data / h)),
         b_mumu=forms.mass,
         rank_one_scale=-0.3,
         rank_one_left=w,

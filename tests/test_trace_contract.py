@@ -1,0 +1,122 @@
+"""Contract between savfem and the benchmark in savbench/.
+
+The benchmark wraps savfem functions under the names the savfem modules
+bind them to (``tracing.TARGETS``) and derives its per-layer metrics from the
+spans; it times set-up through ``experiments.build_mesh`` and
+``experiments.initial_state`` (``workloads.SetupClock``).  These tests run
+small problems through that machinery without changing it, and restore every
+name it patches.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from savfem import experiments
+from savfem.config import RunConfig
+
+SAVBENCH = Path(__file__).resolve().parents[1] / "savbench"
+SAVFEM_MODULES = ("assembly", "experiments", "integrators", "linsolve")
+
+# TARGETS entries whose savfem names are gone: their spans are provided by
+# other entries, so no metric depends on them alone.
+NOT_TRACED = {
+    "savfem.integrators:assemble_surface_stiffness",
+    "savfem.experiments:energy_balance_residual_bdf1",
+    "savfem.experiments:energy_balance_residual_bdf2",
+}
+
+
+@pytest.fixture(scope="module")
+def savbench():
+    """savbench's ``tracing`` and ``workloads`` modules, imported as its
+    scripts import them (by top-level name from its directory)."""
+    added = [name for name in ("checks", "tracing", "workloads") if name not in sys.modules]
+    sys.path.insert(0, str(SAVBENCH))
+    try:
+        modules = importlib.import_module("tracing"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(SAVBENCH))
+    yield modules
+    for name in added:
+        sys.modules.pop(name, None)
+
+
+def bindings() -> dict:
+    """Every name bound in the savfem modules the benchmark patches."""
+    out = {}
+    for name in SAVFEM_MODULES:
+        module = importlib.import_module(f"savfem.{name}")
+        out.update({(name, key): value for key, value in vars(module).items()})
+    return out
+
+
+def run_config(**overrides) -> RunConfig:
+    base = dict(
+        surface="sphere", level=2, epsilon=0.05, scheme="bdf2", dt=0.005, t_end=0.02,
+        ic="random", ic_mean=0.5, seed=1, run_name="traced",
+    )
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def traced_run(tracing, config):
+    before = bindings()
+    tracer = tracing.Tracer()
+    try:
+        missing = tracer.install(tracing.TARGETS)
+        result = tracer.call("experiments.run", experiments.run_phase_separation, (config,), {})
+    finally:
+        tracer.restore()
+    assert bindings() == before
+    return result, missing, tracing.layer_metrics(tracer.spans, tracer.installed, root=0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"scheme": "adaptive", "dt": 0.002, "t_end": 0.05}],
+    ids=["bdf2", "adaptive"],
+)
+def test_traced_run_reports_every_layer(savbench, overrides, tmp_path, monkeypatch):
+    tracing, _ = savbench
+    monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
+    result, missing, metrics = traced_run(tracing, run_config(**overrides))
+
+    assert set(missing) <= NOT_TRACED
+    assert sorted(set(tracing.LAYER_METRICS) - set(metrics)) == []
+    # one mobility matrix and one f0' load per solve: the energy balance
+    # reuses the mobility of the step it checks
+    solves = metrics["linsolve.solves"]
+    assert metrics["assembly.mobility_calls"] == metrics["assembly.f0prime_load_calls"] == solves
+    attempts = metrics["integrators.attempts"]
+    assert attempts == result.accepted + result.rejected
+    assert metrics["integrators.rejected"] == result.rejected
+    # adaptive attempts solve BDF1 and BDF2; the bootstrap step solves once
+    assert solves == (2 * attempts - 1 if overrides else attempts)
+    # E1 per solve and per report, mass per report, two L2 norms per
+    # adaptive attempt, E1 of the initial data
+    adaptive_attempts = attempts - 1 if overrides else 0
+    expected = 1 + solves + 2 * result.accepted + 2 * adaptive_attempts
+    assert metrics["assembly.energy_calls"] == expected
+
+
+def test_setup_clock_stops_both_run_paths(savbench):
+    _, workloads = savbench
+    before = bindings()
+    clock = workloads.SetupClock(experiments, stop=True)
+    try:
+        # the clock is opened by the probed build_mesh and closed by the
+        # probed initial_state, which stops the run before its time loop
+        with pytest.raises(workloads.StopAfterSetup):
+            experiments.run_phase_separation(run_config(), write_outputs=False)
+        first = clock.total
+        with pytest.raises(workloads.StopAfterSetup):
+            experiments.run_convergence([2], epsilon=1.0, scheme="bdf2", t_end=0.08)
+    finally:
+        experiments.build_mesh = before[("experiments", "build_mesh")]
+        experiments.initial_state = before[("experiments", "initial_state")]
+    assert 0.0 < first < clock.total
+    assert clock.opened is None
+    assert bindings() == before
