@@ -43,6 +43,7 @@ from .integrators import (
 )
 from .levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
 from .linsolve import (
+    BlockSolver,
     BlockSystem,
     LinearSolveError,
     SingularUpdateError,

@@ -27,7 +27,6 @@ __all__ = [
     "classify_tet",
     "extract_cut_polygon",
     "surface_quadrature",
-    "bulk_quadrature",
     "ZERO_SHIFT_SCALE",
     "DEGENERATE_AREA_SCALE",
 ]
@@ -179,11 +178,3 @@ def surface_quadrature(polygon: CutPolygon, degree: int = 4):
         bary.append(rule_bary @ tb)
         wts.append(rule_w * area)
     return np.vstack(pts), np.concatenate(wts), np.vstack(bary)
-
-
-def bulk_quadrature(coords, degree: int = 2):
-    """Quadrature over a whole tetrahedron: (points, weights)."""
-    from .quadrature import tetrahedron_rule
-
-    rule = tetrahedron_rule(np.asarray(coords, dtype=float), degree)
-    return rule.points, rule.weights

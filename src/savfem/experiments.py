@@ -27,7 +27,7 @@ from .integrators import (
     make_energy_report,
 )
 from .levelset import sphere
-from .linsolve import SolverConfig
+from .linsolve import BlockSolver, SolverConfig
 from .manufactured import manufactured_solution
 from .mesh import ActiveMesh, build_active_mesh, build_mesh
 from .output import EnergyCsvSink, write_vtk_surface
@@ -85,7 +85,7 @@ def _step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
-def _advance(scheme, prev, state, dt, forms, physics, solver_config, forcing=None, controller=None):
+def _advance(scheme, prev, state, dt, forms, physics, solver, forcing=None, controller=None):
     """One accepted step from (prev, state), and its number of rejected attempts.
 
     Every step of a "bdf1" run and the first step (``prev`` None) of the
@@ -93,10 +93,10 @@ def _advance(scheme, prev, state, dt, forms, physics, solver_config, forcing=Non
     steps and an "adaptive" run the controller's steps.
     """
     if scheme == "bdf1" or prev is None:
-        return bdf1_step(state, dt, forms, physics, solver_config, forcing), 0
+        return bdf1_step(state, dt, forms, physics, solver, forcing), 0
     if scheme == "bdf2":
-        return bdf2_step(prev, state, dt, forms, physics, solver_config, forcing), 0
-    nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver_config, forcing)
+        return bdf2_step(prev, state, dt, forms, physics, solver, forcing), 0
+    nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver, forcing)
     return nxt, sum(1 for a in attempts if not a.accepted)
 
 
@@ -125,7 +125,8 @@ def run_convergence(
     Initial data is the nodal interpolant of the exact tanh band; the source
     term keeps it stationary, and the reported error is
     ||c_h(t_end) - I_h c*||_{L2(Gamma_h)}.  The step size halves with the
-    mesh: dt_l = 0.02 * 2^(3-l).
+    mesh: dt_l = 0.02 * 2^(3-l).  Each level's steps share one BlockSolver
+    built from ``solver_config``.
     """
     if scheme not in ("bdf1", "bdf2"):
         raise ValueError("convergence runs support bdf1 or bdf2")
@@ -143,10 +144,12 @@ def run_convergence(
         state = initial_state(forms, physics, c_star)
 
         dt = REFERENCE_DT * 2.0 ** (3 - level)
+        solver = BlockSolver(solver_config)
         prev = None
         for _ in range(_step_count(t_end, dt)):
-            nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver_config, forcing)
+            nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver, forcing)
             prev, state = state, nxt
+        solver.release()
 
         error = l2_norm_gamma(active, state.c - c_star)
         rate = None if prev_error is None else observed_rate(prev_error, error)
@@ -203,12 +206,14 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
     after the last, a VTK snapshot.  BDF2 and adaptive runs bootstrap with a
     single BDF1 step of size dt.  Adaptive runs do not clamp the final step
     to t_end, so the last accepted step size is a genuine controller product.
+    All solves of the run share one BlockSolver, whose totals are logged at
+    INFO level when the run ends.
     """
     adaptive = config.scheme == "adaptive"
     n_steps = None if adaptive else _step_count(config.t_end, config.dt)
     _, active, forms = build_problem(config)
     physics = config.physics()
-    solver_config = config.solver_config()
+    solver = BlockSolver(config.solver_config())
     controller = config.controller() if adaptive else None
     state = initial_state(forms, physics, _initial_concentration(config, active))
 
@@ -235,7 +240,7 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
         maybe_vtk(0, state)
         while not done:
             nxt, n_rejected = _advance(
-                config.scheme, prev, state, config.dt, forms, physics, solver_config,
+                config.scheme, prev, state, config.dt, forms, physics, solver,
                 controller=controller,
             )
             reports.append(make_energy_report(prev, state, nxt, forms, physics, config.scheme))
@@ -246,8 +251,16 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
             done = state.t >= config.t_end if adaptive else len(reports) == n_steps
             maybe_vtk(len(reports), state, final=done)
     finally:
+        solver.release()
         if sink:
             sink.close()
+    totals = solver.totals
+    log.info(
+        "%s: %d solves, %d factorizations, %d reused, %d abandoned reuses, "
+        "%d GMRES iterations, %d fallbacks",
+        config.run_name, totals.solves, totals.factorizations, totals.reused,
+        totals.abandoned, totals.iterations, totals.fallbacks,
+    )
 
     return RunResult(
         state=state,

@@ -38,9 +38,9 @@ from .assembly import (
 )
 from .linsolve import (
     BlockPattern,
+    BlockSolver,
     BlockSystem,
     LinearSolveError,
-    SolverConfig,
     solve_rank_one_system,
 )
 from .physics import PhysicsParams, guarded_shifted_energy
@@ -145,13 +145,15 @@ def _sav_step(
     c_ref: np.ndarray,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver_config: SolverConfig | None,
+    solver: BlockSolver | None,
     forcing: np.ndarray | None,
 ) -> StateSnapshot:
     """The step with difference ``coef`` and reference field ``c_ref``.
 
-    ``forcing`` is an optional pre-assembled load vector (f, psi_j) added to
-    the concentration equation.
+    ``solver`` is the time loop's BlockSolver, whose stored LU may serve the
+    solve; without one the step solves on a fresh LU.  ``forcing`` is an
+    optional pre-assembled load vector (f, psi_j) added to the concentration
+    equation.
     """
     mobility, w = assemble_coefficient_forms(forms.active, c_ref, physics)
     s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
@@ -179,7 +181,7 @@ def _sav_step(
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, solver_config, _block_pattern(forms))
+    c, mu, _ = solve_rank_one_system(system, None, _block_pattern(forms), solver)
     r = (be * prev1.r - ga * prev2.r + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)) / al
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(r)):
         raise TimeStepError("time step produced non-finite values")
@@ -191,13 +193,13 @@ def bdf1_step(
     dt: float,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver_config: SolverConfig | None = None,
+    solver: BlockSolver | None = None,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
     """One first-order SAV step from ``prev``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _sav_step(prev, prev, dt, BDF1, prev.c, forms, physics, solver_config, forcing)
+    return _sav_step(prev, prev, dt, BDF1, prev.c, forms, physics, solver, forcing)
 
 
 def bdf2_step(
@@ -206,7 +208,7 @@ def bdf2_step(
     dt: float,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver_config: SolverConfig | None = None,
+    solver: BlockSolver | None = None,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
     """One uniform-step second-order SAV step; prev1 is the newer state.
@@ -222,7 +224,7 @@ def bdf2_step(
         )
     coef = SchemeCoefficients.from_ratio(1.0)
     c_ref = 2.0 * prev1.c - prev2.c
-    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver_config, forcing)
+    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver, forcing)
 
 
 def bdf2_variable_step(
@@ -232,7 +234,7 @@ def bdf2_variable_step(
     dt_prev: float,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver_config: SolverConfig | None = None,
+    solver: BlockSolver | None = None,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
     """Variable-step BDF2 with ratio q = dt / dt_prev; bdf2_step at q = 1."""
@@ -240,7 +242,7 @@ def bdf2_variable_step(
         raise ValueError("dt and dt_prev must be positive")
     coef = SchemeCoefficients.from_ratio(dt / dt_prev)
     c_ref = 2.0 * prev1.c - prev2.c
-    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver_config, forcing)
+    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver, forcing)
 
 
 def _quad_form(mat, v) -> float:
@@ -348,7 +350,7 @@ def adapt_step(
     prev1: StateSnapshot,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver_config: SolverConfig | None = None,
+    solver: BlockSolver | None = None,
     forcing: np.ndarray | None = None,
 ):
     """One adaptive step: BDF1/BDF2 comparison with retry-and-shrink.
@@ -368,9 +370,9 @@ def adapt_step(
                 f"trial step {dt:.3e} fell below dt_min {controller.dt_min:.3e} "
                 f"after {len(attempts)} attempts"
             )
-        c1 = bdf1_step(prev1, dt, forms, physics, solver_config, forcing)
+        c1 = bdf1_step(prev1, dt, forms, physics, solver, forcing)
         c2 = bdf2_variable_step(
-            prev2, prev1, dt, prev1.dt_used, forms, physics, solver_config, forcing
+            prev2, prev1, dt, prev1.dt_used, forms, physics, solver, forcing
         )
         denom = l2_norm_gamma(forms.active, c2.c)
         error = l2_norm_gamma(forms.active, c1.c - c2.c) / denom if denom > 0 else float("inf")

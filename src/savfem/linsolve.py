@@ -7,37 +7,63 @@ Each implicit step couples concentration and chemical potential through a
     [ B_cc   B_cmu  ] [c ]   [rhs_c ]
     [ B_muc  B_mumu ] [mu] + [rhs_mu],   B_muc <- B_muc + sigma u v^T.
 
-The base operator is factorized by sparse LU without the rank-one term; the
-update is folded in with the Sherman-Morrison formula
+The base operator A is factorized by sparse LU without the rank-one term;
+the update is folded in with the Sherman-Morrison formula
 
     x = x0 - sigma (v^T x0_c) / (1 + sigma v^T x1_c) * x1,
 
 where x0 solves A x0 = b and x1 solves A x1 = [0; u].
 
-Fixed-pattern path.  All four blocks of the trace FEM operator are
-assembled over the same element scatter pattern with explicit zeros kept,
-so the 2N x 2N pattern is fixed for a mesh.  A ``BlockPattern`` orders it
-once by geometric nested dissection (George 1973): the dofs are split at the
-median of their coordinates along the longest extent, the left dofs adjacent
-to the right half form a separator that is numbered after both halves, and
-the halves are split recursively down to LEAF_SIZE dofs.  The c and mu
-unknowns of each dof are interleaved, so every dof is one 2x2 block of the
-permuted matrix.  Each solve scatters the blocks' data into the fixed CSC
+Fixed-pattern LU.  All four blocks of the trace FEM operator are assembled
+over the same element scatter pattern with explicit zeros kept, so the
+2N x 2N pattern is fixed for a mesh.  A ``BlockPattern`` orders it once by
+geometric nested dissection (George 1973): the dofs are split at the median
+of their coordinates along the longest extent, the left dofs adjacent to
+the right half form a separator that is numbered after both halves, and the
+halves are split recursively down to LEAF_SIZE dofs.  The c and mu unknowns
+of each dof are interleaved, so every dof is one 2x2 block of the permuted
+matrix.  A factorization scatters the blocks' data into the fixed CSC
 positions and factorizes in that order with SuperLU's pivot-free mode
 (natural column order, diagonal pivots: ``diag_pivot_thresh = 0``).  This
-roughly halves the L+U fill against the default COLAMD ordering with partial
-pivoting on the band meshes (level-5 sphere: 7.0M against 13.3M nonzeros).
-Any threshold above zero is ruled out: row interchanges then destroy the
-ordering (thresh = 0.1 gives 40M L+U nonzeros at level 5).
+roughly halves the L+U fill against the default COLAMD ordering with
+partial pivoting on the band meshes (level-5 sphere: 7.0M against 13.3M
+nonzeros).  Any threshold above zero is ruled out: row interchanges then
+destroy the ordering (thresh = 0.1 gives 40M L+U nonzeros at level 5).
+Without pivoting the LU is not backward stable in general, so if a fresh
+fixed-pattern factorization fails the residual gate below (or its
+Sherman-Morrison denominator vanishes, or SuperLU reports a zero pivot) the
+same system is refactored with COLAMD and partial pivoting, a WARNING is
+logged and ``SolveStats.fallback`` is set.  Only a failure of that path
+raises.  Without a pattern the COLAMD path is taken directly.
+
+LU reuse.  In a fixed-step run only the mobility in B_cmu (which moves by
+O(dt)) and the rank-one term change from one step to the next; B_cc is
+alpha rho / dt times the mass matrix.  A ``BlockSolver``, owned by a time
+loop, keeps the solve of its last LU and the B_cc data that LU was factored
+with (Knoll and Keyes, JCP 193, 2004, on lagged preconditioners; the
+Jacobian reuse of CVODE, Hindmarsh et al., ACM TOMS 31, 2005).  When a
+solve on the same pattern sees the same B_cc (same dt and alpha), it does
+not refactor but runs right-preconditioned GMRES (``gmres``) on the full
+operator.  The preconditioner is the stored LU with the current rank-one
+term folded in by Sherman-Morrison, and the first guess is the
+preconditioner applied to the right-hand side.  The policy counts
+iterations and reads no clock, so a run is deterministic:
+
+- GMRES_TOL: GMRES stops at a residual of GMRES_TOL * ||rhs||, the level of
+  a direct solve.
+- GMRES_MAX_ITER: the iteration cap.  One preconditioner application costs
+  1/15 (level 3) to 1/28 (level 5) of a factorization, so a failed reuse
+  costs at most about one factorization.
+- From the second iteration on, the reuse is abandoned as soon as the last
+  residual reduction factor, kept for the remaining iterations, would not
+  reach the target.
+
+An abandoned reuse, a singular preconditioner denominator or a true
+residual over the gate refactors the system, dropping the old LU first.
 
 Every solve checks the full-operator residual against
-``SolverConfig.rel_tolerance``.  Without pivoting the LU is not backward
-stable in general, so if the fixed-pattern factorization fails that check
-(or its Sherman-Morrison denominator vanishes, or SuperLU reports a zero
-pivot) the same system is refactored with COLAMD and partial pivoting, a
-WARNING is logged and ``SolveStats.fallback`` is set.  Only a failure of
-that path raises.  Without a pattern, ``solve_rank_one_system`` takes the
-COLAMD path directly.
+``SolverConfig.rel_tolerance``.  A solve without a ``BlockSolver`` factors
+afresh, with the same arithmetic as the first solve of a new one.
 """
 
 from __future__ import annotations
@@ -53,10 +79,13 @@ __all__ = [
     "SolverConfig",
     "BlockSystem",
     "BlockPattern",
+    "BlockSolver",
     "SolveStats",
+    "SolverTotals",
     "LinearSolveError",
     "SingularUpdateError",
     "apply_operator",
+    "gmres",
     "solve_rank_one_system",
 ]
 
@@ -64,6 +93,8 @@ log = logging.getLogger(__name__)
 
 SINGULAR_TOL = 1e-14
 LEAF_SIZE = 64  # dofs per nested-dissection leaf
+GMRES_TOL = 1e-13  # GMRES target on a reused LU, relative to ||rhs||
+GMRES_MAX_ITER = 20  # GMRES iteration cap on a reused LU
 
 
 class LinearSolveError(RuntimeError):
@@ -105,13 +136,32 @@ class BlockSystem:
     def n(self) -> int:
         return self.b_cc.shape[0]
 
+    @property
+    def blocks(self) -> tuple:
+        return (self.b_cc, self.b_cmu, self.b_muc, self.b_mumu)
+
 
 @dataclass
 class SolveStats:
     residual: float
     rel_residual: float
-    woodbury_denominator: float
+    woodbury_denominator: float  # of the solve's LU: the fresh one, or the reused one
     fallback: bool = False  # the fixed-pattern LU failed and COLAMD solved the system
+    iterations: int = 0  # GMRES iterations on a reused LU; 0 when the solve factored
+    refactored: bool = True  # the solve factored the base operator
+
+
+@dataclass
+class SolverTotals:
+    """Counts over the solves of one BlockSolver.  ``iterations`` includes
+    those of abandoned reuses; a fallback is a second factorization."""
+
+    solves: int = 0
+    factorizations: int = 0
+    reused: int = 0
+    abandoned: int = 0
+    iterations: int = 0
+    fallbacks: int = 0
 
 
 def _nested_dissection_order(coords: np.ndarray, graph: sp.csr_matrix) -> np.ndarray:
@@ -198,18 +248,21 @@ class BlockPattern:
             positions=tuple(where[k * nnz : (k + 1) * nnz] for k in range(4)),
         )
 
-    def matrix(self, system: BlockSystem) -> sp.csc_matrix:
-        """The permuted base operator of ``system``; raises LinearSolveError
-        when a block's pattern is not the fixed one."""
-        blocks = (system.b_cc, system.b_cmu, system.b_muc, system.b_mumu)
-        data = np.empty(len(self.indices))
-        for name, block, where in zip(("cc", "cmu", "muc", "mumu"), blocks, self.positions):
+    def check(self, system: BlockSystem) -> None:
+        """Raise LinearSolveError when a block's pattern is not the fixed one."""
+        for name, block in zip(("cc", "cmu", "muc", "mumu"), system.blocks):
             if not (
                 block.format == "csr"
                 and np.array_equal(block.indptr, self.block_indptr)
                 and np.array_equal(block.indices, self.block_indices)
             ):
                 raise LinearSolveError(f"block {name} does not have the fixed CSR pattern")
+
+    def matrix(self, system: BlockSystem) -> sp.csc_matrix:
+        """The permuted base operator of ``system``, whose blocks are checked."""
+        self.check(system)
+        data = np.empty(len(self.indices))
+        for block, where in zip(system.blocks, self.positions):
             data[where] = block.data
         size = len(self.order)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(size, size))
@@ -242,57 +295,193 @@ def _pivot_free_solver(a: sp.csc_matrix, order: np.ndarray):
     return solve
 
 
-def _sherman_morrison(system: BlockSystem, config: SolverConfig, solve):
-    n = system.n
-    x0 = solve(system.rhs)
-    denom = 1.0
-    if system.rank_one_scale != 0.0 and np.any(system.rank_one_left != 0.0):
-        u_hat = np.concatenate([np.zeros(n), system.rank_one_left])
-        x1 = solve(u_hat)
-        denom = 1.0 + system.rank_one_scale * np.dot(system.rank_one_right, x1[:n])
-        if not abs(denom) >= SINGULAR_TOL:
-            raise SingularUpdateError(
-                f"rank-one update is singular: |1 + sigma v^T A^-1 u| = {abs(denom):.3e}"
-            )
-        x = x0 - x1 * (system.rank_one_scale * np.dot(system.rank_one_right, x0[:n]) / denom)
-    else:
-        x = x0
-
-    res = apply_operator(system, x) - system.rhs
-    res_norm = float(np.linalg.norm(res))
-    rhs_norm = float(np.linalg.norm(system.rhs))
-    rel = res_norm / rhs_norm if rhs_norm > 0 else res_norm
-    if not rel <= config.rel_tolerance:
-        raise LinearSolveError(
-            f"block solve residual {rel:.3e} exceeds tolerance {config.rel_tolerance:.1e}"
+def _sherman_morrison(system: BlockSystem, solve):
+    """(apply, denominator): ``apply`` inverts the operator whose base LU is
+    ``solve`` plus the system's rank-one term.  Raises SingularUpdateError
+    when the denominator is below SINGULAR_TOL in magnitude."""
+    n, sigma = system.n, system.rank_one_scale
+    if sigma == 0.0 or not np.any(system.rank_one_left != 0.0):
+        return solve, 1.0
+    x1 = solve(np.concatenate([np.zeros(n), system.rank_one_left]))
+    v = system.rank_one_right
+    denom = 1.0 + sigma * np.dot(v, x1[:n])
+    if not abs(denom) >= SINGULAR_TOL:
+        raise SingularUpdateError(
+            f"rank-one update is singular: |1 + sigma v^T A^-1 u| = {abs(denom):.3e}"
         )
-    stats = SolveStats(residual=res_norm, rel_residual=rel, woodbury_denominator=float(denom))
-    return x[:n], x[n:], stats
+
+    def apply(b):
+        x0 = solve(b)
+        return x0 - x1 * (sigma * np.dot(v, x0[:n]) / denom)
+
+    return apply, float(denom)
+
+
+def _residual(system: BlockSystem, x: np.ndarray) -> tuple[float, float]:
+    """Absolute and relative full-operator residual of x."""
+    res_norm = float(np.linalg.norm(apply_operator(system, x) - system.rhs))
+    rhs_norm = float(np.linalg.norm(system.rhs))
+    return res_norm, res_norm / rhs_norm if rhs_norm > 0 else res_norm
+
+
+def gmres(matvec, precond, rhs, x0, target: float, max_iter: int):
+    """Right-preconditioned GMRES for A x = rhs from x0, without restarts.
+
+    ``matvec`` applies A and ``precond`` the preconditioner inverse M^{-1};
+    iteration k minimises ||rhs - A x|| over x0 + M^{-1} K_k(A M^{-1}, r0).
+    Returns (x, k) once the least-squares residual is at most ``target``
+    after k iterations, and (None, k) when the solve is abandoned: after
+    ``max_iter`` iterations, or from the second iteration on as soon as the
+    last residual reduction factor, kept for the remaining iterations, would
+    not reach ``target``.
+    """
+    r = rhs - matvec(x0)
+    beta = float(np.linalg.norm(r))
+    if beta <= target:
+        return x0, 0
+    basis = np.empty((max_iter + 1, len(rhs)))
+    search = np.empty((max_iter, len(rhs)))  # M^{-1} applied to the basis
+    hess = np.zeros((max_iter + 1, max_iter))
+    cs, sn = np.zeros(max_iter), np.zeros(max_iter)
+    g = np.zeros(max_iter + 1)
+    g[0] = beta
+    basis[0] = r / beta
+    for k in range(max_iter):
+        search[k] = precond(basis[k])
+        w = matvec(search[k])
+        h = basis[: k + 1] @ w  # classical Gram-Schmidt, applied twice
+        w -= h @ basis[: k + 1]
+        dh = basis[: k + 1] @ w
+        w -= dh @ basis[: k + 1]
+        hess[: k + 1, k] = h + dh
+        w_norm = float(np.linalg.norm(w))
+        for j in range(k):  # the earlier Givens rotations
+            a, b = hess[j, k], hess[j + 1, k]
+            hess[j, k], hess[j + 1, k] = cs[j] * a + sn[j] * b, cs[j] * b - sn[j] * a
+        rr = float(np.hypot(hess[k, k], w_norm))
+        if rr == 0.0:
+            return None, k + 1
+        cs[k], sn[k] = hess[k, k] / rr, w_norm / rr
+        hess[k, k] = rr
+        prev = abs(g[k])
+        g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+        res = abs(g[k + 1])
+        if res <= target:
+            y = np.linalg.solve(hess[: k + 1, : k + 1], g[: k + 1])
+            return x0 + y @ search[: k + 1], k + 1
+        factor = res / prev
+        if k >= 1 and (factor >= 1.0 or res * factor ** (max_iter - k - 1) > target):
+            return None, k + 1
+        basis[k + 1] = w / w_norm
+    return None, max_iter
+
+
+class BlockSolver:
+    """Block solves of one time loop, reusing the last LU while B_cc stays.
+
+    Holds the pattern and the solve of its last LU (pivot-free, or the
+    COLAMD fallback) and the B_cc data that LU was factored with; see the
+    module docstring for the reuse policy.  ``totals`` counts the solves.
+    Call ``release`` to drop the stored LU when the loop ends.
+    """
+
+    def __init__(self, config: SolverConfig | None = None):
+        self.config = config or SolverConfig()
+        self.totals = SolverTotals()
+        self.release()
+
+    def release(self) -> None:
+        self._pattern = self._b_cc = self._solve = None
+
+    def solve(self, system: BlockSystem, pattern: BlockPattern | None = None):
+        """(c, mu, stats) of ``system``; see ``solve_rank_one_system``."""
+        n, totals = system.n, self.totals
+        totals.solves += 1
+        if (
+            self._solve is not None
+            and pattern is self._pattern
+            and np.array_equal(system.b_cc.data, self._b_cc)
+        ):
+            pattern.check(system)
+            reused = self._reuse(system)
+            if reused is not None:
+                totals.reused += 1
+                x, stats = reused
+                return x[:n], x[n:], stats
+            totals.abandoned += 1
+        self.release()  # drop the old LU before factoring a new one
+        x, stats = self._factor(system, pattern)
+        totals.factorizations += 1 + stats.fallback
+        totals.fallbacks += stats.fallback
+        return x[:n], x[n:], stats
+
+    def _reuse(self, system: BlockSystem):
+        """(x, stats) by GMRES on the stored LU, or None to refactor."""
+        try:
+            precond, denom = _sherman_morrison(system, self._solve)
+        except SingularUpdateError:
+            return None
+        rhs_norm = float(np.linalg.norm(system.rhs))
+        x, iterations = gmres(
+            lambda y: apply_operator(system, y), precond, system.rhs, precond(system.rhs),
+            GMRES_TOL * rhs_norm, GMRES_MAX_ITER,
+        )
+        self.totals.iterations += iterations
+        if x is None:
+            return None
+        residual, rel = _residual(system, x)
+        if not rel <= self.config.rel_tolerance:
+            return None
+        return x, SolveStats(residual, rel, denom, iterations=iterations, refactored=False)
+
+    def _factor(self, system: BlockSystem, pattern: BlockPattern | None):
+        if pattern is not None:
+            a = pattern.matrix(system)  # a pattern mismatch raises here, before any fallback
+            try:
+                return self._direct(system, pattern, _pivot_free_solver(a, pattern.order))
+            except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
+                log.warning(
+                    "pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting", exc
+                )
+        x, stats = self._direct(system, pattern, _colamd_solver(system))
+        stats.fallback = pattern is not None
+        return x, stats
+
+    def _direct(self, system: BlockSystem, pattern: BlockPattern | None, solve):
+        """(x, stats) on the fresh LU ``solve``, which is kept for reuse when
+        it passes the gate on the fixed pattern."""
+        precond, denom = _sherman_morrison(system, solve)
+        x = precond(system.rhs)
+        residual, rel = _residual(system, x)
+        if not rel <= self.config.rel_tolerance:
+            raise LinearSolveError(
+                f"block solve residual {rel:.3e} exceeds tolerance {self.config.rel_tolerance:.1e}"
+            )
+        if pattern is not None:
+            self._pattern, self._b_cc, self._solve = pattern, system.b_cc.data.copy(), solve
+        return x, SolveStats(residual=residual, rel_residual=rel, woodbury_denominator=denom)
 
 
 def solve_rank_one_system(
     system: BlockSystem,
     config: SolverConfig | None = None,
     pattern: BlockPattern | None = None,
+    solver: BlockSolver | None = None,
 ):
     """Solve the block system; returns (c, mu, stats).
 
-    With a ``pattern`` the base operator is factorized pivot-free in its
-    nested-dissection order, falling back to COLAMD with partial pivoting
-    (``stats.fallback``) when that solve fails its checks; a block off the
-    fixed pattern raises LinearSolveError.  Raises SingularUpdateError when
-    the Sherman-Morrison denominator is below 1e-14 in magnitude, and
-    LinearSolveError when the full-operator residual exceeds
-    rel_tolerance * ||rhs||.
+    ``solver`` is the BlockSolver whose stored LU may serve the solve (its
+    config applies, so ``config`` must then be None); without one the
+    system is solved on a fresh LU.  With a ``pattern`` the base operator
+    is factorized pivot-free in its nested-dissection order, falling back to
+    COLAMD with partial pivoting (``stats.fallback``) when that solve fails
+    its checks; a block off the fixed pattern raises LinearSolveError.  A
+    fresh solve raises SingularUpdateError when the Sherman-Morrison
+    denominator is below 1e-14 in magnitude, and LinearSolveError when the
+    full-operator residual exceeds rel_tolerance * ||rhs||.
     """
-    config = config or SolverConfig()
-    if pattern is None:
-        return _sherman_morrison(system, config, _colamd_solver(system))
-    a = pattern.matrix(system)  # a pattern mismatch raises here, before any fallback
-    try:
-        return _sherman_morrison(system, config, _pivot_free_solver(a, pattern.order))
-    except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
-        log.warning("pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting", exc)
-    c, mu, stats = _sherman_morrison(system, config, _colamd_solver(system))
-    stats.fallback = True
-    return c, mu, stats
+    if solver is None:
+        solver = BlockSolver(config)
+    elif config is not None:
+        raise ValueError("a BlockSolver carries its own config")
+    return solver.solve(system, pattern)

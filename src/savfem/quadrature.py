@@ -1,27 +1,17 @@
-"""Quadrature rules on triangles and tetrahedra.
+"""Quadrature rules on the reference triangle.
 
-Rules are stored in barycentric form and mapped onto physical simplices on
-demand.  Surface integrals over cut polygons use the triangle rules on each
-sub-triangle of the polygon; bulk integrals over cut tetrahedra use the
-tetrahedron rules.  Weights are scaled by the simplex measure, so they sum
-to the triangle area / tetrahedron volume.
+Rules are stored in barycentric form: ``triangle_bary_rule(degree)`` gives
+the points as barycentric coordinates and weights that sum to 1, so a rule
+on a physical triangle is the points mapped by the barycentric coordinates
+and the weights scaled by the triangle's area.  The cut-polygon surface
+quadrature applies them to each sub-triangle of a polygon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "QuadratureRule",
-    "triangle_rule",
-    "tetrahedron_rule",
-    "triangle_bary_rule",
-    "tet_bary_rule",
-    "triangle_area",
-    "tet_volume",
-]
+__all__ = ["triangle_bary_rule"]
 
 # Edge-midpoint rule, exact for quadratics.
 _TRI_DEG2_BARY = np.array(
@@ -50,36 +40,6 @@ _TRI_DEG4_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 _TRI_RULES = {2: (_TRI_DEG2_BARY, _TRI_DEG2_W), 4: (_TRI_DEG4_BARY, _TRI_DEG4_W)}
 
-# Barycenter rule, exact for affine integrands.
-_TET_DEG1_BARY = np.full((1, 4), 0.25)
-_TET_DEG1_W = np.array([1.0])
-
-# Symmetric four-point rule, exact for quadratics.
-_TA = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
-_TB = (5.0 - np.sqrt(5.0)) / 20.0
-_TET_DEG2_BARY = np.array(
-    [
-        [_TA, _TB, _TB, _TB],
-        [_TB, _TA, _TB, _TB],
-        [_TB, _TB, _TA, _TB],
-        [_TB, _TB, _TB, _TA],
-    ]
-)
-_TET_DEG2_W = np.full(4, 0.25)
-
-_TET_RULES = {1: (_TET_DEG1_BARY, _TET_DEG1_W), 2: (_TET_DEG2_BARY, _TET_DEG2_W)}
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Point set with positive weights summing to the domain measure."""
-
-    points: np.ndarray  # (n, 3) physical coordinates
-    weights: np.ndarray  # (n,)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
 
 def triangle_bary_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric points and unit weights of the triangle rule."""
@@ -89,45 +49,3 @@ def triangle_bary_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"unsupported triangle quadrature degree {degree}; available: {sorted(_TRI_RULES)}"
         ) from None
-
-
-def tet_bary_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric points and unit weights of the tetrahedron rule."""
-    try:
-        return _TET_RULES[degree]
-    except KeyError:
-        raise ValueError(
-            f"unsupported tetrahedron quadrature degree {degree}; available: {sorted(_TET_RULES)}"
-        ) from None
-
-
-def triangle_area(vertices: np.ndarray) -> float:
-    v = np.asarray(vertices, dtype=float)
-    return 0.5 * float(np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0])))
-
-
-def tet_volume(vertices: np.ndarray) -> float:
-    v = np.asarray(vertices, dtype=float)
-    return abs(float(np.linalg.det(v[1:] - v[0]))) / 6.0
-
-
-def triangle_rule(vertices: np.ndarray, degree: int) -> QuadratureRule:
-    """Map the barycentric triangle rule onto a (possibly 3D) triangle.
-
-    Parameters
-    ----------
-    vertices : (3, 3) array
-        Triangle corners.
-    degree : int
-        Polynomial exactness degree, one of {2, 4}.
-    """
-    bary, w = triangle_bary_rule(degree)
-    v = np.asarray(vertices, dtype=float)
-    return QuadratureRule(points=bary @ v, weights=w * triangle_area(v))
-
-
-def tetrahedron_rule(vertices: np.ndarray, degree: int) -> QuadratureRule:
-    """Map the barycentric tetrahedron rule onto a physical tetrahedron."""
-    bary, w = tet_bary_rule(degree)
-    v = np.asarray(vertices, dtype=float)
-    return QuadratureRule(points=bary @ v, weights=w * tet_volume(v))

@@ -1,4 +1,5 @@
-"""Rank-one block solver against a dense explicit-matrix oracle."""
+"""Rank-one block solver against a dense explicit-matrix oracle, and the
+reuse of one LU across solves by ``BlockSolver``."""
 
 import numpy as np
 import pytest
@@ -6,15 +7,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from savfem import integrators, linsolve
 from savfem.assembly import assemble_f0prime_load, assemble_surface_stiffness
-from savfem.experiments import bernoulli_ic
+from savfem.experiments import bernoulli_ic, initial_state
 from savfem.linsolve import (
     BlockPattern,
+    BlockSolver,
     BlockSystem,
     LinearSolveError,
     SingularUpdateError,
     SolverConfig,
     apply_operator,
+    gmres,
     solve_rank_one_system,
 )
 from savfem.physics import PhysicsParams
@@ -126,20 +130,18 @@ def on_pattern(pattern, data):
     return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
-    # One BDF2 system on the level-3 sphere at Bernoulli data, built the way
-    # the integrators build it: blocks on the common CSR pattern.
-    forms = sphere_l3_forms
+def sphere_system(forms, cc_scale=1.5 / 0.005, cmu_scale=1.0):
+    """One BDF2 system on the sphere at Bernoulli data, built the way the
+    integrators build it: blocks on the common CSR pattern."""
     active = forms.active
     physics = PhysicsParams(epsilon=0.05)
     eps2, h = physics.epsilon**2, forms.h_stab
-    n = active.n_dofs
     c = bernoulli_ic(active, 0.5, 1)
     mobility = assemble_surface_stiffness(active, c, physics.mobility)
     w = assemble_f0prime_load(active, c)
-    system = BlockSystem(
-        b_cc=(1.5 / 0.005) * forms.mass,
-        b_cmu=on_pattern(mobility, mobility.data + h * forms.stab.data),
+    return BlockSystem(
+        b_cc=cc_scale * forms.mass,
+        b_cmu=on_pattern(mobility, cmu_scale * (mobility.data + h * forms.stab.data)),
         b_muc=on_pattern(forms.stiffness, -eps2 * (forms.stiffness.data + forms.stab.data / h)),
         b_mumu=forms.mass,
         rank_one_scale=-0.3,
@@ -147,7 +149,13 @@ def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
         rank_one_right=w,
         rhs=np.concatenate([(1.5 / 0.005) * (forms.mass @ c), 0.2 * w]),
     )
-    pattern = BlockPattern.build(active.dof_coords, forms.mass)
+
+
+def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
+    forms = sphere_l3_forms
+    n = forms.active.n_dofs
+    system = sphere_system(forms)
+    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
 
     assert np.array_equal(np.sort(pattern.order), np.arange(2 * n))
     assert np.array_equal(pattern.order[1::2], pattern.order[0::2] + n)  # (c_i, mu_i) pairs
@@ -202,6 +210,153 @@ def test_block_off_the_fixed_pattern_raises(rng):
     system.b_cc = sp.csr_matrix(system.b_cc.toarray())  # drops the explicit zeros
     with pytest.raises(LinearSolveError, match="block cc"):
         solve_rank_one_system(system, pattern=pattern)
+
+
+def test_gmres_matches_dense_solve(rng):
+    n = 40
+    a = rng.standard_normal((n, n)) + 4.0 * np.sqrt(n) * np.eye(n)
+    b = rng.standard_normal(n)
+    exact = np.linalg.solve(a, b)
+    # a preconditioner from a perturbed matrix, as a stale LU would be
+    m_inv = np.linalg.inv(a + 0.3 * rng.standard_normal((n, n)))
+    x, iterations = gmres(lambda y: a @ y, lambda y: m_inv @ y, b, m_inv @ b, 1e-13, 20)
+    assert 0 < iterations < 20
+    assert np.linalg.norm(a @ x - b) <= 1e-13 * 1.01
+    np.testing.assert_allclose(x, exact, rtol=0, atol=1e-12 * np.linalg.norm(exact))
+    # a first guess at the target takes no iteration
+    x, iterations = gmres(lambda y: a @ y, lambda y: m_inv @ y, b, exact, 1e-13, 20)
+    assert iterations == 0 and x is exact
+
+
+def test_gmres_gives_up_when_the_projection_misses_the_target(rng):
+    n = 60
+    a = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    b = rng.standard_normal(n)
+    x, iterations = gmres(lambda y: a @ y, lambda y: y, b, np.zeros(n), 1e-13, 20)
+    assert x is None
+    assert 2 <= iterations < 20  # abandoned before the cap
+
+
+def test_block_solver_reuses_the_lu_along_a_bdf2_sequence(sphere_l3_forms, monkeypatch):
+    # Level-3 sphere, spinodal data, one BDF1 and eight BDF2 steps through
+    # one BlockSolver; every solve is compared with a fresh direct solve.
+    forms = sphere_l3_forms
+    physics = PhysicsParams(epsilon=0.05)
+    fresh = solve_rank_one_system
+    seen = []
+
+    def compared(system, config, pattern, solver):
+        c, mu, stats = fresh(system, config, pattern, solver)
+        c_ref, mu_ref, _ = fresh(system, None, pattern)
+        seen.append(stats)
+        if not stats.refactored:
+            assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(c_ref)
+            # mu is resolved less tightly: the residual target is relative
+            # to ||rhs||, which the c rows dominate
+            assert np.linalg.norm(mu - mu_ref) <= 1e-9 * np.linalg.norm(mu_ref)
+        return c, mu, stats
+
+    monkeypatch.setattr(integrators, "solve_rank_one_system", compared)
+    solver = BlockSolver()
+    prev, state = None, initial_state(forms, physics, bernoulli_ic(forms.active, 0.5, 1))
+    state, prev = integrators.bdf1_step(state, 0.005, forms, physics, solver), state
+    for _ in range(8):
+        state, prev = integrators.bdf2_step(prev, state, 0.005, forms, physics, solver), state
+
+    # BDF1 and the first BDF2 step factor (alpha changes), the rest reuse
+    assert [s.refactored for s in seen] == [True, True] + [False] * 7
+    assert all(s.iterations > 0 for s in seen[2:])
+    assert all(s.rel_residual <= 1e-12 for s in seen)
+    totals = solver.totals
+    assert (totals.solves, totals.factorizations, totals.reused) == (9, 2, 7)
+    assert totals.iterations == sum(s.iterations for s in seen)
+
+
+def count_splu(monkeypatch):
+    calls = []
+    splu = linsolve.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "splu", counted)
+    return calls
+
+
+def test_changed_b_cc_forces_a_factorization(sphere_l3_forms, monkeypatch):
+    forms = sphere_l3_forms
+    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
+    calls = count_splu(monkeypatch)
+    solver = BlockSolver()
+    _, _, first = solver.solve(sphere_system(forms), pattern)
+    _, _, same = solver.solve(sphere_system(forms), pattern)
+    assert len(calls) == 1
+    assert first.refactored and not same.refactored
+    _, _, changed = solver.solve(sphere_system(forms, cc_scale=1.0 / 0.005), pattern)
+    assert len(calls) == 2
+    assert changed.refactored and changed.iterations == 0
+    # a new pattern object (a new mesh) is never served by the stored LU
+    other = BlockPattern.build(forms.active.dof_coords, forms.mass)
+    solver.solve(sphere_system(forms, cc_scale=1.0 / 0.005), other)
+    assert len(calls) == 3
+    assert solver.totals.factorizations == 3 and solver.totals.abandoned == 0
+
+
+def test_stale_lu_is_abandoned_and_refactored(sphere_l3_forms, monkeypatch):
+    forms = sphere_l3_forms
+    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
+    calls = count_splu(monkeypatch)
+    solver = BlockSolver()
+    solver.solve(sphere_system(forms), pattern)
+    system = sphere_system(forms, cmu_scale=10.0)
+    c, mu, stats = solver.solve(system, pattern)
+    assert len(calls) == 2
+    assert stats.refactored and stats.iterations == 0 and not stats.fallback
+    assert stats.rel_residual <= 1e-10
+    assert solver.totals.abandoned == 1 and solver.totals.iterations >= 2
+    exact = dense_solve(system)
+    err = np.linalg.norm(np.concatenate([c, mu]) - exact) / np.linalg.norm(exact)
+    assert err < 1e-10
+
+
+def test_singular_preconditioner_denominator_refactors(monkeypatch):
+    # Identity pattern, b_cc = b_mumu = I, b_muc = 0: A x1 = [0; u] gives
+    # x1_c = -k u for b_cmu = k I, so the denominator is 1 - k sigma u.v.
+    # The stored LU (k = 1) makes it zero at sigma = 1/(u.v); the system
+    # itself (k = 2) has denominator -1.
+    n = 6
+    eye = sp.identity(n, format="csr")
+    u = np.arange(1.0, n + 1.0)
+    v = np.ones(n)
+
+    def system(k, sigma):
+        return BlockSystem(
+            b_cc=eye.copy(),
+            b_cmu=k * eye,
+            b_muc=on_pattern(eye, np.zeros(n)),
+            b_mumu=eye.copy(),
+            rank_one_scale=sigma,
+            rank_one_left=u,
+            rank_one_right=v,
+            rhs=np.ones(2 * n),
+        )
+
+    pattern = BlockPattern.build(np.random.default_rng(0).random((n, 3)), eye)
+    calls = count_splu(monkeypatch)
+    solver = BlockSolver()
+    solver.solve(system(1.0, 0.5 / np.dot(u, v)), pattern)
+    stale = system(2.0, 1.0 / np.dot(u, v))
+    c, mu, stats = solver.solve(stale, pattern)
+    assert len(calls) == 2
+    assert stats.refactored and stats.woodbury_denominator == pytest.approx(-1.0)
+    assert solver.totals.abandoned == 1 and solver.totals.iterations == 0
+    np.testing.assert_allclose(np.concatenate([c, mu]), dense_solve(stale), rtol=1e-12)
+
+
+def test_solver_and_config_are_exclusive(rng):
+    with pytest.raises(ValueError, match="own config"):
+        solve_rank_one_system(random_system(rng, 4), SolverConfig(), solver=BlockSolver())
 
 
 class TestSolverConfig:

@@ -1,11 +1,13 @@
-"""Exactness of the simplex quadrature rules against monomial oracles.
+"""Exactness of the triangle quadrature rules against monomial oracles.
 
-The oracle is the closed-form simplex integral of a barycentric monomial,
+The oracle is the closed-form triangle integral of a barycentric monomial,
 
-    int_T  b1^p1 ... bk^pk dT = |T| * d! * prod(p_i!) / (d + sum(p_i))!
+    int_T  b1^p1 b2^p2 b3^p3 dT = |T| * 2! * p1! p2! p3! / (2 + p1 + p2 + p3)!
 
-with d the simplex dimension, so every rule is checked against an
-independent formula rather than against another quadrature.
+so every rule is checked against an independent formula rather than
+against another quadrature.  A rule is mapped onto a physical triangle the
+way the cut-polygon quadrature maps it: points through the barycentric
+coordinates, weights scaled by the area.
 """
 
 import itertools
@@ -14,18 +16,20 @@ import math
 import numpy as np
 import pytest
 
-from savfem.quadrature import (
-    QuadratureRule,
-    tet_bary_rule,
-    tet_volume,
-    tetrahedron_rule,
-    triangle_area,
-    triangle_bary_rule,
-    triangle_rule,
-)
+from savfem.quadrature import triangle_bary_rule
 
 TRI = np.array([[0.2, -0.1, 0.4], [1.3, 0.2, -0.3], [0.4, 1.1, 0.9]])
-TET = np.array([[0.0, 0.0, 0.0], [1.1, 0.1, 0.0], [0.2, 0.9, 0.1], [0.3, 0.2, 1.4]])
+
+
+def triangle_area(vertices: np.ndarray) -> float:
+    v = np.asarray(vertices, dtype=float)
+    return 0.5 * float(np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0])))
+
+
+def mapped_rule(vertices: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physical points and weights of the rule on a (possibly 3D) triangle."""
+    bary, w = triangle_bary_rule(degree)
+    return bary @ vertices, w * triangle_area(vertices)
 
 
 def bary_monomial_integral(measure: float, powers, dim: int) -> float:
@@ -52,54 +56,25 @@ def test_triangle_rule_exact_for_declared_degree(degree):
         assert approx == pytest.approx(exact, rel=1e-13), powers
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_tet_rule_exact_for_declared_degree(degree):
-    bary, w = tet_bary_rule(degree)
-    vol = tet_volume(TET)
-    for powers in itertools.product(range(degree + 1), repeat=4):
-        if sum(powers) > degree:
-            continue
-        exact = bary_monomial_integral(vol, powers, dim=3)
-        approx = vol * np.dot(w, eval_bary_monomial(bary, powers))
-        assert approx == pytest.approx(exact, rel=1e-13), powers
-
-
 def test_weights_positive_and_sum_to_measure():
     for degree in (2, 4):
-        rule = triangle_rule(TRI, degree)
-        assert np.all(rule.weights > 0)
-        assert rule.weights.sum() == pytest.approx(triangle_area(TRI), rel=1e-14)
-    for degree in (1, 2):
-        rule = tetrahedron_rule(TET, degree)
-        assert np.all(rule.weights > 0)
-        assert rule.weights.sum() == pytest.approx(tet_volume(TET), rel=1e-14)
-
-
-def test_triangle_area_and_tet_volume_oracles():
-    # Right triangle with legs 3 and 4 embedded in 3D: area 6.
-    tri = np.array([[0.0, 0.0, 1.0], [3.0, 0.0, 1.0], [0.0, 4.0, 1.0]])
-    assert triangle_area(tri) == pytest.approx(6.0, rel=1e-15)
-    # Unit right tet: volume 1/6, invariant under vertex order.
-    tet = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    assert tet_volume(tet) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert tet_volume(tet[[2, 0, 3, 1]]) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        _, weights = mapped_rule(TRI, degree)
+        assert np.all(weights > 0)
+        assert weights.sum() == pytest.approx(triangle_area(TRI), rel=1e-14)
 
 
 def test_rule_points_inside_simplex():
-    rule = triangle_rule(TRI, 4)
+    points, _ = mapped_rule(TRI, 4)
     bary, _ = triangle_bary_rule(4)
     assert np.all(bary > 0) and np.allclose(bary.sum(axis=1), 1.0)
-    recon = bary @ TRI
-    assert np.allclose(recon, rule.points)
+    # the barycentric coordinates of the mapped points, recovered by least
+    # squares from the triangle's vertices, are the rule's own
+    recovered, *_ = np.linalg.lstsq(
+        np.vstack([TRI.T, np.ones(3)]), np.vstack([points.T, np.ones(len(points))]), rcond=None
+    )
+    np.testing.assert_allclose(recovered.T, bary, atol=1e-13)
 
 
 def test_unknown_degree_raises():
     with pytest.raises(ValueError, match="degree"):
         triangle_bary_rule(3)
-    with pytest.raises(ValueError, match="degree"):
-        tet_bary_rule(5)
-
-
-def test_integrate_helper():
-    rule = QuadratureRule(points=np.zeros((2, 3)), weights=np.array([0.25, 0.75]))
-    assert rule.integrate(np.array([2.0, 4.0])) == pytest.approx(3.5)

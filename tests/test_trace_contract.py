@@ -71,7 +71,9 @@ def traced_run(tracing, config):
     finally:
         tracer.restore()
     assert bindings() == before
-    return result, missing, tracing.layer_metrics(tracer.spans, tracer.installed, root=0)
+    metrics = tracing.layer_metrics(tracer.spans, tracer.installed, root=0)
+    factorizations = sum(1 for span in tracer.spans if span.name == "linsolve.factor")
+    return result, missing, metrics, factorizations
 
 
 @pytest.mark.parametrize(
@@ -82,7 +84,7 @@ def traced_run(tracing, config):
 def test_traced_run_reports_every_layer(savbench, overrides, tmp_path, monkeypatch):
     tracing, _ = savbench
     monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
-    result, missing, metrics = traced_run(tracing, run_config(**overrides))
+    result, missing, metrics, factorizations = traced_run(tracing, run_config(**overrides))
 
     assert set(missing) <= NOT_TRACED
     assert sorted(set(tracing.LAYER_METRICS) - set(metrics)) == []
@@ -95,6 +97,14 @@ def test_traced_run_reports_every_layer(savbench, overrides, tmp_path, monkeypat
     assert metrics["integrators.rejected"] == result.rejected
     # adaptive attempts solve BDF1 and BDF2; the bootstrap step solves once
     assert solves == (2 * attempts - 1 if overrides else attempts)
+    if overrides:
+        # BDF1 and BDF2 attempts alternate alpha and the controller changes
+        # dt, so every solve factors except the first BDF1 attempt, which
+        # has the bootstrap step's dt and reuses its LU
+        assert factorizations == solves - 1
+    else:
+        # the later uniform BDF2 steps reuse the LU of the first one
+        assert factorizations < solves
     # E1 per solve and per report, mass per report, two L2 norms per
     # adaptive attempt, E1 of the initial data
     adaptive_attempts = attempts - 1 if overrides else 0
