@@ -293,6 +293,8 @@ def test_changed_b_cc_forces_a_factorization(sphere_l3_forms, monkeypatch):
     _, _, same = solver.solve(sphere_system(forms), pattern)
     assert len(calls) == 1
     assert first.refactored and not same.refactored
+    # the first guess, the stored LU applied to the rhs, already solves it
+    assert same.iterations == 0
     _, _, changed = solver.solve(sphere_system(forms, cc_scale=1.0 / 0.005), pattern)
     assert len(calls) == 2
     assert changed.refactored and changed.iterations == 0
