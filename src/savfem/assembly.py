@@ -21,9 +21,11 @@ matrix is ``data`` on the one pattern with explicit zeros kept, so no form
 needs a sparse add or a duplicate summation, and blocks combine by adding
 ``data``.
 
-The degree-4 surface rule integrates every nonlinear P1 integrand used here
-exactly: f0(c_h) and f0'(c_h) psi_j are quartic per element, the mobility
-weight is quadratic.
+The mass comes from the exact P1 triangle mass |T|/12 (1 + delta_ab) on each
+surface triangle, which the degree-4 rule would reproduce to round-off with
+a 4 x 4 product per quadrature point.  The degree-4 surface rule integrates
+every nonlinear P1 integrand used here exactly: f0(c_h) and f0'(c_h) psi_j
+are quartic per element, the mobility weight is quadratic.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "compute_E1",
     "compute_mass",
     "l2_norm_gamma",
+    "on_pattern",
 ]
 
 
@@ -72,8 +75,10 @@ def _operators(active: ActiveMesh) -> _Operators:
         indices = (keys % n).astype(np.int32)
         for a in (indptr, indices):
             a.setflags(write=False)  # shared by every form: nothing may sort or prune in place
-        qdofs = active.elem_dofs[active.sq_elem].reshape(-1)
-        b = sp.csr_matrix((active.sq_bary.reshape(-1), qdofs, np.arange(0, 4 * q + 1, 4)), shape=(q, n))
+        # int32 indices, which the CSR constructor keeps without a copy
+        qdofs = active.elem_dofs.astype(np.int32)[active.sq_elem].reshape(-1)
+        qptr = np.arange(0, 4 * q + 1, 4, dtype=np.int32)
+        b = sp.csr_matrix((active.sq_bary.reshape(-1), qdofs, qptr), shape=(q, n))
         tg = active.patch_tangential_grads
         gram = np.einsum("pik,pjk->pij", tg, tg).reshape(-1)
         rows = pos[active.patch_elem].reshape(-1)
@@ -82,7 +87,9 @@ def _operators(active: ActiveMesh) -> _Operators:
     return ops
 
 
-def _on_pattern(active: ActiveMesh, data: np.ndarray) -> sp.csr_matrix:
+def on_pattern(active: ActiveMesh, data: np.ndarray) -> sp.csr_matrix:
+    """``data`` on the CSR pattern every form of ``active`` shares.  Unlike a
+    sparse add, this keeps explicit zeros, so every block has the pattern."""
     ops = _operators(active)
     return sp.csr_matrix((data, ops.indices, ops.indptr), shape=(active.n_dofs, active.n_dofs))
 
@@ -90,7 +97,7 @@ def _on_pattern(active: ActiveMesh, data: np.ndarray) -> sp.csr_matrix:
 def _scatter(active: ActiveMesh, elem_mats: np.ndarray) -> sp.csr_matrix:
     """Sum of (n_e, 4, 4) element matrices on the pattern."""
     ops = _operators(active)
-    return _on_pattern(active, np.bincount(ops.positions, elem_mats.reshape(-1), len(ops.indices)))
+    return on_pattern(active, np.bincount(ops.positions, elem_mats.reshape(-1), len(ops.indices)))
 
 
 def interpolate_at_surface_qp(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
@@ -98,13 +105,24 @@ def interpolate_at_surface_qp(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
     return _operators(active).interp @ np.asarray(c, dtype=float)
 
 
+# The exact P1 mass of a triangle of unit area in its vertex values:
+# int_T l_a l_b ds = |T| (1 + delta_ab) / 12.
+_P1_TRIANGLE_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
 def assemble_surface_mass(active: ActiveMesh) -> sp.csr_matrix:
-    """(u, v)_{Gamma_h} in CSR form."""
-    contrib = active.sq_weights[:, None, None] * (
-        active.sq_bary[:, :, None] * active.sq_bary[:, None, :]
-    )
-    elem_mats = np.add.reduceat(contrib.reshape(len(contrib), -1), active.sq_offsets[:-1])
-    return _scatter(active, elem_mats)
+    """(u, v)_{Gamma_h} in CSR form.
+
+    The parent basis is linear on each surface triangle, so the mass is the
+    exact P1 triangle mass in the basis values at the triangle's vertices.
+    """
+    bary = active.poly_bary[active.tri_index]  # (T, 3, 4)
+    tri_mats = np.matmul(bary.transpose(0, 2, 1), np.matmul(_P1_TRIANGLE_MASS, bary))
+    tri_mats *= active.tri_areas[:, None, None]
+    # triangles are sorted by element, and every element has one
+    tri_counts = np.bincount(active.poly_elem[active.tri_index[:, 0]], minlength=active.n_elements)
+    tri_starts = np.concatenate([[0], np.cumsum(tri_counts)[:-1]])
+    return _scatter(active, np.add.reduceat(tri_mats.reshape(-1, 16), tri_starts))
 
 
 def assemble_surface_stiffness(active: ActiveMesh, coefficient=None, coeff_map=None) -> sp.csr_matrix:
@@ -123,7 +141,7 @@ def assemble_surface_stiffness(active: ActiveMesh, coefficient=None, coeff_map=N
             vals = coeff_map(vals)
         weight = active.sq_weights * vals
     k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
-    return _on_pattern(active, _operators(active).patch_to_pattern @ k_p)
+    return on_pattern(active, _operators(active).patch_to_pattern @ k_p)
 
 
 def assemble_normal_stabilization(active: ActiveMesh) -> sp.csr_matrix:

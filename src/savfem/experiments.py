@@ -243,7 +243,10 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
                 config.scheme, prev, state, config.dt, forms, physics, solver,
                 controller=controller,
             )
-            reports.append(make_energy_report(prev, state, nxt, forms, physics, config.scheme))
+            prev_energy = reports[-1].modified_energy if reports else None
+            reports.append(
+                make_energy_report(prev, state, nxt, forms, physics, config.scheme, prev_energy)
+            )
             prev, state = state, nxt
             rejected += n_rejected
             if sink:

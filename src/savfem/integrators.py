@@ -35,6 +35,7 @@ from .assembly import (
     compute_E1,
     compute_mass,
     l2_norm_gamma,
+    on_pattern,
 )
 from .linsolve import (
     BlockPattern,
@@ -131,12 +132,6 @@ def _block_pattern(forms: AssembledForms) -> BlockPattern:
     return pattern
 
 
-def _on_pattern(form: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """``data`` on the CSR pattern of ``form``; unlike a sparse add, this
-    keeps explicit zeros, so every block has the fixed pattern."""
-    return sp.csr_matrix((data, form.indices, form.indptr), shape=form.shape)
-
-
 def _sav_step(
     prev2: StateSnapshot,
     prev1: StateSnapshot,
@@ -171,9 +166,9 @@ def _sav_step(
     ) * w
     system = BlockSystem(
         b_cc=(al * rho / dt) * forms.mass,
-        b_cmu=_on_pattern(mobility, mobility.data + h * forms.stab.data),
-        b_muc=_on_pattern(
-            forms.stiffness, (-eps2) * forms.stiffness.data + (-eps2) * (forms.stab.data / h)
+        b_cmu=on_pattern(forms.active, mobility.data + h * forms.stab.data),
+        b_muc=on_pattern(
+            forms.active, (-eps2) * forms.stiffness.data + (-eps2) * (forms.stab.data / h)
         ),
         b_mumu=forms.mass,
         rank_one_scale=-1.0 / (2.0 * s),
@@ -281,6 +276,7 @@ def energy_balance_terms(
     nxt: StateSnapshot,
     forms: AssembledForms,
     physics: PhysicsParams,
+    energies: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Signed terms of the energy balance of the step prev1 -> nxt.
 
@@ -289,17 +285,24 @@ def energy_balance_terms(
     energies, second differences and a factor 2 on the dissipation.  The
     terms sum to zero up to the solver tolerance; the dissipation uses the
     mobility the step assembled (``nxt.mobility``) and the step ``nxt.dt_used``.
+    ``energies`` is the (new, previous) pair of these modified energies when
+    the caller has it already.
     """
     eps2, h = physics.epsilon**2, forms.h_stab
     if prev2 is None:
         dc, dr, factor = nxt.c - prev1.c, nxt.r - prev1.r, 1.0
     else:
         dc, dr, factor = nxt.c - 2.0 * prev1.c + prev2.c, nxt.r - 2.0 * prev1.r + prev2.r, 2.0
-    pair = None if prev2 is None else prev1
+    if energies is None:
+        pair = None if prev2 is None else prev1
+        energies = (
+            modified_energy(nxt, forms, physics, pair),
+            modified_energy(prev1, forms, physics, prev2),
+        )
     tau = factor * nxt.dt_used / physics.rho
     return np.array(
         [
-            modified_energy(nxt, forms, physics, pair) - modified_energy(prev1, forms, physics, prev2),
+            energies[0] - energies[1],
             0.5 * eps2 * _quad_form(forms.stiffness, dc),
             dr**2,
             (0.5 * eps2 / h) * _quad_form(forms.stab, dc),
@@ -410,6 +413,7 @@ def make_energy_report(
     forms: AssembledForms,
     physics: PhysicsParams,
     scheme: str,
+    prev_energy: float | None = None,
 ) -> EnergyReport:
     """The diagnostics row of the accepted step prev1 -> state.
 
@@ -417,17 +421,21 @@ def make_energy_report(
     "bdf2" and "adaptive" the pair energy with ``prev1``.  The balance
     residual is that of the BDF1 identity for the steps of a "bdf1" run and
     for a first step (``prev2`` None), and of the uniform BDF2 identity
-    otherwise.
+    otherwise.  On every row after a run's first, the balance's energies
+    are this row's modified energy and the previous row's, ``prev_energy``;
+    with it, the modified energy is evaluated once per row.
     """
     if prev1 is None:
         raise ValueError("the report needs the previous state")
     bdf1 = scheme == "bdf1"
-    terms = energy_balance_terms(None if bdf1 else prev2, prev1, state, forms, physics)
+    energy = modified_energy(state, forms, physics, None if bdf1 else prev1)
+    energies = None if prev_energy is None else (energy, prev_energy)
+    terms = energy_balance_terms(None if bdf1 else prev2, prev1, state, forms, physics, energies)
     e1 = compute_E1(forms.active, state.c)
     report = EnergyReport(
         t=state.t,
         dt=state.dt_used,
-        modified_energy=modified_energy(state, forms, physics, None if bdf1 else prev1),
+        modified_energy=energy,
         e1=e1,
         r=state.r,
         r_consistency=float(abs(state.r**2 - (e1 + physics.c_shift))),

@@ -19,7 +19,6 @@ __all__ = [
     "sphere",
     "idealized_cell",
     "from_callable",
-    "sampled_gradient_slope",
     "interpolate_p1",
 ]
 
@@ -103,29 +102,6 @@ def idealized_cell() -> LevelSetField:
 def from_callable(func: Evaluator, grad: Optional[Callable] = None, name: str = "user") -> LevelSetField:
     """Wrap a user-supplied phi (and optional gradient) as a LevelSetField."""
     return LevelSetField(name=name, evaluate=func, _gradient=grad)
-
-
-def sampled_gradient_slope(
-    levelset: LevelSetField,
-    box,
-    band: float,
-    n_samples: int = 20000,
-    seed: int = 0,
-) -> float:
-    """Minimum sampled |grad phi| over points of the box with |phi| <= band.
-
-    Used to check the nondegeneracy assumption on built-in fields; returns
-    +inf when no sample lands in the band.
-    """
-    box = np.asarray(box, dtype=float).reshape(3, 2)
-    rng = np.random.default_rng(seed)
-    pts = box[:, 0] + rng.random((n_samples, 3)) * (box[:, 1] - box[:, 0])
-    phi = levelset.evaluate(pts)
-    mask = np.abs(phi) <= band
-    if not np.any(mask):
-        return float("inf")
-    g = levelset.gradient(pts[mask])
-    return float(np.min(np.linalg.norm(g, axis=1)))
 
 
 def interpolate_p1(levelset: LevelSetField, mesh) -> np.ndarray:

@@ -17,10 +17,17 @@ continuous across faces because neighboring parents share the midpoint
 samples on the common face.
 
 Each cut sub-tetrahedron is a "patch": it carries one unit normal, the
-tangential projections of the parent basis gradients, and a contiguous block
-of surface quadrature points.  Quadrature arrays are sorted patch-major and
-patches parent-major, so per-parent and per-patch segmented reductions both
-work on contiguous slices.
+tangential projections of the parent basis gradients, its cut polygon (one
+or two surface triangles) and a contiguous block of surface quadrature
+points.  Triangles and quadrature arrays are sorted patch-major and patches
+parent-major, so per-parent and per-patch segmented reductions both work on
+contiguous slices.
+
+``build_active_mesh`` runs in stages, one function each: classification,
+element geometry, patches, polygons and surface quadrature, so that the
+temporaries of a stage are freed when it returns.  The physical quadrature
+points are built on first access (``ActiveMesh.sq_points``): only a load of
+a callable integrand reads them.
 """
 
 from __future__ import annotations
@@ -29,13 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutcells import ZERO_SHIFT_SCALE
 from .levelset import LevelSetField, interpolate_p1
 from .quadrature import triangle_bary_rule
 
 __all__ = ["MeshError", "BackgroundMesh", "ActiveMesh", "build_mesh", "build_active_mesh"]
 
 BAND_FACTOR = 2.0 * np.sqrt(3.0)
+
+# Exact zeros of the level set are shifted by +ZERO_SHIFT_SCALE * h before
+# sign decisions so the cut topology is unambiguous.
+ZERO_SHIFT_SCALE = 1e-13
 
 # Kuhn split: each tet is {x : x_{p0} >= x_{p1} >= x_{p2}} in cube-local
 # coordinates; all six share the main diagonal, which makes the split
@@ -194,12 +204,14 @@ class ActiveMesh:
 
     DOFs are the vertices of cut tetrahedra, numbered 0..n_dofs-1 in
     ascending background-node order.  Patches (cut sub-tetrahedra of the
-    geometry lattice) are sorted by parent element; surface quadrature points
-    are sorted by patch.  ``sq_offsets`` / ``sq_patch_offsets`` delimit each
-    element's / patch's surface points, ``patch_offsets`` each element's
-    patches.  ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
+    geometry lattice) are sorted by parent element; surface triangles and
+    quadrature points are sorted by patch.  ``patch_offsets`` delimit each
+    element's patches, ``sq_patch_offsets`` each patch's surface points.
+    ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
-    normal-gradient volume stabilization.
+    normal-gradient volume stabilization.  The physical quadrature points
+    ``sq_points`` are built on first access: only loads of a callable
+    integrand read them.
     """
 
     mesh: BackgroundMesh
@@ -221,12 +233,10 @@ class ActiveMesh:
     poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates
     poly_elem: np.ndarray  # (P,)
     tri_index: np.ndarray  # (T, 3) into poly_points
-    sq_points: np.ndarray  # (Q, 3)
+    tri_areas: np.ndarray  # (T,)
     sq_weights: np.ndarray  # (Q,)
     sq_bary: np.ndarray  # (Q, 4) parent barycentric coordinates
     sq_elem: np.ndarray  # (Q,)
-    sq_patch: np.ndarray  # (Q,)
-    sq_offsets: np.ndarray  # (n_e + 1,)
     sq_patch_offsets: np.ndarray  # (n_p + 1,)
     surface_degree: int
     _cache: dict = field(default_factory=dict, repr=False)
@@ -248,6 +258,16 @@ class ActiveMesh:
         return self.mesh.nodes[self.active_nodes]
 
     @property
+    def sq_points(self) -> np.ndarray:
+        """(Q, 3) physical surface quadrature points."""
+        points = self._cache.get("sq_points")
+        if points is None:
+            rule_bary, _ = triangle_bary_rule(self.surface_degree)
+            points = np.matmul(rule_bary, self.poly_points[self.tri_index]).reshape(-1, 3)
+            self._cache["sq_points"] = points
+        return points
+
+    @property
     def area(self) -> float:
         return float(self.sq_weights.sum())
 
@@ -259,79 +279,50 @@ class ActiveMesh:
 def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int) -> np.ndarray:
     """Level-set samples at the lattice points of every band tetrahedron.
 
-    Midpoint samples come from the level set itself when available and from
-    edge averaging otherwise (which reduces divisions = 2 to the interpolant
-    geometry of divisions = 1).  Exact zeros are shifted like the nodal ones.
+    Midpoint samples come from the level set itself when available, one
+    evaluation per mesh edge, and from edge averaging otherwise (which
+    reduces divisions = 2 to the interpolant geometry of divisions = 1).
+    Exact zeros are shifted like the nodal ones.
     """
     vertex_vals = phi[mesh.tets]  # (m, 4)
     if divisions == 1:
         return vertex_vals
     if levelset is not None:
-        i, j = _LATTICE_EDGES[:, 0], _LATTICE_EDGES[:, 1]
-        mid_coords = 0.5 * (mesh.nodes[mesh.tets[:, i]] + mesh.nodes[mesh.tets[:, j]])
-        mid_vals = levelset.evaluate(mid_coords.reshape(-1, 3)).reshape(len(mesh.tets), 6)
-        if not np.all(np.isfinite(mid_vals)):
+        a, b = mesh.tets[:, _LATTICE_EDGES[:, 0]], mesh.tets[:, _LATTICE_EDGES[:, 1]]
+        n = len(mesh.nodes)
+        edges, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        lo, hi = np.divmod(edges, n)
+        edge_vals = levelset.evaluate(0.5 * (mesh.nodes[lo] + mesh.nodes[hi]))
+        if not np.all(np.isfinite(edge_vals)):
             raise MeshError("level set is not finite at lattice midpoints")
-        mid_vals = mid_vals.copy()
-        mid_vals[mid_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
+        mid_vals = edge_vals[edge_of.reshape(len(mesh.tets), 6)]
     else:
         mid_vals = 0.5 * (vertex_vals[:, _LATTICE_EDGES[:, 0]] + vertex_vals[:, _LATTICE_EDGES[:, 1]])
-        mid_vals[mid_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
+    mid_vals[mid_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
     return np.concatenate([vertex_vals, mid_vals], axis=1)  # (m, 10)
 
 
-def build_active_mesh(
-    mesh: BackgroundMesh,
-    phi_nodal: np.ndarray | None = None,
-    levelset: LevelSetField | None = None,
-    surface_degree: int = 4,
-    geometry_divisions: int = 2,
-) -> ActiveMesh:
-    """Extract the cut tetrahedra of ``mesh`` and precompute trace data.
-
-    Either pass the nodal level-set vector directly or a LevelSetField to
-    sample.  Exact zeros are shifted by +1e-13*h before classification so
-    the cut topology is unambiguous.  A tetrahedron is active when any of
-    its geometry-lattice sub-tetrahedra is cut.
-    """
-    if geometry_divisions not in _SUBTETS:
-        raise ValueError("geometry_divisions must be 1 or 2")
-    if phi_nodal is None:
-        if levelset is None:
-            raise ValueError("need phi_nodal or levelset")
-        phi_nodal = interpolate_p1(levelset, mesh)
-    phi = np.array(phi_nodal, dtype=float)
-    if phi.shape != (len(mesh.nodes),):
-        raise ValueError("phi_nodal has wrong length")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi_nodal contains non-finite values")
-    phi[phi == 0.0] = ZERO_SHIFT_SCALE * mesh.h
-
-    subtets = _SUBTETS[geometry_divisions]  # (S, 4) lattice indices
-    lat_bary = _lattice_bary(geometry_divisions)  # (L, 4)
-    lat_vals_all = _lattice_values(mesh, phi, levelset, geometry_divisions)  # (m, L)
-
-    sub_vals_all = lat_vals_all[:, subtets]  # (m, S, 4)
-    sub_cut_all = (sub_vals_all.min(axis=2) < 0.0) & (sub_vals_all.max(axis=2) > 0.0)
-    cut = sub_cut_all.any(axis=1)
-    cut_tets = np.flatnonzero(cut)
+def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
+    """Cut tetrahedra, and the lattice values and cut flags of their
+    sub-tetrahedra, (n_e, S, 4) and (n_e, S)."""
+    subtets = _SUBTETS[divisions]
+    lat_vals = _lattice_values(mesh, phi, levelset, divisions)  # (m, L)
+    # The values carry no exact zeros, so a sub-tetrahedron is cut when one
+    # to three of its vertex values are negative.
+    n_neg = (lat_vals < 0.0)[:, subtets].sum(axis=2)  # (m, S)
+    sub_cut = (n_neg > 0) & (n_neg < 4)
+    cut_tets = np.flatnonzero(sub_cut.any(axis=1))
     if len(cut_tets) == 0:
         raise MeshError("no cut tetrahedra: the surface misses the mesh band")
+    return cut_tets, lat_vals[cut_tets][:, subtets], sub_cut[cut_tets]
 
-    elem_nodes = mesh.tets[cut_tets]
-    active_nodes = np.unique(elem_nodes)
-    dof_of_node = np.full(len(mesh.nodes), -1, dtype=np.int64)
-    dof_of_node[active_nodes] = np.arange(len(active_nodes))
-    elem_dofs = dof_of_node[elem_nodes]
 
-    coords = mesh.nodes[elem_nodes]  # (n_e, 4, 3)
-    n_e = len(cut_tets)
-    n_sub = len(subtets)
-
+def _element_geometry(coords: np.ndarray):
+    """P1 basis gradients, volumes and circumscribed diameters of the
+    tetrahedra with vertex coordinates ``coords`` (n_e, 4, 3)."""
     edges = coords[:, 1:, :] - coords[:, :1, :]  # (n_e, 3, 3) rows x_i - x_0
-    inv_edges = np.linalg.inv(edges)
-    grads = np.empty((n_e, 4, 3))
-    grads[:, 1:, :] = inv_edges.transpose(0, 2, 1)
+    grads = np.empty((len(coords), 4, 3))
+    grads[:, 1:, :] = np.linalg.inv(edges).transpose(0, 2, 1)
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
 
     volumes = np.abs(np.linalg.det(edges)) / 6.0
@@ -340,14 +331,21 @@ def build_active_mesh(
     )[:, None]
     centers = np.linalg.solve(2.0 * edges, rhs[:, :, None])[:, :, 0]
     diameters = 2.0 * np.linalg.norm(centers - coords[:, 0, :], axis=1)
+    return grads, volumes, diameters
 
-    # Geometry of all lattice sub-tetrahedra of the cut parents.
-    lat_coords = np.einsum("lf,efj->elj", lat_bary, coords)  # (n_e, L, 3)
-    sub_coords = lat_coords[:, subtets, :]  # (n_e, S, 4, 3)
-    sub_vals = lat_vals_all[cut][:, subtets]  # (n_e, S, 4)
-    sub_cut = sub_cut_all[cut]  # (n_e, S)
 
-    flat_coords = sub_coords.reshape(n_e * n_sub, 4, 3)
+def _patches(coords, sub_vals, sub_cut, grads, divisions: int):
+    """Stabilization metric of every cut parent, and its patches.
+
+    Returns the (n_e, 3, 3) metric, each patch's parent element and
+    lattice sub-tetrahedron, its unit normal, the tangential projections of
+    the parent basis gradients, and its vertex coordinates and level-set
+    values for the polygon extraction.
+    """
+    subtets = _SUBTETS[divisions]
+    n_e, n_sub = sub_cut.shape
+    lat_coords = np.matmul(_lattice_bary(divisions), coords)  # (n_e, L, 3)
+    flat_coords = lat_coords[:, subtets, :].reshape(n_e * n_sub, 4, 3)
     flat_vals = sub_vals.reshape(n_e * n_sub, 4)
     sub_edges = flat_coords[:, 1:, :] - flat_coords[:, :1, :]
     sub_grad = np.linalg.solve(sub_edges, (flat_vals[:, 1:] - flat_vals[:, :1])[:, :, None])[:, :, 0]
@@ -364,36 +362,87 @@ def build_active_mesh(
 
     # Patches: the cut sub-tetrahedra, parent-major order.
     patch_flat = np.flatnonzero(sub_cut.reshape(-1))
-    patch_elem = patch_flat // n_sub
-    patch_sub = patch_flat % n_sub
-    n_p = len(patch_flat)
-    patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(patch_elem, minlength=n_e))])
+    patch_elem, patch_sub = np.divmod(patch_flat, n_sub)
     patch_normals = unit[patch_flat]
     pg = grads[patch_elem]  # (n_p, 4, 3)
     pnd = np.einsum("pik,pk->pi", pg, patch_normals)
     patch_tangential_grads = pg - pnd[:, :, None] * patch_normals[:, None, :]
+    return (
+        stab_metric, patch_elem, patch_sub, patch_normals, patch_tangential_grads,
+        flat_coords[patch_flat], flat_vals[patch_flat],
+    )
 
-    # Cut polygons per patch, with barycentric output mapped to the parent.
-    poly = _extract_polygons(flat_coords[patch_flat], flat_vals[patch_flat], patch_normals)
-    poly_points, poly_sub_bary, poly_patch, tri_index, tri_patch = poly
-    sub_to_parent = lat_bary[subtets[patch_sub]]  # (n_p, 4, 4)
-    poly_bary = np.einsum("pk,pkf->pf", poly_sub_bary, sub_to_parent[poly_patch])
-    poly_elem = patch_elem[poly_patch]
 
-    rule_bary, rule_w = triangle_bary_rule(surface_degree)
+def _polygons(coords, vals, normals, patch_sub, divisions: int):
+    """Cut polygons of the patches, with barycentric coordinates in the parent."""
+    poly_points, sub_bary, poly_patch, tri_index, tri_patch = _extract_polygons(coords, vals, normals)
+    sub_to_parent = _lattice_bary(divisions)[_SUBTETS[divisions]]  # (S, 4, 4)
+    poly_bary = np.einsum("pk,pkf->pf", sub_bary, sub_to_parent[patch_sub[poly_patch]])
+    return poly_points, poly_bary, poly_patch, tri_index, tri_patch
+
+
+def _surface_quadrature(poly_points, poly_bary, tri_index, tri_patch, patch_elem, degree: int):
+    """Triangle areas, and the barycentric points, weights and elements of
+    the surface rule, with each patch's offsets into them."""
+    rule_bary, rule_w = triangle_bary_rule(degree)
+    nq = len(rule_w)
     tri_coords = poly_points[tri_index]  # (T, 3, 3)
-    tri_bary = poly_bary[tri_index]  # (T, 3, 4)
-    areas = 0.5 * np.linalg.norm(
+    tri_areas = 0.5 * np.linalg.norm(
         np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
     )
-    nq = len(rule_w)
-    sq_points = np.einsum("qi,tij->tqj", rule_bary, tri_coords).reshape(-1, 3)
-    sq_bary = np.einsum("qi,tif->tqf", rule_bary, tri_bary).reshape(-1, 4)
-    sq_weights = (rule_w[None, :] * areas[:, None]).reshape(-1)
-    sq_patch = np.repeat(tri_patch, nq)
-    sq_elem = patch_elem[sq_patch]
-    sq_offsets = np.concatenate([[0], np.cumsum(np.bincount(sq_elem, minlength=n_e))])
-    sq_patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(sq_patch, minlength=n_p))])
+    sq_bary = np.matmul(rule_bary, poly_bary[tri_index]).reshape(-1, 4)
+    sq_weights = (rule_w[None, :] * tri_areas[:, None]).reshape(-1)
+    sq_elem = np.repeat(patch_elem[tri_patch], nq)
+    tri_counts = np.bincount(tri_patch, minlength=len(patch_elem))
+    sq_patch_offsets = nq * np.concatenate([[0], np.cumsum(tri_counts)])
+    return tri_areas, sq_bary, sq_weights, sq_elem, sq_patch_offsets
+
+
+def build_active_mesh(
+    mesh: BackgroundMesh,
+    phi_nodal: np.ndarray | None = None,
+    levelset: LevelSetField | None = None,
+    surface_degree: int = 4,
+    geometry_divisions: int = 2,
+) -> ActiveMesh:
+    """Extract the cut tetrahedra of ``mesh`` and precompute trace data.
+
+    Either pass the nodal level-set vector directly or a LevelSetField to
+    sample.  Exact zeros are shifted by +1e-13*h before classification so
+    the cut topology is unambiguous.  A tetrahedron is active when any of
+    its geometry-lattice sub-tetrahedra is cut.  Each stage below is a
+    function of its own, so its temporaries are freed when it returns.
+    """
+    if geometry_divisions not in _SUBTETS:
+        raise ValueError("geometry_divisions must be 1 or 2")
+    if phi_nodal is None:
+        if levelset is None:
+            raise ValueError("need phi_nodal or levelset")
+        phi_nodal = interpolate_p1(levelset, mesh)
+    phi = np.array(phi_nodal, dtype=float)
+    if phi.shape != (len(mesh.nodes),):
+        raise ValueError("phi_nodal has wrong length")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi_nodal contains non-finite values")
+    phi[phi == 0.0] = ZERO_SHIFT_SCALE * mesh.h
+
+    cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, geometry_divisions)
+    elem_nodes = mesh.tets[cut_tets]
+    active_nodes = np.unique(elem_nodes)
+    dof_of_node = np.full(len(mesh.nodes), -1, dtype=np.int64)
+    dof_of_node[active_nodes] = np.arange(len(active_nodes))
+
+    n_e = len(cut_tets)
+    coords = mesh.nodes[elem_nodes]  # (n_e, 4, 3)
+    grads, volumes, diameters = _element_geometry(coords)
+    patches = _patches(coords, sub_vals, sub_cut, grads, geometry_divisions)
+    stab_metric, patch_elem, patch_sub, normals, tangential_grads, patch_coords, patch_vals = patches
+    poly_points, poly_bary, poly_patch, tri_index, tri_patch = _polygons(
+        patch_coords, patch_vals, normals, patch_sub, geometry_divisions
+    )
+    tri_areas, sq_bary, sq_weights, sq_elem, sq_patch_offsets = _surface_quadrature(
+        poly_points, poly_bary, tri_index, tri_patch, patch_elem, surface_degree
+    )
 
     return ActiveMesh(
         mesh=mesh,
@@ -401,26 +450,24 @@ def build_active_mesh(
         geometry_divisions=geometry_divisions,
         cut_tets=cut_tets,
         elem_nodes=elem_nodes,
-        elem_dofs=elem_dofs,
+        elem_dofs=dof_of_node[elem_nodes],
         active_nodes=active_nodes,
         grads=grads,
         volumes=volumes,
         diameters=diameters,
         stab_metric=stab_metric,
         patch_elem=patch_elem,
-        patch_offsets=patch_offsets,
-        patch_normals=patch_normals,
-        patch_tangential_grads=patch_tangential_grads,
+        patch_offsets=np.concatenate([[0], np.cumsum(np.bincount(patch_elem, minlength=n_e))]),
+        patch_normals=normals,
+        patch_tangential_grads=tangential_grads,
         poly_points=poly_points,
         poly_bary=poly_bary,
-        poly_elem=poly_elem,
+        poly_elem=patch_elem[poly_patch],
         tri_index=tri_index,
-        sq_points=sq_points,
+        tri_areas=tri_areas,
         sq_weights=sq_weights,
         sq_bary=sq_bary,
         sq_elem=sq_elem,
-        sq_patch=sq_patch,
-        sq_offsets=sq_offsets,
         sq_patch_offsets=sq_patch_offsets,
         surface_degree=surface_degree,
     )
@@ -432,9 +479,10 @@ _OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)], dtype=np
 def _extract_polygons(coords, vals, normals):
     """Vectorized cut-polygon extraction for all patches at once.
 
-    Equivalent to cutcells.extract_cut_polygon per patch (tested against
-    it); output arrays are ordered by patch, barycentric coordinates refer
-    to the patch tetrahedron.
+    Equivalent to extract_cut_polygon of tests/cutcells.py per patch, the
+    single-tetrahedron oracle it is tested against; output arrays are
+    ordered by patch, barycentric coordinates refer to the patch
+    tetrahedron.
     """
     n_e = len(vals)
     neg = vals < 0.0

@@ -1,4 +1,5 @@
-"""Classification of tetrahedra against a P1 level set and cut-polygon extraction.
+"""Single-tetrahedron classification and cut-polygon extraction: the oracle
+for the batched extraction in ``savfem.mesh``.
 
 The zero set of a P1 field restricted to one tetrahedron is either empty,
 a triangle (3-1 sign split) or a planar quadrilateral (2-2 split).  Polygon
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import triangle_bary_rule
+from savfem.mesh import ZERO_SHIFT_SCALE
+from savfem.quadrature import triangle_bary_rule
 
 __all__ = [
     "TetClass",
@@ -27,15 +29,10 @@ __all__ = [
     "classify_tet",
     "extract_cut_polygon",
     "surface_quadrature",
-    "ZERO_SHIFT_SCALE",
     "DEGENERATE_AREA_SCALE",
 ]
 
 log = logging.getLogger(__name__)
-
-# Exact zeros of the nodal level set are shifted by +ZERO_SHIFT_SCALE * h
-# before sign decisions so the cut topology is unambiguous.
-ZERO_SHIFT_SCALE = 1e-13
 
 # Sub-triangles with area below DEGENERATE_AREA_SCALE * h^2 are kept with
 # their (essentially zero) quadrature weights but logged.

@@ -5,6 +5,8 @@ an exact plane, so mass, stiffness and stabilization integrals have pencil
 and paper values independent of the cut-cell machinery.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +24,8 @@ from savfem.assembly import (
     interpolate_at_surface_qp,
     l2_norm_gamma,
 )
-from savfem.levelset import from_callable, sphere
+from savfem.config import CELL_BOX, SPHERE_BOX
+from savfem.levelset import from_callable, idealized_cell, sphere
 from savfem.mesh import build_active_mesh, build_mesh
 from savfem.physics import PhysicsParams, f0, f0_prime
 
@@ -37,6 +40,13 @@ def plane_active(request):
     box = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
     mesh = build_mesh(ls, box, 1)
     return build_active_mesh(mesh, levelset=ls, geometry_divisions=request.param)
+
+
+@pytest.fixture(scope="module")
+def cell_l2():
+    """Idealized-cell active mesh: a curved surface with varying curvature."""
+    mesh = build_mesh(idealized_cell(), CELL_BOX, 2)
+    return build_active_mesh(mesh, levelset=idealized_cell())
 
 
 def quad_form(active, mat, fn):
@@ -239,11 +249,17 @@ def _load_oracle(active, vals):
     return out
 
 
+def _sq_offsets(active):
+    """Each element's offsets into the surface quadrature points."""
+    return np.concatenate([[0], np.cumsum(np.bincount(active.sq_elem, minlength=active.n_elements))])
+
+
 def _mass_oracle(active):
+    """The degree-4 rule applied to the (Q, 4, 4) products of the basis values."""
     contrib = active.sq_weights[:, None, None] * (
         active.sq_bary[:, :, None] * active.sq_bary[:, None, :]
     )
-    flat = np.add.reduceat(contrib.reshape(len(contrib), -1), active.sq_offsets[:-1])
+    flat = np.add.reduceat(contrib.reshape(len(contrib), -1), _sq_offsets(active)[:-1])
     return _coo_oracle(active, flat.reshape(-1, 4, 4))
 
 
@@ -293,6 +309,29 @@ class TestOperatorsAgainstElementScatter:
             assemble_surface_stiffness(sphere_l2), _stiffness_oracle(sphere_l2, sphere_l2.sq_weights)
         )
 
+    @pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
+    def test_exact_mass_matches_quadrature(self, mesh_name, request):
+        # the triangle formula against the degree-4 rule, which integrates
+        # the quadratic integrand exactly
+        active = request.getfixturevalue(mesh_name)
+        mass, oracle = assemble_surface_mass(active), _mass_oracle(active)
+        np.testing.assert_array_equal(mass.indices, oracle.indices)
+        scale = np.abs(oracle.data).max()
+        np.testing.assert_allclose(mass.data, oracle.data, rtol=0.0, atol=1e-13 * scale)
+
+    def test_forms_allocate_no_per_point_matrices(self):
+        # a (Q, 4, 4) array of the surface points is Q * 16 * 8 bytes; the
+        # static forms are built from per-triangle and per-patch arrays
+        mesh = build_mesh(sphere(1.0), SPHERE_BOX, 3)
+        active = build_active_mesh(mesh, levelset=sphere(1.0))
+        tracemalloc.start()
+        try:
+            assemble_forms(active)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(active.sq_weights) * 16 * 8
+
     def test_mobility_keeps_exact_zeros(self, sphere_l2, bernoulli):
         physics = PhysicsParams(epsilon=1.0)
         mob = assemble_surface_stiffness(sphere_l2, bernoulli, physics.mobility)
@@ -301,7 +340,7 @@ class TestOperatorsAgainstElementScatter:
         self.assert_same_matrix(mob, oracle)
         # entries whose elements all have M(c_h) = 0 are exact zeros, still stored
         vals = physics.mobility(interpolate_at_surface_qp(sphere_l2, bernoulli))
-        alive = np.add.reduceat(vals, sphere_l2.sq_offsets[:-1]) > 0.0
+        alive = np.add.reduceat(vals, _sq_offsets(sphere_l2)[:-1]) > 0.0
         counts = _coo_oracle(sphere_l2, np.broadcast_to(alive[:, None, None], (len(alive), 4, 4)) * 1.0)
         dead = counts.data == 0.0
         assert dead.sum() > 0

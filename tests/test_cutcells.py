@@ -1,11 +1,11 @@
-"""Tet classification and cut-polygon extraction against hand-computed cuts."""
+"""The single-tet oracle of tests/cutcells.py against hand-computed cuts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from savfem.cutcells import (
+from cutcells import (
     TetClass,
     classify_tet,
     extract_cut_polygon,

@@ -292,6 +292,38 @@ class TestEnergyReport:
             bootstrap = make_energy_report(None, state, nxt, forms, physics, scheme)
             assert bootstrap.balance_residual == first
 
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "adaptive"])
+    def test_previous_row_energy_is_reused(
+        self, scheme, sphere_l2_forms, physics, seeded_state, monkeypatch
+    ):
+        # with the previous row's energy the rows are bitwise the same, and
+        # after the first row the modified energy is evaluated once per row
+        import savfem.integrators as integrators
+
+        calls = []
+        energy = integrators.modified_energy
+
+        def counted(*args, **kwargs):
+            calls[-1] += 1
+            return energy(*args, **kwargs)
+
+        forms = sphere_l2_forms
+        prev, state, rows = None, seeded_state, []
+        for _ in range(4):
+            if scheme == "bdf1" or prev is None:
+                nxt = bdf1_step(state, 0.005, forms, physics)
+            else:
+                nxt = bdf2_variable_step(prev, state, 0.005, state.dt_used, forms, physics)
+            fresh = make_energy_report(prev, state, nxt, forms, physics, scheme)
+            monkeypatch.setattr(integrators, "modified_energy", counted)
+            calls.append(0)
+            prev_energy = rows[-1].modified_energy if rows else None
+            rows.append(make_energy_report(prev, state, nxt, forms, physics, scheme, prev_energy))
+            monkeypatch.setattr(integrators, "modified_energy", energy)
+            assert rows[-1] == fresh
+            prev, state = state, nxt
+        assert calls == [3, 1, 1, 1]
+
 
 class TestStepMobility:
     def test_snapshot_carries_the_step_mobility(self, sphere_l2_forms, physics, seeded_state):

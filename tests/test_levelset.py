@@ -8,10 +8,24 @@ from savfem.levelset import (
     from_callable,
     idealized_cell,
     interpolate_p1,
-    sampled_gradient_slope,
     sphere,
 )
 from savfem.mesh import build_mesh
+
+
+def sampled_gradient_slope(levelset, box, band, n_samples=20000, seed=0) -> float:
+    """Minimum sampled |grad phi| over points of the box with |phi| <= band,
+    the nondegeneracy probe of the built-in fields; +inf when no sample
+    lands in the band."""
+    box = np.asarray(box, dtype=float).reshape(3, 2)
+    rng = np.random.default_rng(seed)
+    pts = box[:, 0] + rng.random((n_samples, 3)) * (box[:, 1] - box[:, 0])
+    phi = levelset.evaluate(pts)
+    mask = np.abs(phi) <= band
+    if not np.any(mask):
+        return float("inf")
+    g = levelset.gradient(pts[mask])
+    return float(np.min(np.linalg.norm(g, axis=1)))
 
 
 def test_sphere_signed_distance_values():

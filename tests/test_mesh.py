@@ -2,17 +2,20 @@
 
 Oracles: closed-form mesh sizes h_l = base_edge / 2^l, exact volume
 partition of cubes into six Kuhn tetrahedra, single-tet polygon extraction
-from cutcells as the reference for the batched extraction, and the exact
-sphere area 4*pi as the limit of the discrete area.
+from tests/cutcells.py as the reference for the batched extraction, and the
+exact sphere area 4*pi as the limit of the discrete area.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from cutcells import extract_cut_polygon
 from savfem.config import CELL_BOX, SPHERE_BOX
-from savfem.cutcells import extract_cut_polygon
 from savfem.levelset import idealized_cell, sphere
 from savfem.mesh import MeshError, build_active_mesh, build_mesh
+from savfem.quadrature import triangle_bary_rule
 
 
 def test_sphere_mesh_size_formula():
@@ -80,10 +83,18 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     active = sphere_l2
     assert np.all(np.diff(active.patch_elem) >= 0)
     assert np.all(np.diff(active.sq_elem) >= 0)
-    assert np.all(np.diff(active.sq_patch) >= 0)
+    assert np.all(np.diff(active.sq_patch_offsets) > 0)
     assert active.patch_offsets[-1] == active.n_patches
-    assert active.sq_offsets[-1] == len(active.sq_weights)
     assert active.sq_patch_offsets[-1] == len(active.sq_weights)
+    # the points of a patch belong to the patch's element, and every
+    # element has points
+    sq_patch = np.repeat(np.arange(active.n_patches), np.diff(active.sq_patch_offsets))
+    assert np.array_equal(active.sq_elem, active.patch_elem[sq_patch])
+    assert np.bincount(active.sq_elem, minlength=active.n_elements).min() > 0
+    # each surface triangle carries the same number of points
+    nq = len(triangle_bary_rule(active.surface_degree)[1])
+    assert len(active.sq_weights) == nq * len(active.tri_index)
+    assert np.array_equal(active.poly_elem[active.tri_index[:, 0]], active.sq_elem[::nq])
     assert np.allclose(active.sq_bary.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(active.sq_weights >= 0)
     assert np.allclose(np.linalg.norm(active.patch_normals, axis=1), 1.0, atol=1e-13)
@@ -92,6 +103,21 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     coords = active.mesh.nodes[active.elem_nodes[active.sq_elem]]
     recon = np.einsum("qi,qij->qj", active.sq_bary, coords)
     assert np.allclose(recon, active.sq_points, atol=1e-12)
+
+
+def test_quadrature_points_against_einsum_formulas(sphere_l2, sphere_l2_flat):
+    """sq_bary, and sq_points built on first access, equal the einsum
+    formulas that evaluated both eagerly."""
+    rule_bary, _ = triangle_bary_rule(4)
+    for active in (sphere_l2, sphere_l2_flat):
+        bary = np.einsum("qi,tif->tqf", rule_bary, active.poly_bary[active.tri_index])
+        np.testing.assert_allclose(active.sq_bary, bary.reshape(-1, 4), rtol=0.0, atol=1e-15)
+
+        fresh = dataclasses.replace(active, _cache={})
+        assert "sq_points" not in fresh._cache
+        points = np.einsum("qi,tij->tqj", rule_bary, fresh.poly_points[fresh.tri_index])
+        np.testing.assert_allclose(fresh.sq_points, points.reshape(-1, 3), rtol=0.0, atol=1e-15)
+        assert fresh.sq_points is fresh._cache["sq_points"]
 
 
 def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
@@ -106,7 +132,7 @@ def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
 
 
 def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
-    """Batched extraction (divisions=1) equals cutcells.extract_cut_polygon."""
+    """Batched extraction (divisions=1) equals the single-tet oracle."""
     active = sphere_l2_flat
     vals = active.phi[active.elem_nodes]
     coords = active.mesh.nodes[active.elem_nodes]
