@@ -259,10 +259,10 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
             sink.close()
     totals = solver.totals
     log.info(
-        "%s: %d solves, %d factorizations, %d reused, %d abandoned reuses, "
-        "%d GMRES iterations, %d fallbacks",
-        config.run_name, totals.solves, totals.factorizations, totals.reused,
-        totals.abandoned, totals.iterations, totals.fallbacks,
+        "%s: %d solves, %d factorizations, %d reused, %d abandoned reuses, %d refreshed, "
+        "%d GMRES iterations, %d refined, %d fallbacks",
+        config.run_name, totals.solves, totals.factorizations, totals.reused, totals.abandoned,
+        totals.refreshed, totals.iterations, totals.refined, totals.fallbacks,
     )
 
     return RunResult(

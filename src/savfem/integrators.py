@@ -176,7 +176,7 @@ def _sav_step(
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, None, _block_pattern(forms), solver)
+    c, mu, _ = solve_rank_one_system(system, _block_pattern(forms), solver)
     r = (be * prev1.r - ga * prev2.r + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)) / al
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(r)):
         raise TimeStepError("time step produced non-finite values")

@@ -29,41 +29,36 @@ roughly halves the L+U fill against the default COLAMD ordering with
 partial pivoting on the band meshes (level-5 sphere: 7.0M against 13.3M
 nonzeros).  Any threshold above zero is ruled out: row interchanges then
 destroy the ordering (thresh = 0.1 gives 40M L+U nonzeros at level 5).
-Without pivoting the LU is not backward stable in general, so if a fresh
-fixed-pattern factorization fails the residual gate below (or its
-Sherman-Morrison denominator vanishes, or SuperLU reports a zero pivot) the
-same system is refactored with COLAMD and partial pivoting, a WARNING is
-logged and ``SolveStats.fallback`` is set.  Only a failure of that path
-raises.  Without a pattern the COLAMD path is taken directly.
+Without pivoting the LU is not backward stable in general, so a fresh
+solve is refined on its own LU before the residual gate, the static
+pivoting plus iterative refinement of SuperLU_DIST (Li and Demmel, ACM
+TOMS 29, 2003).  If that fails (or the Sherman-Morrison denominator
+vanishes, or SuperLU reports a zero pivot) the system is refactored with
+COLAMD and partial pivoting, a WARNING is logged and ``SolveStats.fallback``
+is set.  Only a failure of that path raises.
 
-LU reuse.  In a fixed-step run only the mobility in B_cmu (which moves by
-O(dt)) and the rank-one term change from one step to the next; B_cc is
-alpha rho / dt times the mass matrix.  A ``BlockSolver``, owned by a time
-loop, keeps the solve of its last LU and the B_cc data that LU was factored
-with (Knoll and Keyes, JCP 193, 2004, on lagged preconditioners; the
-Jacobian reuse of CVODE, Hindmarsh et al., ACM TOMS 31, 2005).  When a
-solve on the same pattern sees the same B_cc (same dt and alpha), it does
-not refactor but runs right-preconditioned GMRES (``gmres``) on the full
-operator.  The preconditioner is the stored LU with the current rank-one
-term folded in by Sherman-Morrison, and the first guess is the
-preconditioner applied to the right-hand side.  The policy counts
-iterations and reads no clock, so a run is deterministic:
+One solve path.  Every solve, on a fresh or a kept LU, runs right-
+preconditioned GMRES (``gmres``) on the full operator from the
+preconditioner applied to the rhs; the preconditioner is the LU with the
+current rank-one term folded in by Sherman-Morrison.  GMRES stops at
+GMRES_TOL * ||rhs|| (a fresh LU that meets it takes no iteration), gives up
+after GMRES_MAX_ITER iterations (one preconditioner application costs 1/15
+(level 3) to 1/28 (level 5) of a factorization), or from the second on as
+soon as the last residual reduction factor, kept for the remaining
+iterations, would not reach the target.  Then the full-operator residual is
+checked against ``SolverConfig.rel_tolerance``.
 
-- GMRES_TOL: GMRES stops at a residual of GMRES_TOL * ||rhs||, the level of
-  a direct solve.
-- GMRES_MAX_ITER: the iteration cap.  One preconditioner application costs
-  1/15 (level 3) to 1/28 (level 5) of a factorization, so a failed reuse
-  costs at most about one factorization.
-- From the second iteration on, the reuse is abandoned as soon as the last
-  residual reduction factor, kept for the remaining iterations, would not
-  reach the target.
-
-An abandoned reuse, a singular preconditioner denominator or a true
-residual over the gate refactors the system, dropping the old LU first.
-
-Every solve checks the full-operator residual against
-``SolverConfig.rel_tolerance``.  A solve without a ``BlockSolver`` factors
-afresh, with the same arithmetic as the first solve of a new one.
+LU reuse.  A ``BlockSolver``, owned by a time loop, keeps its last LU and
+serves every later solve on the same ``BlockPattern`` object with it
+(lagged preconditioners: Knoll and Keyes, JCP 193, 2004; the Jacobian reuse
+of CVODE, Hindmarsh et al., ACM TOMS 31, 2005), although B_cc = alpha rho /
+dt M changes with dt and the scheme, at every solve of an adaptive run.  A
+reuse that fails refactors, dropping the old LU first.  The solver also
+keeps the previous solve's B_cc data: after a reuse of more than
+REFRESH_ITER iterations whose B_cc equals it (a steady, fixed-step run whose
+LU has gone stale) the LU is dropped and the next solve factors; alternating
+B_cc never refreshes.  The policy counts iterations and reads no clock, so
+a run is deterministic.  A solve without a ``BlockSolver`` factors afresh.
 """
 
 from __future__ import annotations
@@ -93,8 +88,9 @@ log = logging.getLogger(__name__)
 
 SINGULAR_TOL = 1e-14
 LEAF_SIZE = 64  # dofs per nested-dissection leaf
-GMRES_TOL = 1e-13  # GMRES target on a reused LU, relative to ||rhs||
-GMRES_MAX_ITER = 20  # GMRES iteration cap on a reused LU
+GMRES_TOL = 1e-13  # GMRES target, relative to ||rhs||
+GMRES_MAX_ITER = 20  # GMRES iteration cap
+REFRESH_ITER = 5  # a reuse above this many iterations in a steady run drops the LU
 
 
 class LinearSolveError(RuntimeError):
@@ -147,20 +143,24 @@ class SolveStats:
     rel_residual: float
     woodbury_denominator: float  # of the solve's LU: the fresh one, or the reused one
     fallback: bool = False  # the fixed-pattern LU failed and COLAMD solved the system
-    iterations: int = 0  # GMRES iterations on a reused LU; 0 when the solve factored
+    iterations: int = 0  # GMRES iterations on the solve's LU
     refactored: bool = True  # the solve factored the base operator
 
 
 @dataclass
 class SolverTotals:
     """Counts over the solves of one BlockSolver.  ``iterations`` includes
-    those of abandoned reuses; a fallback is a second factorization."""
+    those of abandoned reuses and failed refinements; a fallback is a second
+    factorization.  ``refreshed`` counts the LUs dropped after a slow reuse
+    in a steady run, ``refined`` the fresh solves that needed iterations."""
 
     solves: int = 0
     factorizations: int = 0
     reused: int = 0
     abandoned: int = 0
+    refreshed: int = 0
     iterations: int = 0
+    refined: int = 0
     fallbacks: int = 0
 
 
@@ -377,12 +377,12 @@ def gmres(matvec, precond, rhs, x0, target: float, max_iter: int):
 
 
 class BlockSolver:
-    """Block solves of one time loop, reusing the last LU while B_cc stays.
+    """Block solves of one time loop, reusing the last LU on its pattern.
 
     Holds the pattern and the solve of its last LU (pivot-free, or the
-    COLAMD fallback) and the B_cc data that LU was factored with; see the
-    module docstring for the reuse policy.  ``totals`` counts the solves.
-    Call ``release`` to drop the stored LU when the loop ends.
+    COLAMD fallback) and the previous solve's B_cc data; see the module
+    docstring for the reuse policy.  ``totals`` counts the solves.  Call
+    ``release`` to drop the stored LU when the loop ends.
     """
 
     def __init__(self, config: SolverConfig | None = None):
@@ -391,97 +391,88 @@ class BlockSolver:
         self.release()
 
     def release(self) -> None:
-        self._pattern = self._b_cc = self._solve = None
+        self._pattern = self._solve = self._prev_b_cc = None
 
-    def solve(self, system: BlockSystem, pattern: BlockPattern | None = None):
+    def solve(self, system: BlockSystem, pattern: BlockPattern):
         """(c, mu, stats) of ``system``; see ``solve_rank_one_system``."""
         n, totals = system.n, self.totals
         totals.solves += 1
-        if (
-            self._solve is not None
-            and pattern is self._pattern
-            and np.array_equal(system.b_cc.data, self._b_cc)
-        ):
+        stats = None
+        if self._solve is not None and pattern is self._pattern:
             pattern.check(system)
-            reused = self._reuse(system)
-            if reused is not None:
-                totals.reused += 1
-                x, stats = reused
-                return x[:n], x[n:], stats
-            totals.abandoned += 1
-        self.release()  # drop the old LU before factoring a new one
-        x, stats = self._factor(system, pattern)
-        totals.factorizations += 1 + stats.fallback
-        totals.fallbacks += stats.fallback
+            try:
+                x, stats = self._gmres(system, self._solve)
+            except LinearSolveError:
+                totals.abandoned += 1
+        if stats is not None:
+            totals.reused += 1
+            stats.refactored = False
+            if stats.iterations > REFRESH_ITER and np.array_equal(
+                system.b_cc.data, self._prev_b_cc
+            ):
+                totals.refreshed += 1
+                self.release()  # the next solve factors
+        else:
+            self.release()  # drop the old LU before factoring a new one
+            x, stats = self._factor(system, pattern)
+            totals.factorizations += 1 + stats.fallback
+            totals.fallbacks += stats.fallback
+            totals.refined += stats.iterations > 0
+        self._prev_b_cc = system.b_cc.data.copy()
         return x[:n], x[n:], stats
 
-    def _reuse(self, system: BlockSystem):
-        """(x, stats) by GMRES on the stored LU, or None to refactor."""
+    def _factor(self, system: BlockSystem, pattern: BlockPattern):
+        """(x, stats) on a fresh LU, which is kept for reuse."""
+        a = pattern.matrix(system)  # a pattern mismatch raises here, before any fallback
         try:
-            precond, denom = _sherman_morrison(system, self._solve)
-        except SingularUpdateError:
-            return None
-        rhs_norm = float(np.linalg.norm(system.rhs))
+            solve = _pivot_free_solver(a, pattern.order)
+            x, stats = self._gmres(system, solve)
+        except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
+            log.warning(
+                "pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting", exc
+            )
+            solve = None
+        if solve is None:
+            solve = _colamd_solver(system)
+            x, stats = self._gmres(system, solve)
+            stats.fallback = True
+        self._pattern, self._solve = pattern, solve
+        return x, stats
+
+    def _gmres(self, system: BlockSystem, solve):
+        """(x, stats) by GMRES on the LU ``solve``.  Raises
+        SingularUpdateError when the Sherman-Morrison denominator vanishes
+        and LinearSolveError when GMRES gives up or the true residual
+        exceeds the gate."""
+        precond, denom = _sherman_morrison(system, solve)
         x, iterations = gmres(
             lambda y: apply_operator(system, y), precond, system.rhs, precond(system.rhs),
-            GMRES_TOL * rhs_norm, GMRES_MAX_ITER,
+            GMRES_TOL * float(np.linalg.norm(system.rhs)), GMRES_MAX_ITER,
         )
         self.totals.iterations += iterations
         if x is None:
-            return None
-        residual, rel = _residual(system, x)
-        if not rel <= self.config.rel_tolerance:
-            return None
-        return x, SolveStats(residual, rel, denom, iterations=iterations, refactored=False)
-
-    def _factor(self, system: BlockSystem, pattern: BlockPattern | None):
-        if pattern is not None:
-            a = pattern.matrix(system)  # a pattern mismatch raises here, before any fallback
-            try:
-                return self._direct(system, pattern, _pivot_free_solver(a, pattern.order))
-            except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
-                log.warning(
-                    "pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting", exc
-                )
-        x, stats = self._direct(system, pattern, _colamd_solver(system))
-        stats.fallback = pattern is not None
-        return x, stats
-
-    def _direct(self, system: BlockSystem, pattern: BlockPattern | None, solve):
-        """(x, stats) on the fresh LU ``solve``, which is kept for reuse when
-        it passes the gate on the fixed pattern."""
-        precond, denom = _sherman_morrison(system, solve)
-        x = precond(system.rhs)
+            raise LinearSolveError(f"GMRES gave up after {iterations} iterations")
         residual, rel = _residual(system, x)
         if not rel <= self.config.rel_tolerance:
             raise LinearSolveError(
                 f"block solve residual {rel:.3e} exceeds tolerance {self.config.rel_tolerance:.1e}"
             )
-        if pattern is not None:
-            self._pattern, self._b_cc, self._solve = pattern, system.b_cc.data.copy(), solve
-        return x, SolveStats(residual=residual, rel_residual=rel, woodbury_denominator=denom)
+        return x, SolveStats(residual, rel, denom, iterations=iterations)
 
 
 def solve_rank_one_system(
-    system: BlockSystem,
-    config: SolverConfig | None = None,
-    pattern: BlockPattern | None = None,
-    solver: BlockSolver | None = None,
+    system: BlockSystem, pattern: BlockPattern, solver: BlockSolver | None = None
 ):
-    """Solve the block system; returns (c, mu, stats).
+    """Solve the block system on its fixed ``pattern``; returns (c, mu, stats).
 
-    ``solver`` is the BlockSolver whose stored LU may serve the solve (its
-    config applies, so ``config`` must then be None); without one the
-    system is solved on a fresh LU.  With a ``pattern`` the base operator
-    is factorized pivot-free in its nested-dissection order, falling back to
+    ``solver`` is the BlockSolver whose stored LU may serve the solve;
+    without one the system is solved on a fresh LU with the default
+    SolverConfig.  The base operator is factorized pivot-free in the
+    pattern's nested-dissection order and refined by GMRES, falling back to
     COLAMD with partial pivoting (``stats.fallback``) when that solve fails
     its checks; a block off the fixed pattern raises LinearSolveError.  A
     fresh solve raises SingularUpdateError when the Sherman-Morrison
     denominator is below 1e-14 in magnitude, and LinearSolveError when the
     full-operator residual exceeds rel_tolerance * ||rhs||.
     """
-    if solver is None:
-        solver = BlockSolver(config)
-    elif config is not None:
-        raise ValueError("a BlockSolver carries its own config")
-    return solver.solve(system, pattern)
+    return (solver or BlockSolver()).solve(system, pattern)

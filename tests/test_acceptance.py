@@ -39,7 +39,7 @@ from savfem.integrators import (
     energy_balance_terms,
 )
 from savfem.levelset import sphere
-from savfem.linsolve import BlockSystem, solve_rank_one_system
+from savfem.linsolve import BlockPattern, BlockSystem, solve_rank_one_system
 from savfem.mesh import build_active_mesh, build_mesh
 from savfem.physics import PhysicsParams
 
@@ -236,19 +236,28 @@ def test_criterion_5_woodbury_vs_dense(capsys):
 
         def block(spd):
             a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
-            return sp.csr_matrix(a @ a.T + n * np.eye(n)) if spd else sp.csr_matrix(a)
+            return a @ a.T + n * np.eye(n) if spd else a
 
+        # the four blocks on their union CSR pattern, ordered on random points
+        blocks = [block(spd) for spd in (True, False, False, True)]
+        union = sp.csr_matrix(np.any([b != 0 for b in blocks], axis=0))
+        rows, cols = np.nonzero(union.toarray())
+        b_cc, b_cmu, b_muc, b_mumu = (
+            sp.csr_matrix((b[rows, cols], union.indices, union.indptr), shape=(n, n))
+            for b in blocks
+        )
         system = BlockSystem(
-            b_cc=block(True),
-            b_cmu=block(False),
-            b_muc=block(False),
-            b_mumu=block(True),
+            b_cc=b_cc,
+            b_cmu=b_cmu,
+            b_muc=b_muc,
+            b_mumu=b_mumu,
             rank_one_scale=float(rng.uniform(-2.0, 2.0)),
             rank_one_left=rng.standard_normal(n),
             rank_one_right=rng.standard_normal(n),
             rhs=rng.standard_normal(2 * n),
         )
-        c, mu, _ = solve_rank_one_system(system)
+        pattern = BlockPattern.build(np.random.default_rng(n).random((n, 3)), union)
+        c, mu, _ = solve_rank_one_system(system, pattern)
         dense = np.zeros((2 * n, 2 * n))
         dense[:n, :n] = system.b_cc.toarray()
         dense[:n, n:] = system.b_cmu.toarray()

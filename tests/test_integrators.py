@@ -399,7 +399,7 @@ def _oracle_solve(forms, physics, mobility, cc_scale, rhs_c, rhs_mu, w, s):
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, None, forms.pattern)
+    c, mu, _ = solve_rank_one_system(system, forms.pattern)
     return c, mu
 
 

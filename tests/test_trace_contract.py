@@ -99,9 +99,9 @@ def test_traced_run_reports_every_layer(savbench, overrides, tmp_path, monkeypat
     assert solves == (2 * attempts - 1 if overrides else attempts)
     if overrides:
         # BDF1 and BDF2 attempts alternate alpha and the controller changes
-        # dt, so every solve factors except the first BDF1 attempt, which
-        # has the bootstrap step's dt and reuses its LU
-        assert factorizations == solves - 1
+        # dt, but the LU serves any system on the pattern until a reuse is
+        # abandoned: at most one solve in five factors (4 of 39 here)
+        assert factorizations <= solves / 5
     else:
         # the later uniform BDF2 steps reuse the LU of the first one
         assert factorizations < solves
