@@ -239,7 +239,8 @@ def test_marginal_pivot_free_lu_is_refined(rng, caplog):
         c, mu, stats = solver.solve(system, pattern)
     assert stats.refactored and not stats.fallback and stats.iterations >= 1
     assert_solves(system, c, mu, stats)
-    assert (solver.totals.factorizations, solver.totals.refined, solver.totals.fallbacks) == (1, 1, 0)
+    totals = solver.totals
+    assert (totals.factorizations, totals.refined, totals.fallbacks) == (1, 1, 0)
     assert caplog.text == ""
 
 
@@ -305,8 +306,10 @@ def test_block_solver_reuses_the_lu_along_a_bdf2_sequence(sphere_l3_forms, monke
     # the first BDF2 step reuses the BDF1 LU (alpha changes, so no refresh);
     # the second, with an unchanged B_cc, needs more than REFRESH_ITER
     # iterations and drops the LU, so the third factors; and so on
-    assert [s.refactored for s in seen] == [True, False, False, True, False, True, False, False, True]
-    assert [s.iterations > REFRESH_ITER for s in seen] == [False, True, True, False, True, False, False, True, False]
+    factored = [s.refactored for s in seen]
+    assert factored == [True, False, False, True, False, True, False, False, True]
+    slow = [s.iterations > REFRESH_ITER for s in seen]
+    assert slow == [False, True, True, False, True, False, False, True, False]
     assert all(s.rel_residual <= 1e-12 for s in seen)
     totals = solver.totals
     assert (totals.solves, totals.factorizations, totals.reused) == (9, 4, 5)
