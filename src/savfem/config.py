@@ -55,8 +55,6 @@ class RunConfig:
     epsilon: float = 0.05
     rho: float = 1.0
     c_shift: float = 1.0
-    mobility: str = "degenerate"
-    mobility_constant: float = 1.0
     scheme: str = "bdf2"
     dt: float = 0.005
     t_end: float = 1.0
@@ -99,13 +97,7 @@ class RunConfig:
         return sphere(1.0) if self.surface == "sphere" else idealized_cell()
 
     def physics(self) -> PhysicsParams:
-        return PhysicsParams(
-            epsilon=self.epsilon,
-            rho=self.rho,
-            c_shift=self.c_shift,
-            mobility_kind=self.mobility,
-            mobility_constant=self.mobility_constant,
-        )
+        return PhysicsParams(epsilon=self.epsilon, rho=self.rho, c_shift=self.c_shift)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(rel_tolerance=self.solver_rel_tolerance)
@@ -127,18 +119,9 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-# Keys of the removed GMRES path: it could not solve the shipped problems,
-# and every block system is now solved by sparse LU.
-_REMOVED_KEYS = ("solver", "solver_max_iterations", "preconditioner")
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _coerce(key: str, raw: str):
-    if key in _REMOVED_KEYS:
-        raise ConfigError(
-            f"config key {key!r} was removed with the Krylov solver path; "
-            "block systems are always solved by sparse LU"
-        )
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     typ = _FIELD_TYPES[key]
@@ -148,9 +131,7 @@ def _coerce(key: str, raw: str):
             return int(raw)
         if typ in ("float", float):
             return float(raw)
-        if typ in ("bool", bool):
-            return _BOOL_WORDS[raw.lower()]
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from exc
     return raw
 

@@ -99,7 +99,6 @@ class SchemeCoefficients:
     alpha: float
     beta: float
     gamma: float
-    q: float
 
     @classmethod
     def from_ratio(cls, q: float) -> "SchemeCoefficients":
@@ -109,11 +108,10 @@ class SchemeCoefficients:
             alpha=(1.0 + 2.0 * q) / (1.0 + q),
             beta=1.0 + q,
             gamma=q * q / (1.0 + q),
-            q=q,
         )
 
 
-BDF1 = SchemeCoefficients(alpha=1.0, beta=1.0, gamma=0.0, q=0.0)
+BDF1 = SchemeCoefficients(alpha=1.0, beta=1.0, gamma=0.0)
 
 
 def _block_pattern(forms: AssembledForms) -> BlockPattern:

@@ -205,8 +205,8 @@ class ActiveMesh:
     DOFs are the vertices of cut tetrahedra, numbered 0..n_dofs-1 in
     ascending background-node order.  Patches (cut sub-tetrahedra of the
     geometry lattice) are sorted by parent element; surface triangles and
-    quadrature points are sorted by patch.  ``patch_offsets`` delimit each
-    element's patches, ``sq_patch_offsets`` each patch's surface points.
+    quadrature points are sorted by patch.  ``sq_patch_offsets`` delimit
+    each patch's surface points.
     ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
     normal-gradient volume stabilization.  The physical quadrature points
@@ -215,10 +215,7 @@ class ActiveMesh:
     """
 
     mesh: BackgroundMesh
-    phi: np.ndarray  # perturbed nodal level-set values
     geometry_divisions: int
-    cut_tets: np.ndarray  # (n_e,) indices into mesh.tets
-    elem_nodes: np.ndarray  # (n_e, 4) background node ids
     elem_dofs: np.ndarray  # (n_e, 4)
     active_nodes: np.ndarray  # (n_dofs,) background node ids
     grads: np.ndarray  # (n_e, 4, 3) P1 basis gradients
@@ -226,8 +223,6 @@ class ActiveMesh:
     diameters: np.ndarray  # (n_e,) circumscribed diameters
     stab_metric: np.ndarray  # (n_e, 3, 3)
     patch_elem: np.ndarray  # (n_p,) parent element of each patch
-    patch_offsets: np.ndarray  # (n_e + 1,)
-    patch_normals: np.ndarray  # (n_p, 3)
     patch_tangential_grads: np.ndarray  # (n_p, 4, 3)
     poly_points: np.ndarray  # (P, 3) cut-polygon vertices
     poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates
@@ -238,12 +233,11 @@ class ActiveMesh:
     sq_bary: np.ndarray  # (Q, 4) parent barycentric coordinates
     sq_elem: np.ndarray  # (Q,)
     sq_patch_offsets: np.ndarray  # (n_p + 1,)
-    surface_degree: int
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_elements(self) -> int:
-        return len(self.cut_tets)
+        return len(self.elem_dofs)
 
     @property
     def n_patches(self) -> int:
@@ -262,7 +256,7 @@ class ActiveMesh:
         """(Q, 3) physical surface quadrature points."""
         points = self._cache.get("sq_points")
         if points is None:
-            rule_bary, _ = triangle_bary_rule(self.surface_degree)
+            rule_bary, _ = triangle_bary_rule()
             points = np.matmul(rule_bary, self.poly_points[self.tri_index]).reshape(-1, 3)
             self._cache["sq_points"] = points
         return points
@@ -279,25 +273,20 @@ class ActiveMesh:
 def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int) -> np.ndarray:
     """Level-set samples at the lattice points of every band tetrahedron.
 
-    Midpoint samples come from the level set itself when available, one
-    evaluation per mesh edge, and from edge averaging otherwise (which
-    reduces divisions = 2 to the interpolant geometry of divisions = 1).
-    Exact zeros are shifted like the nodal ones.
+    Midpoint samples come from the level set itself, one evaluation per
+    mesh edge.  Exact zeros are shifted like the nodal ones.
     """
     vertex_vals = phi[mesh.tets]  # (m, 4)
     if divisions == 1:
         return vertex_vals
-    if levelset is not None:
-        a, b = mesh.tets[:, _LATTICE_EDGES[:, 0]], mesh.tets[:, _LATTICE_EDGES[:, 1]]
-        n = len(mesh.nodes)
-        edges, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
-        lo, hi = np.divmod(edges, n)
-        edge_vals = levelset.evaluate(0.5 * (mesh.nodes[lo] + mesh.nodes[hi]))
-        if not np.all(np.isfinite(edge_vals)):
-            raise MeshError("level set is not finite at lattice midpoints")
-        mid_vals = edge_vals[edge_of.reshape(len(mesh.tets), 6)]
-    else:
-        mid_vals = 0.5 * (vertex_vals[:, _LATTICE_EDGES[:, 0]] + vertex_vals[:, _LATTICE_EDGES[:, 1]])
+    a, b = mesh.tets[:, _LATTICE_EDGES[:, 0]], mesh.tets[:, _LATTICE_EDGES[:, 1]]
+    n = len(mesh.nodes)
+    edges, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    lo, hi = np.divmod(edges, n)
+    edge_vals = levelset.evaluate(0.5 * (mesh.nodes[lo] + mesh.nodes[hi]))
+    if not np.all(np.isfinite(edge_vals)):
+        raise MeshError("level set is not finite at lattice midpoints")
+    mid_vals = edge_vals[edge_of.reshape(len(mesh.tets), 6)]
     mid_vals[mid_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
     return np.concatenate([vertex_vals, mid_vals], axis=1)  # (m, 10)
 
@@ -381,10 +370,10 @@ def _polygons(coords, vals, normals, patch_sub, divisions: int):
     return poly_points, poly_bary, poly_patch, tri_index, tri_patch
 
 
-def _surface_quadrature(poly_points, poly_bary, tri_index, tri_patch, patch_elem, degree: int):
+def _surface_quadrature(poly_points, poly_bary, tri_index, tri_patch, patch_elem):
     """Triangle areas, and the barycentric points, weights and elements of
     the surface rule, with each patch's offsets into them."""
-    rule_bary, rule_w = triangle_bary_rule(degree)
+    rule_bary, rule_w = triangle_bary_rule()
     nq = len(rule_w)
     tri_coords = poly_points[tri_index]  # (T, 3, 3)
     tri_areas = 0.5 * np.linalg.norm(
@@ -399,31 +388,20 @@ def _surface_quadrature(poly_points, poly_bary, tri_index, tri_patch, patch_elem
 
 
 def build_active_mesh(
-    mesh: BackgroundMesh,
-    phi_nodal: np.ndarray | None = None,
-    levelset: LevelSetField | None = None,
-    surface_degree: int = 4,
-    geometry_divisions: int = 2,
+    mesh: BackgroundMesh, levelset: LevelSetField, geometry_divisions: int = 2
 ) -> ActiveMesh:
     """Extract the cut tetrahedra of ``mesh`` and precompute trace data.
 
-    Either pass the nodal level-set vector directly or a LevelSetField to
-    sample.  Exact zeros are shifted by +1e-13*h before classification so
-    the cut topology is unambiguous.  A tetrahedron is active when any of
-    its geometry-lattice sub-tetrahedra is cut.  Each stage below is a
-    function of its own, so its temporaries are freed when it returns.
+    The level set is sampled at the mesh nodes and, for divisions = 2, at
+    the edge midpoints.  Exact zeros are shifted by +1e-13*h before
+    classification so the cut topology is unambiguous.  A tetrahedron is
+    active when any of its geometry-lattice sub-tetrahedra is cut.  Each
+    stage below is a function of its own, so its temporaries are freed when
+    it returns.
     """
     if geometry_divisions not in _SUBTETS:
         raise ValueError("geometry_divisions must be 1 or 2")
-    if phi_nodal is None:
-        if levelset is None:
-            raise ValueError("need phi_nodal or levelset")
-        phi_nodal = interpolate_p1(levelset, mesh)
-    phi = np.array(phi_nodal, dtype=float)
-    if phi.shape != (len(mesh.nodes),):
-        raise ValueError("phi_nodal has wrong length")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi_nodal contains non-finite values")
+    phi = interpolate_p1(levelset, mesh)
     phi[phi == 0.0] = ZERO_SHIFT_SCALE * mesh.h
 
     cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, geometry_divisions)
@@ -432,7 +410,6 @@ def build_active_mesh(
     dof_of_node = np.full(len(mesh.nodes), -1, dtype=np.int64)
     dof_of_node[active_nodes] = np.arange(len(active_nodes))
 
-    n_e = len(cut_tets)
     coords = mesh.nodes[elem_nodes]  # (n_e, 4, 3)
     grads, volumes, diameters = _element_geometry(coords)
     patches = _patches(coords, sub_vals, sub_cut, grads, geometry_divisions)
@@ -441,15 +418,12 @@ def build_active_mesh(
         patch_coords, patch_vals, normals, patch_sub, geometry_divisions
     )
     tri_areas, sq_bary, sq_weights, sq_elem, sq_patch_offsets = _surface_quadrature(
-        poly_points, poly_bary, tri_index, tri_patch, patch_elem, surface_degree
+        poly_points, poly_bary, tri_index, tri_patch, patch_elem
     )
 
     return ActiveMesh(
         mesh=mesh,
-        phi=phi,
         geometry_divisions=geometry_divisions,
-        cut_tets=cut_tets,
-        elem_nodes=elem_nodes,
         elem_dofs=dof_of_node[elem_nodes],
         active_nodes=active_nodes,
         grads=grads,
@@ -457,8 +431,6 @@ def build_active_mesh(
         diameters=diameters,
         stab_metric=stab_metric,
         patch_elem=patch_elem,
-        patch_offsets=np.concatenate([[0], np.cumsum(np.bincount(patch_elem, minlength=n_e))]),
-        patch_normals=normals,
         patch_tangential_grads=tangential_grads,
         poly_points=poly_points,
         poly_bary=poly_bary,
@@ -469,7 +441,6 @@ def build_active_mesh(
         sq_bary=sq_bary,
         sq_elem=sq_elem,
         sq_patch_offsets=sq_patch_offsets,
-        surface_degree=surface_degree,
     )
 
 

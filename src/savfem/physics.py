@@ -36,15 +36,11 @@ class PhysicsParams:
     epsilon : interface width
     rho     : time-relaxation density in rho * dc/dt
     c_shift : constant C added under the square root of the auxiliary variable
-    mobility_kind : "degenerate" for M(c) = max(c(1-c), 0), "constant" for a
-        fixed value (useful for debugging and linear reference runs)
     """
 
     epsilon: float
     rho: float = 1.0
     c_shift: float = 0.0
-    mobility_kind: str = "degenerate"
-    mobility_constant: float = 1.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -53,16 +49,10 @@ class PhysicsParams:
             raise ValueError("rho must be positive")
         if self.c_shift < 0:
             raise ValueError("c_shift must be nonnegative")
-        if self.mobility_kind not in ("degenerate", "constant"):
-            raise ValueError(f"unknown mobility kind {self.mobility_kind!r}")
-        if self.mobility_kind == "constant" and self.mobility_constant <= 0:
-            raise ValueError("constant mobility must be positive")
 
     def mobility(self, c):
-        """Pointwise mobility; vectorized over arrays."""
+        """Pointwise degenerate mobility max(c(1-c), 0); vectorized over arrays."""
         c = np.asarray(c, dtype=float)
-        if self.mobility_kind == "constant":
-            return np.full_like(c, self.mobility_constant)
         return np.maximum(c * (1.0 - c), 0.0)
 
 

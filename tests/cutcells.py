@@ -159,13 +159,13 @@ def _p1_gradient(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.linalg.solve(d.T, rhs)
 
 
-def surface_quadrature(polygon: CutPolygon, degree: int = 4):
+def surface_quadrature(polygon: CutPolygon):
     """Quadrature on a cut polygon: (points, weights, tet-barycentric points).
 
-    Weights sum to the polygon area; the rule is the triangle rule of the
-    requested degree mapped onto each sub-triangle of the fan.
+    Weights sum to the polygon area; the rule is the degree-4 triangle rule
+    mapped onto each sub-triangle of the fan.
     """
-    rule_bary, rule_w = triangle_bary_rule(degree)
+    rule_bary, rule_w = triangle_bary_rule()
     pts, wts, bary = [], [], []
     for tri in polygon.triangles:
         tv = polygon.vertices[tri]

@@ -25,7 +25,7 @@ from savfem.assembly import (
     l2_norm_gamma,
 )
 from savfem.config import CELL_BOX, SPHERE_BOX
-from savfem.levelset import from_callable, idealized_cell, sphere
+from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
 from savfem.mesh import build_active_mesh, build_mesh
 from savfem.physics import PhysicsParams, f0, f0_prime
 
@@ -36,7 +36,7 @@ Z0 = 0.37  # irrational-ish plane height, cuts every column of cubes
 @pytest.fixture(scope="module", params=[1, 2], ids=["flat-geom", "subdiv-geom"])
 def plane_active(request):
     """Unit box cut by the plane z = Z0; exact area 1, normal e_z."""
-    ls = from_callable(lambda p: p[:, 2] - Z0, lambda p: np.tile([0.0, 0.0, 1.0], (len(p), 1)))
+    ls = LevelSetField("plane", lambda p: p[:, 2] - Z0)
     box = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
     mesh = build_mesh(ls, box, 1)
     return build_active_mesh(mesh, levelset=ls, geometry_divisions=request.param)
@@ -89,8 +89,9 @@ class TestPlaneOracle:
         assert abs(val) < 1e-13
 
     def test_patch_normals_are_ez(self, plane_active):
-        signs = plane_active.patch_normals @ np.array([0.0, 0.0, 1.0])
-        np.testing.assert_allclose(np.abs(signs), 1.0, atol=1e-12)
+        # every patch normal is e_z: the tangential gradients have no e_z part
+        tg = plane_active.patch_tangential_grads
+        assert np.abs(tg[:, :, 2]).max() < 1e-12 * np.abs(tg).max()
 
     def test_element_weighted_stab(self, plane_active):
         # the schemes scale stab by the uniform diameter h: the form with
@@ -175,7 +176,7 @@ class TestSphere:
     def test_stab_positive_on_levelset_interpolant(self, sphere_l2):
         # grad phi_h is normal-ish, so the normal-gradient energy is positive
         stab = assemble_normal_stabilization(sphere_l2)
-        u = sphere_l2.phi[sphere_l2.active_nodes]
+        u = interpolate_p1(sphere(1.0), sphere_l2.mesh)[sphere_l2.active_nodes]
         assert u @ (stab @ u) > 0.0
 
     def test_mobility_matrix_psd_after_clamp(self, sphere_l2, rng):
@@ -267,7 +268,8 @@ def _stiffness_oracle(active, weight):
     tg = active.patch_tangential_grads
     k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
     patch_mats = k_p[:, None, None] * np.einsum("pik,pjk->pij", tg, tg)
-    return _coo_oracle(active, np.add.reduceat(patch_mats, active.patch_offsets[:-1], axis=0))
+    patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
+    return _coo_oracle(active, np.add.reduceat(patch_mats, patch_offsets[:-1], axis=0))
 
 
 class TestOperatorsAgainstElementScatter:

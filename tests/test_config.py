@@ -109,10 +109,10 @@ class TestParsing:
     def test_removed_solver_keys_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("solver = krylov\n")
-        with pytest.raises(ConfigError, match="'solver' was removed"):
+        with pytest.raises(ConfigError, match="unknown config key 'solver'"):
             load_config(path)
-        for key in ("solver_max_iterations", "preconditioner"):
-            with pytest.raises(ConfigError, match=f"'{key}' was removed"):
+        for key in ("solver_max_iterations", "preconditioner", "mobility", "mobility_constant"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 parse_overrides([f"{key}=1"])
 
     def test_bad_literal_rejected(self, tmp_path):

@@ -102,7 +102,7 @@ def test_uncut_returns_none():
 def test_surface_quadrature_area_and_bary():
     vals = UNIT_TET[:, 0] - 0.5
     poly = extract_cut_polygon(UNIT_TET, vals)
-    pts, w, bary = surface_quadrature(poly, degree=4)
+    pts, w, bary = surface_quadrature(poly)
     # Cross-section triangle with legs 0.5: area 1/8.
     assert w.sum() == pytest.approx(0.125, rel=1e-14)
     assert np.all(w > 0)
@@ -126,7 +126,7 @@ def test_extraction_properties_random_tets(data):
     poly = extract_cut_polygon(coords, vals)
     if poly is None:
         return
-    pts, w, bary = surface_quadrature(poly, degree=2)
+    pts, w, bary = surface_quadrature(poly)
     assert np.all(w >= 0)
     assert w.sum() > 0
     # The quadrature points interpolate to zero level too.

@@ -13,7 +13,7 @@ import pytest
 
 from cutcells import extract_cut_polygon
 from savfem.config import CELL_BOX, SPHERE_BOX
-from savfem.levelset import idealized_cell, sphere
+from savfem.levelset import idealized_cell, interpolate_p1, sphere
 from savfem.mesh import MeshError, build_active_mesh, build_mesh
 from savfem.quadrature import triangle_bary_rule
 
@@ -70,13 +70,12 @@ def test_missing_surface_raises():
 
 def test_active_mesh_dof_numbering(sphere_l2):
     active = sphere_l2
-    assert active.n_dofs == len(np.unique(active.elem_nodes))
+    elem_nodes = active.active_nodes[active.elem_dofs]
+    assert active.n_dofs == len(np.unique(elem_nodes))
     assert np.array_equal(np.sort(active.active_nodes), active.active_nodes)
     assert active.elem_dofs.min() == 0
     assert active.elem_dofs.max() == active.n_dofs - 1
-    assert np.array_equal(
-        active.mesh.nodes[active.elem_nodes], active.dof_coords[active.elem_dofs]
-    )
+    assert np.array_equal(active.mesh.nodes[elem_nodes], active.dof_coords[active.elem_dofs])
 
 
 def test_active_mesh_grouping_invariants(sphere_l2):
@@ -84,7 +83,9 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     assert np.all(np.diff(active.patch_elem) >= 0)
     assert np.all(np.diff(active.sq_elem) >= 0)
     assert np.all(np.diff(active.sq_patch_offsets) > 0)
-    assert active.patch_offsets[-1] == active.n_patches
+    patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
+    assert len(patch_offsets) == active.n_elements + 1
+    assert patch_offsets[-1] == active.n_patches
     assert active.sq_patch_offsets[-1] == len(active.sq_weights)
     # the points of a patch belong to the patch's element, and every
     # element has points
@@ -92,15 +93,14 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     assert np.array_equal(active.sq_elem, active.patch_elem[sq_patch])
     assert np.bincount(active.sq_elem, minlength=active.n_elements).min() > 0
     # each surface triangle carries the same number of points
-    nq = len(triangle_bary_rule(active.surface_degree)[1])
+    nq = len(triangle_bary_rule()[1])
     assert len(active.sq_weights) == nq * len(active.tri_index)
     assert np.array_equal(active.poly_elem[active.tri_index[:, 0]], active.sq_elem[::nq])
     assert np.allclose(active.sq_bary.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(active.sq_weights >= 0)
-    assert np.allclose(np.linalg.norm(active.patch_normals, axis=1), 1.0, atol=1e-13)
     # Quadrature barycentrics reproduce the physical points through the
     # element map (P1 geometric consistency).
-    coords = active.mesh.nodes[active.elem_nodes[active.sq_elem]]
+    coords = active.dof_coords[active.elem_dofs[active.sq_elem]]
     recon = np.einsum("qi,qij->qj", active.sq_bary, coords)
     assert np.allclose(recon, active.sq_points, atol=1e-12)
 
@@ -108,7 +108,7 @@ def test_active_mesh_grouping_invariants(sphere_l2):
 def test_quadrature_points_against_einsum_formulas(sphere_l2, sphere_l2_flat):
     """sq_bary, and sq_points built on first access, equal the einsum
     formulas that evaluated both eagerly."""
-    rule_bary, _ = triangle_bary_rule(4)
+    rule_bary, _ = triangle_bary_rule()
     for active in (sphere_l2, sphere_l2_flat):
         bary = np.einsum("qi,tif->tqf", rule_bary, active.poly_bary[active.tri_index])
         np.testing.assert_allclose(active.sq_bary, bary.reshape(-1, 4), rtol=0.0, atol=1e-15)
@@ -134,8 +134,9 @@ def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
 def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
     """Batched extraction (divisions=1) equals the single-tet oracle."""
     active = sphere_l2_flat
-    vals = active.phi[active.elem_nodes]
-    coords = active.mesh.nodes[active.elem_nodes]
+    elem_nodes = active.active_nodes[active.elem_dofs]
+    vals = interpolate_p1(sphere(1.0), active.mesh)[elem_nodes]
+    coords = active.mesh.nodes[elem_nodes]
     for e in range(0, active.n_elements, 37):
         poly = extract_cut_polygon(coords[e], vals[e])
         assert poly is not None
@@ -169,26 +170,12 @@ def test_active_mesh_determinism():
     a2 = build_active_mesh(mesh, levelset=ls)
     assert np.array_equal(a1.sq_points, a2.sq_points)
     assert np.array_equal(a1.sq_weights, a2.sq_weights)
-    assert np.array_equal(a1.patch_normals, a2.patch_normals)
+    assert np.array_equal(a1.patch_tangential_grads, a2.patch_tangential_grads)
 
 
 def test_geometry_divisions_validation(sphere_l2):
     with pytest.raises(ValueError, match="geometry_divisions"):
         build_active_mesh(sphere_l2.mesh, levelset=sphere(1.0), geometry_divisions=3)
-    with pytest.raises(ValueError, match="phi_nodal or levelset"):
-        build_active_mesh(sphere_l2.mesh)
-
-
-def test_phi_nodal_only_path(sphere_l2):
-    # Passing nodal data without the level set degenerates divisions=2 to the
-    # interpolant geometry: midpoints are edge averages.
-    mesh = sphere_l2.mesh
-    phi = np.linalg.norm(mesh.nodes, axis=1) - 1.0
-    a_nodal = build_active_mesh(mesh, phi_nodal=phi, geometry_divisions=2)
-    a_flat = build_active_mesh(mesh, phi_nodal=phi, geometry_divisions=1)
-    assert a_nodal.area == pytest.approx(a_flat.area, rel=1e-12)
-    with pytest.raises(ValueError, match="wrong length"):
-        build_active_mesh(mesh, phi_nodal=phi[:-1])
 
 
 def test_diameters_uniform_kuhn(sphere_l2):

@@ -62,11 +62,6 @@ def test_degenerate_mobility_clamps():
     assert m[2] == pytest.approx(0.1875)
 
 
-def test_constant_mobility():
-    p = PhysicsParams(epsilon=0.1, mobility_kind="constant", mobility_constant=2.5)
-    assert np.allclose(p.mobility(np.array([-3.0, 0.5, 9.0])), 2.5)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         PhysicsParams(epsilon=0.0)
@@ -74,10 +69,6 @@ def test_params_validation():
         PhysicsParams(epsilon=1.0, rho=-1.0)
     with pytest.raises(ValueError):
         PhysicsParams(epsilon=1.0, c_shift=-0.1)
-    with pytest.raises(ValueError):
-        PhysicsParams(epsilon=1.0, mobility_kind="linear")
-    with pytest.raises(ValueError):
-        PhysicsParams(epsilon=1.0, mobility_kind="constant", mobility_constant=0.0)
 
 
 def test_r_init_and_guard():

@@ -1,12 +1,12 @@
-"""Exactness of the triangle quadrature rules against monomial oracles.
+"""Exactness of the triangle quadrature rule against monomial oracles.
 
 The oracle is the closed-form triangle integral of a barycentric monomial,
 
     int_T  b1^p1 b2^p2 b3^p3 dT = |T| * 2! * p1! p2! p3! / (2 + p1 + p2 + p3)!
 
-so every rule is checked against an independent formula rather than
-against another quadrature.  A rule is mapped onto a physical triangle the
-way the cut-polygon quadrature maps it: points through the barycentric
+so the rule is checked against an independent formula rather than
+against another quadrature.  The rule is mapped onto a physical triangle
+the way the cut-polygon quadrature maps it: points through the barycentric
 coordinates, weights scaled by the area.
 """
 
@@ -26,9 +26,9 @@ def triangle_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0])))
 
 
-def mapped_rule(vertices: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+def mapped_rule(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Physical points and weights of the rule on a (possibly 3D) triangle."""
-    bary, w = triangle_bary_rule(degree)
+    bary, w = triangle_bary_rule()
     return bary @ vertices, w * triangle_area(vertices)
 
 
@@ -44,9 +44,9 @@ def eval_bary_monomial(bary: np.ndarray, powers) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("degree", [4])
 def test_triangle_rule_exact_for_declared_degree(degree):
-    bary, w = triangle_bary_rule(degree)
+    bary, w = triangle_bary_rule()
     area = triangle_area(TRI)
     for powers in itertools.product(range(degree + 1), repeat=3):
         if sum(powers) > degree:
@@ -57,15 +57,14 @@ def test_triangle_rule_exact_for_declared_degree(degree):
 
 
 def test_weights_positive_and_sum_to_measure():
-    for degree in (2, 4):
-        _, weights = mapped_rule(TRI, degree)
-        assert np.all(weights > 0)
-        assert weights.sum() == pytest.approx(triangle_area(TRI), rel=1e-14)
+    _, weights = mapped_rule(TRI)
+    assert np.all(weights > 0)
+    assert weights.sum() == pytest.approx(triangle_area(TRI), rel=1e-14)
 
 
 def test_rule_points_inside_simplex():
-    points, _ = mapped_rule(TRI, 4)
-    bary, _ = triangle_bary_rule(4)
+    points, _ = mapped_rule(TRI)
+    bary, _ = triangle_bary_rule()
     assert np.all(bary > 0) and np.allclose(bary.sum(axis=1), 1.0)
     # the barycentric coordinates of the mapped points, recovered by least
     # squares from the triangle's vertices, are the rule's own
@@ -73,8 +72,3 @@ def test_rule_points_inside_simplex():
         np.vstack([TRI.T, np.ones(3)]), np.vstack([points.T, np.ones(len(points))]), rcond=None
     )
     np.testing.assert_allclose(recovered.T, bary, atol=1e-13)
-
-
-def test_unknown_degree_raises():
-    with pytest.raises(ValueError, match="degree"):
-        triangle_bary_rule(3)
