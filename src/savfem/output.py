@@ -51,34 +51,56 @@ class EnergyCsvSink:
         return False
 
 
+def _format_distinct(a: np.ndarray) -> list[str]:
+    """``[f"{x:.9g}" for x in a]``, formatting each distinct value once.
+
+    Values are told apart by their bits, so -0.0 ("-0") and 0.0 ("0") stay
+    distinct; "%.9g" gives the same text as f"{x:.9g}".
+    """
+    keys, inverse = np.unique(np.asarray(a, dtype=np.float64).view(np.int64), return_inverse=True)
+    text = np.array(["%.9g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _vtk_geometry(active: ActiveMesh) -> bytes:
+    """The snapshot text up to the point data, encoded once per active mesh."""
+    geometry = active._cache.get("vtk_geometry")
+    if geometry is None:
+        points, tri = active.poly_points, active.tri_index
+        n, m = len(points), len(tri)
+        text = "".join(
+            [
+                f"# vtk DataFile Version 3.0\ntrace surface\nASCII\nDATASET POLYDATA\nPOINTS {n} float\n",
+                ("%s %s %s\n" * n) % tuple(_format_distinct(points.ravel())),
+                f"POLYGONS {m} {4 * m}\n",
+                ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist()),
+                f"POINT_DATA {n}\nSCALARS concentration float 1\nLOOKUP_TABLE default\n",
+            ]
+        )
+        geometry = active._cache["vtk_geometry"] = text.encode("ascii")
+    return geometry
+
+
 def write_vtk_surface(path: str | Path, active: ActiveMesh, c: np.ndarray) -> None:
     """Write the reconstructed surface triangulation as legacy ASCII VTK.
 
     Points are the cut-polygon vertices, connectivity the per-polygon fans,
     and ``concentration`` is attached as point data by evaluating the P1
-    field with the stored barycentric coordinates of each vertex.
+    field with the stored barycentric coordinates of each vertex.  The text
+    before the point data is built on the mesh's first snapshot and reused,
+    so a later snapshot formats only its values; coordinates and values are
+    formatted once per distinct value.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (active.n_dofs,):
         raise ValueError(f"expected {active.n_dofs} dof values, got shape {c.shape}")
     values = np.einsum("pi,pi->p", active.poly_bary, c[active.elem_dofs[active.poly_elem]])
-
-    points, tri = active.poly_points, active.tri_index
-    n, m = len(points), len(tri)
-    # one %-format per section; "%.9g" gives the same text as f"{x:.9g}"
-    text = "".join(
-        [
-            f"# vtk DataFile Version 3.0\ntrace surface\nASCII\nDATASET POLYDATA\nPOINTS {n} float\n",
-            ("%.9g %.9g %.9g\n" * n) % tuple(points.ravel().tolist()),
-            f"POLYGONS {m} {4 * m}\n",
-            ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist()),
-            f"POINT_DATA {n}\nSCALARS concentration float 1\nLOOKUP_TABLE default\n",
-            ("%.9g\n" * n) % tuple(values.tolist()),
-        ]
-    )
+    geometry = _vtk_geometry(active)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "wb") as fh:
+        fh.write(geometry)
+        fh.write((("%s\n" * len(values)) % tuple(_format_distinct(values))).encode("ascii"))
 
 
 def write_convergence_csv(path: str | Path, rows) -> None:

@@ -57,6 +57,21 @@ class TestSolve:
         assert "SCALARS concentration float 1" in vtk.read_text()
 
 
+    def test_export_surface_equals_final_snapshot(self, sphere_cfg, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(out))
+        code = main(
+            ["solve", "--config", str(sphere_cfg), "--override", "vtk_interval=3", "--export-surface"]
+        )
+        assert code == 0
+        # 4 steps: snapshots at steps 0 and 3, and after the last one
+        assert sorted(p.name for p in out.glob("clitest_0*.vtk")) == [
+            "clitest_000000.vtk", "clitest_000003.vtk", "clitest_000004.vtk"
+        ]
+        final = (out / "clitest_000004.vtk").read_bytes()
+        assert (out / "clitest_surface.vtk").read_bytes() == final
+        assert final != (out / "clitest_000000.vtk").read_bytes()
+
 class TestConverge:
     def test_single_level_table(self, sphere_cfg, tmp_path, capsys):
         code = main(

@@ -8,6 +8,7 @@ from savfem.integrators import EnergyReport
 from savfem.output import (
     ENERGY_CSV_HEADER,
     EnergyCsvSink,
+    _format_distinct,
     write_convergence_csv,
     write_vtk_surface,
 )
@@ -139,6 +140,23 @@ class TestVtkSurface:
             path = tmp_path / "surf.vtk"
             write_vtk_surface(path, sphere_l2, c)
             assert path.read_bytes() == self.line_by_line(sphere_l2, c)
+
+    def test_meshes_keep_their_own_geometry(self, tmp_path, sphere_l2, sphere_l3):
+        # alternate meshes and fields: a stale or shared geometry cache shows here
+        rng = np.random.default_rng(5)
+        written = []
+        for k, active in enumerate((sphere_l2, sphere_l3, sphere_l2, sphere_l3)):
+            c = rng.uniform(-0.5, 1.5, active.n_dofs)
+            path = tmp_path / f"surf_{k}.vtk"
+            write_vtk_surface(path, active, c)
+            written.append((path, active, c))
+        for path, active, c in written:
+            assert path.read_bytes() == self.line_by_line(active, c)
+
+    def test_distinct_formatter_matches_fstring(self):
+        a = np.array([0.0, -0.0, 1e-20, -1e-20, 1 / 3, 2.5, 0.0, -0.0, 1 / 3, 2.5, -1e-20, 1e-20])
+        assert _format_distinct(a) == [f"{x:.9g}" for x in a]
+        assert _format_distinct(a)[:2] == ["0", "-0"]
 
     def test_wrong_length_rejected(self, tmp_path, sphere_l2):
         with pytest.raises(ValueError, match="dof"):
