@@ -56,13 +56,11 @@ class TestSolve:
         assert vtk.exists()
         assert "SCALARS concentration float 1" in vtk.read_text()
 
-
     def test_export_surface_equals_final_snapshot(self, sphere_cfg, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(out))
-        code = main(
-            ["solve", "--config", str(sphere_cfg), "--override", "vtk_interval=3", "--export-surface"]
-        )
+        args = ["--config", str(sphere_cfg), "--override", "vtk_interval=3", "--export-surface"]
+        code = main(["solve", *args])
         assert code == 0
         # 4 steps: snapshots at steps 0 and 3, and after the last one
         assert sorted(p.name for p in out.glob("clitest_0*.vtk")) == [
@@ -71,6 +69,7 @@ class TestSolve:
         final = (out / "clitest_000004.vtk").read_bytes()
         assert (out / "clitest_surface.vtk").read_bytes() == final
         assert final != (out / "clitest_000000.vtk").read_bytes()
+
 
 class TestConverge:
     def test_single_level_table(self, sphere_cfg, tmp_path, capsys):
