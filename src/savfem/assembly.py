@@ -125,21 +125,13 @@ def assemble_surface_mass(active: ActiveMesh) -> sp.csr_matrix:
     return _scatter(active, np.add.reduceat(tri_mats.reshape(-1, 16), tri_starts))
 
 
-def assemble_surface_stiffness(active: ActiveMesh, coefficient=None, coeff_map=None) -> sp.csr_matrix:
+def assemble_surface_stiffness(active: ActiveMesh, coefficient=None) -> sp.csr_matrix:
     """(k grad_G u, grad_G v)_{Gamma_h}.
 
-    ``coefficient`` is a nodal DOF vector interpolated to the quadrature
-    points; ``coeff_map`` is applied pointwise there (e.g. the mobility).
-    With neither, k = 1.  No hidden caching of the coefficient: every call
-    re-evaluates it.
+    ``coefficient`` holds k at the surface quadrature points (e.g. the
+    mobility of an interpolated field); without it, k = 1.
     """
-    if coefficient is None:
-        weight = active.sq_weights
-    else:
-        vals = interpolate_at_surface_qp(active, coefficient)
-        if coeff_map is not None:
-            vals = coeff_map(vals)
-        weight = active.sq_weights * vals
+    weight = active.sq_weights if coefficient is None else active.sq_weights * coefficient
     k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
     return on_pattern(active, _operators(active).patch_to_pattern @ k_p)
 
@@ -150,20 +142,23 @@ def assemble_normal_stabilization(active: ActiveMesh) -> sp.csr_matrix:
     return _scatter(active, elem_mats)
 
 
-def assemble_f0prime_load(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
-    """Load vector w_j = (f0'(c_h), psi_j)_{Gamma_h}."""
-    vals = f0_prime(interpolate_at_surface_qp(active, c))
-    return assemble_load(active, vals)
+def assemble_f0prime_load(active: ActiveMesh, c_qp: np.ndarray) -> np.ndarray:
+    """Load vector w_j = (f0'(c_h), psi_j)_{Gamma_h} from c_h at the surface
+    quadrature points."""
+    return assemble_load(active, f0_prime(c_qp))
 
 
 def assemble_coefficient_forms(
     active: ActiveMesh, c_ref: np.ndarray, physics: PhysicsParams
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The mobility stiffness (M(c) grad u, grad v) and the SAV load
-    (f0'(c), psi_j) of one step, at its reference field ``c_ref``."""
+) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """The mobility stiffness (M(c) grad u, grad v), the SAV load
+    (f0'(c), psi_j) and E1(c) of one step, at its reference field ``c_ref``,
+    which is interpolated to the quadrature points once."""
+    vals = interpolate_at_surface_qp(active, c_ref)
     return (
-        assemble_surface_stiffness(active, c_ref, physics.mobility),
-        assemble_f0prime_load(active, c_ref),
+        assemble_surface_stiffness(active, physics.mobility(vals)),
+        assemble_f0prime_load(active, vals),
+        float(np.dot(active.sq_weights, f0(vals))),
     )
 
 

@@ -34,7 +34,6 @@ from .assembly import (
     assemble_coefficient_forms,
     compute_E1,
     compute_mass,
-    l2_norm_gamma,
     on_pattern,
 )
 from .linsolve import (
@@ -148,8 +147,8 @@ def _sav_step(
     optional pre-assembled load vector (f, psi_j) added to the concentration
     equation.
     """
-    mobility, w = assemble_coefficient_forms(forms.active, c_ref, physics)
-    s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
+    mobility, w, e1 = assemble_coefficient_forms(forms.active, c_ref, physics)
+    s = guarded_shifted_energy(e1, physics.c_shift)
     sq = np.sqrt(s)
     al, be, ga = coef.alpha, coef.beta, coef.gamma
     rho, eps2, h = physics.rho, physics.epsilon**2, forms.h_stab
@@ -357,7 +356,8 @@ def adapt_step(
     """One adaptive step: BDF1/BDF2 comparison with retry-and-shrink.
 
     At the trial dt both a BDF1 solution c1 and a variable-step BDF2
-    solution c2 are computed; their relative L2(Gamma_h) distance e decides:
+    solution c2 are computed; their relative L2(Gamma_h) distance e, taken
+    with the exact P1 mass as sqrt(c^T M c), decides:
     e > tol shrinks dt by zeta*sqrt(tol/e) (< 1) and retries, otherwise c2
     is accepted (with its BDF2 r-update) and the next dt grows by the same
     factor, clamped by ratio_max and dt_max.  Returns (accepted snapshot,
@@ -375,8 +375,8 @@ def adapt_step(
         c2 = bdf2_variable_step(
             prev2, prev1, dt, prev1.dt_used, forms, physics, solver, forcing
         )
-        denom = l2_norm_gamma(forms.active, c2.c)
-        error = l2_norm_gamma(forms.active, c1.c - c2.c) / denom if denom > 0 else float("inf")
+        denom = np.sqrt(_quad_form(forms.mass, c2.c))
+        error = float(np.sqrt(_quad_form(forms.mass, c1.c - c2.c)) / denom) if denom > 0 else float("inf")
         factor = proposed_factor(error, controller.tol, controller.zeta)
         if error > controller.tol:
             attempts.append(StepAttempt(dt=dt, error=error, accepted=False))

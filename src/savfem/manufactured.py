@@ -12,21 +12,24 @@ flow is
 Since c* depends on x3 only, the surface operators on the unit sphere reduce
 to one-dimensional expressions in u = x3:
 
-    lap_G g      = (1 - u^2) g'' - 2 u g'
+    lap_G g           = (1 - u^2) g'' - 2 u g'
     div_G(A grad_G g) = A lap_G g + (1 - u^2) A' g'
 
-which sympy differentiates exactly; the resulting callables are vectorized
-over point arrays and cached per epsilon.
+With a = 1 / (2 sqrt(2) eps), t = tanh(a u) and s = 1 - t^2, so that
+t' = a s and s' = -2 a t s, these give the closed forms
+
+    c* = (1 + t) / 2,   M(c*) = s / 4,   mu* = s g,
+    g  = eps u / (2 sqrt 2) - u^2 t / 8,
+
+and f follows from the derivatives of s, g and M below, evaluated with numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 __all__ = ["ManufacturedSolution", "manufactured_solution"]
 
@@ -36,55 +39,42 @@ class ManufacturedSolution:
     """Vectorized exact fields; every method maps (n, 3) points to (n,)."""
 
     epsilon: float
-    _c: Callable
-    _mu: Callable
-    _f: Callable
 
-    def _x3(self, points: np.ndarray) -> np.ndarray:
+    def _band(self, points: np.ndarray):
+        """u = x3, a, t = tanh(a u) and s = 1 - t^2 at the points."""
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != 3:
             raise ValueError("points must have shape (n, 3)")
-        return pts[..., 2]
+        u = pts[..., 2]
+        a = 1.0 / (2.0 * np.sqrt(2.0) * self.epsilon)
+        t = np.tanh(a * u)
+        return u, a, t, 1.0 - t * t
 
     def concentration(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self._c(self._x3(points)), dtype=float)
+        _, _, t, _ = self._band(points)
+        return 0.5 * (1.0 + t)
 
     def chemical_potential(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self._mu(self._x3(points)), dtype=float)
+        u, _, t, s = self._band(points)
+        return s * (self.epsilon / (2.0 * np.sqrt(2.0)) * u - 0.125 * u * u * t)
 
     def forcing(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self._f(self._x3(points)), dtype=float)
+        u, a, t, s = self._band(points)
+        b = self.epsilon / (2.0 * np.sqrt(2.0))
+        u2 = u * u
+        g = b * u - 0.125 * u2 * t
+        dg = b - 0.25 * u * t - 0.125 * a * u2 * s
+        ddg = -0.25 * t - 0.5 * a * u * s + 0.25 * a * a * u2 * t * s
+        ds = -2.0 * a * t * s
+        dds = -2.0 * a * a * s * (s - 2.0 * t * t)
+        dmu = ds * g + s * dg
+        lap_mu = (1.0 - u2) * (dds * g + 2.0 * ds * dg + s * ddg) - 2.0 * u * dmu
+        # M = s / 4 and M' = s' / 4
+        return -0.25 * (s * lap_mu + (1.0 - u2) * ds * dmu)
 
 
 @lru_cache(maxsize=None)
 def manufactured_solution(epsilon: float) -> ManufacturedSolution:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    u = sp.symbols("u", real=True)
-    eps = sp.nsimplify(epsilon, rational=True)
-
-    c = (1 + sp.tanh(u / (2 * sp.sqrt(2) * eps))) / 2
-
-    def lap(g):
-        return (1 - u**2) * sp.diff(g, u, 2) - 2 * u * sp.diff(g, u)
-
-    f0p = c * (1 - c) * (1 - 2 * c) / 2
-    mu = f0p - eps**2 * lap(c)
-    mob = c * (1 - c)  # c* lies strictly in (0, 1), no clamp needed
-    f = -(mob * lap(mu) + (1 - u**2) * sp.diff(mob, u) * sp.diff(mu, u))
-
-    def compile_scalar(expr):
-        fn = sp.lambdify(u, expr, modules="numpy")
-
-        def wrapped(x3, _fn=fn):
-            arr = np.asarray(x3, dtype=float)
-            return np.broadcast_to(np.asarray(_fn(arr), dtype=float), arr.shape).copy()
-
-        return wrapped
-
-    return ManufacturedSolution(
-        epsilon=float(epsilon),
-        _c=compile_scalar(c),
-        _mu=compile_scalar(mu),
-        _f=compile_scalar(f),
-    )
+    return ManufacturedSolution(epsilon=float(epsilon))

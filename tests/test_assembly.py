@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from savfem import assembly
 from savfem.assembly import (
+    _operators,
     assemble_coefficient_forms,
     assemble_f0prime_load,
     assemble_forms,
@@ -23,6 +25,7 @@ from savfem.assembly import (
     compute_mass,
     interpolate_at_surface_qp,
     l2_norm_gamma,
+    on_pattern,
 )
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
@@ -105,13 +108,13 @@ class TestPlaneOracle:
     def test_mobility_coefficient_factorization(self, plane_active):
         # constant c = 1/2 gives M = 1/4 exactly, a pure rescaling
         physics = PhysicsParams(epsilon=1.0)
-        c = np.full(plane_active.n_dofs, 0.5)
+        c_qp = np.full(len(plane_active.sq_weights), 0.5)
         stiff = assemble_surface_stiffness(plane_active)
-        mob = assemble_surface_stiffness(plane_active, c, physics.mobility)
+        mob = assemble_surface_stiffness(plane_active, physics.mobility(c_qp))
         assert abs(mob - 0.25 * stiff).max() < 1e-14
 
     def test_f0prime_load_vanishes_at_half(self, plane_active):
-        w = assemble_f0prime_load(plane_active, np.full(plane_active.n_dofs, 0.5))
+        w = assemble_f0prime_load(plane_active, np.full(len(plane_active.sq_weights), 0.5))
         assert np.abs(w).max() < 1e-15
 
     def test_E1_of_constant_half(self, plane_active):
@@ -184,7 +187,7 @@ class TestSphere:
         # the quadrature points
         physics = PhysicsParams(epsilon=1.0)
         c = rng.uniform(-0.5, 1.5, sphere_l2.n_dofs)
-        mob = assemble_surface_stiffness(sphere_l2, c, physics.mobility)
+        mob = assemble_surface_stiffness(sphere_l2, physics.mobility(interpolate_at_surface_qp(sphere_l2, c)))
         for _ in range(5):
             v = rng.standard_normal(sphere_l2.n_dofs)
             assert v @ (mob @ v) >= -1e-12
@@ -209,9 +212,10 @@ class TestAssembledForms:
         forms = sphere_l2_forms
         physics = PhysicsParams(epsilon=1.0)
         c = np.full(forms.active.n_dofs, 0.5)
-        mobility, load = assemble_coefficient_forms(forms.active, c, physics)
+        mobility, load, e1 = assemble_coefficient_forms(forms.active, c, physics)
         assert abs(mobility - 0.25 * forms.stiffness).max() < 1e-14
         assert np.abs(load).max() < 1e-15
+        assert e1 == pytest.approx(forms.active.sq_weights.sum() / 64.0, rel=1e-14)
 
     def test_non_uniform_diameters_rejected(self, sphere_l2):
         import dataclasses
@@ -290,8 +294,6 @@ class TestOperatorsAgainstElementScatter:
         np.testing.assert_allclose(vals, _interp_oracle(sphere_l2, bernoulli), rtol=0.0, atol=1e-13)
 
     def test_interpolation_operator_shares_sq_bary(self, sphere_l2):
-        from savfem.assembly import _operators
-
         assert np.shares_memory(_operators(sphere_l2).interp.data, sphere_l2.sq_bary)
 
     def test_loads(self, sphere_l2, bernoulli):
@@ -302,7 +304,8 @@ class TestOperatorsAgainstElementScatter:
             )
         oracle = _load_oracle(sphere_l2, f0_prime(_interp_oracle(sphere_l2, bernoulli)))
         np.testing.assert_allclose(
-            assemble_f0prime_load(sphere_l2, bernoulli), oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max()
+            assemble_f0prime_load(sphere_l2, interpolate_at_surface_qp(sphere_l2, bernoulli)),
+            oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max(),
         )
 
     def test_mass_and_stiffness(self, sphere_l2):
@@ -336,7 +339,7 @@ class TestOperatorsAgainstElementScatter:
 
     def test_mobility_keeps_exact_zeros(self, sphere_l2, bernoulli):
         physics = PhysicsParams(epsilon=1.0)
-        mob = assemble_surface_stiffness(sphere_l2, bernoulli, physics.mobility)
+        mob, _, _ = assemble_coefficient_forms(sphere_l2, bernoulli, physics)
         weight = sphere_l2.sq_weights * physics.mobility(_interp_oracle(sphere_l2, bernoulli))
         oracle = _stiffness_oracle(sphere_l2, weight)
         self.assert_same_matrix(mob, oracle)
@@ -360,7 +363,7 @@ class TestOperatorsAgainstElementScatter:
 
     def test_every_form_has_one_pattern(self, sphere_l2_forms, bernoulli):
         forms = sphere_l2_forms
-        mob = assemble_surface_stiffness(forms.active, bernoulli, PhysicsParams(epsilon=1.0).mobility)
+        mob, _, _ = assemble_coefficient_forms(forms.active, bernoulli, PhysicsParams(epsilon=1.0))
         for form in (forms.stiffness, forms.stab, mob):
             np.testing.assert_array_equal(form.indptr, forms.mass.indptr)
             np.testing.assert_array_equal(form.indices, forms.mass.indices)
@@ -372,3 +375,67 @@ def test_E1_matches_quadrature_of_f0(sphere_l2, rng):
     assert compute_E1(sphere_l2, c) == pytest.approx(
         float(np.dot(sphere_l2.sq_weights, vals)), rel=1e-14
     )
+
+
+# Oracles: the three separate evaluations of a step's reference field that
+# assemble_coefficient_forms replaced, each interpolating it again.
+
+
+def _separate_mobility(active, c, physics):
+    vals = physics.mobility(interpolate_at_surface_qp(active, c))
+    k_p = np.add.reduceat(active.sq_weights * vals, active.sq_patch_offsets[:-1])
+    return on_pattern(active, _operators(active).patch_to_pattern @ k_p)
+
+
+def _separate_load(active, c):
+    vals = f0_prime(interpolate_at_surface_qp(active, c))
+    return _operators(active).interp.T @ (active.sq_weights * vals)
+
+
+def _separate_E1(active, c):
+    return float(np.dot(active.sq_weights, f0(interpolate_at_surface_qp(active, c))))
+
+
+def _fields(active):
+    """Bernoulli data, whose mobility has exact zeros, and a smooth field."""
+    rng = np.random.default_rng(11)
+    x = active.dof_coords
+    return {
+        "bernoulli": (rng.random(active.n_dofs) < 0.5).astype(float),
+        "smooth": 0.5 + 0.4 * np.sin(3.0 * x[:, 0]) * x[:, 2],
+    }
+
+
+@pytest.mark.parametrize("field", ["bernoulli", "smooth"])
+class TestOneInterpolationPerStep:
+    def test_equals_separate_evaluations(self, sphere_l2, field):
+        c = _fields(sphere_l2)[field]
+        physics = PhysicsParams(epsilon=0.05)
+        mobility, w, e1 = assemble_coefficient_forms(sphere_l2, c, physics)
+        oracle = _separate_mobility(sphere_l2, c, physics)
+        np.testing.assert_array_equal(mobility.indptr, oracle.indptr)
+        np.testing.assert_array_equal(mobility.indices, oracle.indices)
+        np.testing.assert_array_equal(mobility.data, oracle.data)
+        np.testing.assert_array_equal(w, _separate_load(sphere_l2, c))
+        assert e1 == _separate_E1(sphere_l2, c) == compute_E1(sphere_l2, c)
+
+    def test_interpolates_once(self, sphere_l2, field, monkeypatch):
+        calls = []
+        interpolate = assembly.interpolate_at_surface_qp
+
+        def counting(active, c):
+            calls.append(len(c))
+            return interpolate(active, c)
+
+        monkeypatch.setattr(assembly, "interpolate_at_surface_qp", counting)
+        assemble_coefficient_forms(sphere_l2, _fields(sphere_l2)[field], PhysicsParams(epsilon=0.05))
+        assert calls == [sphere_l2.n_dofs]
+
+    @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+    def test_mass_norm_equals_quadrature_norm(self, mesh_name, field, request):
+        # the adaptive error's sqrt(c^T M c): the degree-4 rule integrates
+        # c_h^2 exactly, so both are the exact L2 norm up to round-off
+        active = request.getfixturevalue(mesh_name)
+        c = _fields(active)[field]
+        mass = assemble_surface_mass(active)
+        assert np.sqrt(c @ (mass @ c)) == pytest.approx(l2_norm_gamma(active, c), rel=1e-14)

@@ -13,6 +13,7 @@ from savfem.assembly import (
     assemble_f0prime_load,
     assemble_surface_stiffness,
     compute_E1,
+    interpolate_at_surface_qp,
 )
 from savfem.experiments import constant_ic, initial_state
 from savfem.integrators import (
@@ -330,11 +331,11 @@ class TestStepMobility:
         active = sphere_l2_forms.active
         assert seeded_state.mobility is None
         state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics)
-        expected = assemble_surface_stiffness(active, seeded_state.c, physics.mobility)
+        expected = _oracle_mobility(active, seeded_state.c, physics)
         np.testing.assert_array_equal(state.mobility.data, expected.data)
         nxt = bdf2_variable_step(seeded_state, state, 0.008, 0.004, sphere_l2_forms, physics)
         c_ref = 2.0 * state.c - seeded_state.c
-        expected = assemble_surface_stiffness(active, c_ref, physics.mobility)
+        expected = _oracle_mobility(active, c_ref, physics)
         np.testing.assert_array_equal(nxt.mobility.data, expected.data)
 
 
@@ -380,9 +381,13 @@ def _on(form, data):
     return sp.csr_matrix((data, form.indices, form.indptr), shape=form.shape)
 
 
+def _oracle_mobility(active, c, physics):
+    return assemble_surface_stiffness(active, physics.mobility(interpolate_at_surface_qp(active, c)))
+
+
 def _oracle_reference(forms, c_ref, physics):
-    mobility = assemble_surface_stiffness(forms.active, c_ref, physics.mobility)
-    w = assemble_f0prime_load(forms.active, c_ref)
+    mobility = _oracle_mobility(forms.active, c_ref, physics)
+    w = assemble_f0prime_load(forms.active, interpolate_at_surface_qp(forms.active, c_ref))
     s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
     return mobility, w, s
 
@@ -476,7 +481,7 @@ def _oracle_energy_bdf2(state, prev, forms, physics):
 
 def _oracle_balance_bdf1(prev, nxt, dt, forms, physics):
     eps2 = physics.epsilon**2
-    a_mob = assemble_surface_stiffness(forms.active, prev.c, physics.mobility)
+    a_mob = _oracle_mobility(forms.active, prev.c, physics)
     d = nxt.c - prev.c
     return np.array(
         [
@@ -492,7 +497,7 @@ def _oracle_balance_bdf1(prev, nxt, dt, forms, physics):
 
 def _oracle_balance_bdf2(prev2, prev1, nxt, dt, forms, physics):
     eps2 = physics.epsilon**2
-    a_mob = assemble_surface_stiffness(forms.active, 2.0 * prev1.c - prev2.c, physics.mobility)
+    a_mob = _oracle_mobility(forms.active, 2.0 * prev1.c - prev2.c, physics)
     d2 = nxt.c - 2.0 * prev1.c + prev2.c
     return np.array(
         [

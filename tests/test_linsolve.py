@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savfem import integrators, linsolve
-from savfem.assembly import assemble_f0prime_load, assemble_surface_stiffness
+from savfem.assembly import assemble_coefficient_forms
 from savfem.experiments import bernoulli_ic, initial_state
 from savfem.linsolve import (
     REFRESH_ITER,
@@ -157,8 +157,7 @@ def sphere_system(forms, cc_scale=1.5 / 0.005, cmu_scale=1.0):
     physics = PhysicsParams(epsilon=0.05)
     eps2, h = physics.epsilon**2, forms.h_stab
     c = bernoulli_ic(active, 0.5, 1)
-    mobility = assemble_surface_stiffness(active, c, physics.mobility)
-    w = assemble_f0prime_load(active, c)
+    mobility, w, _ = assemble_coefficient_forms(active, c, physics)
     return BlockSystem(
         b_cc=cc_scale * forms.mass,
         b_cmu=on_pattern(mobility, cmu_scale * (mobility.data + h * forms.stab.data)),

@@ -7,12 +7,20 @@ expressions in u.  The oracles below difference those 1d reductions directly:
     div_G(A grad_G g) = ((1 - u^2) A g')'
 
 evaluated with central differences on a fine grid, which is independent of
-the sympy derivation used by the implementation.
+the hand-derived closed forms of the implementation.  A second oracle
+differentiates the same 1d reductions symbolically with sympy, a test-only
+dependency.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import savfem
 from savfem.manufactured import manufactured_solution
 
 
@@ -147,3 +155,44 @@ class TestInterface:
         assert one.shape == (1,)
         many = ms.forcing(np.tile([0.3, -0.2, 0.4], (5, 1)))
         np.testing.assert_allclose(many, one[0], atol=1e-15)
+
+
+def sympy_fields(epsilon):
+    """c*, mu* and f as numpy callables of u = x3, by symbolic
+    differentiation of the 1d reductions."""
+    import sympy as sp
+
+    u = sp.symbols("u", real=True)
+    eps = sp.nsimplify(epsilon, rational=True)
+
+    c = (1 + sp.tanh(u / (2 * sp.sqrt(2) * eps))) / 2
+
+    def lap(g):
+        return (1 - u**2) * sp.diff(g, u, 2) - 2 * u * sp.diff(g, u)
+
+    mu = c * (1 - c) * (1 - 2 * c) / 2 - eps**2 * lap(c)
+    mob = c * (1 - c)
+    f = -(mob * lap(mu) + (1 - u**2) * sp.diff(mob, u) * sp.diff(mu, u))
+    return [sp.lambdify(u, expr, modules="numpy") for expr in (c, mu, f)]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
+def test_closed_forms_match_sympy(eps):
+    ms = manufactured_solution(eps)
+    u = np.linspace(-1.0, 1.0, 2001)
+    pts = np.column_stack([np.zeros_like(u), np.zeros_like(u), u])
+    fields = (ms.concentration, ms.chemical_potential, ms.forcing)
+    for field, oracle in zip(fields, sympy_fields(eps)):
+        ref = oracle(u)
+        np.testing.assert_allclose(field(pts), ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_import_loads_no_sympy():
+    # a fresh interpreter, so that the sympy this module's oracle imports is not seen
+    code = "import sys, savfem; print('sympy' in sys.modules)"
+    src = str(Path(savfem.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=src, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
