@@ -27,7 +27,7 @@ from .integrators import (
     make_energy_report,
 )
 from .levelset import sphere
-from .linsolve import BlockSolver, SolverConfig
+from .linsolve import BlockSolver, SolverConfig, SolverTotals
 from .manufactured import manufactured_solution
 from .mesh import ActiveMesh, build_active_mesh, build_mesh
 from .output import EnergyCsvSink, write_vtk_surface
@@ -100,6 +100,16 @@ def _advance(scheme, prev, state, dt, forms, physics, solver, forcing=None, cont
     return nxt, sum(1 for a in attempts if not a.accepted)
 
 
+def _log_totals(name: str, totals: SolverTotals) -> None:
+    """One INFO line with the totals of a time loop's BlockSolver."""
+    log.info(
+        "%s: %d solves, %d factorizations, %d reused, %d abandoned reuses, %d refreshed, "
+        "%d GMRES iterations, %d refined, %d promoted to float64, %d fallbacks",
+        name, totals.solves, totals.factorizations, totals.reused, totals.abandoned,
+        totals.refreshed, totals.iterations, totals.refined, totals.promoted, totals.fallbacks,
+    )
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     level: int
@@ -126,7 +136,7 @@ def run_convergence(
     term keeps it stationary, and the reported error is
     ||c_h(t_end) - I_h c*||_{L2(Gamma_h)}.  The step size halves with the
     mesh: dt_l = 0.02 * 2^(3-l).  Each level's steps share one BlockSolver
-    built from ``solver_config``.
+    built from ``solver_config``, whose totals are logged at INFO level.
     """
     if scheme not in ("bdf1", "bdf2"):
         raise ValueError("convergence runs support bdf1 or bdf2")
@@ -150,6 +160,7 @@ def run_convergence(
             nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver, forcing)
             prev, state = state, nxt
         solver.release()
+        _log_totals(f"level {level}", solver.totals)
 
         error = l2_norm_gamma(active, state.c - c_star)
         rate = None if prev_error is None else observed_rate(prev_error, error)
@@ -257,13 +268,7 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
         solver.release()
         if sink:
             sink.close()
-    totals = solver.totals
-    log.info(
-        "%s: %d solves, %d factorizations, %d reused, %d abandoned reuses, %d refreshed, "
-        "%d GMRES iterations, %d refined, %d fallbacks",
-        config.run_name, totals.solves, totals.factorizations, totals.reused, totals.abandoned,
-        totals.refreshed, totals.iterations, totals.refined, totals.fallbacks,
-    )
+    _log_totals(config.run_name, solver.totals)
 
     return RunResult(
         state=state,

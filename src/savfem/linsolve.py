@@ -29,24 +29,40 @@ roughly halves the L+U fill against the default COLAMD ordering with
 partial pivoting on the band meshes (level-5 sphere: 7.0M against 13.3M
 nonzeros).  Any threshold above zero is ruled out: row interchanges then
 destroy the ordering (thresh = 0.1 gives 40M L+U nonzeros at level 5).
-Without pivoting the LU is not backward stable in general, so a fresh
-solve is refined on its own LU before the residual gate, the static
-pivoting plus iterative refinement of SuperLU_DIST (Li and Demmel, ACM
-TOMS 29, 2003).  If that fails (or the Sherman-Morrison denominator
-vanishes, or SuperLU reports a zero pivot) the system is refactored with
-COLAMD and partial pivoting, a WARNING is logged and ``SolveStats.fallback``
-is set.  Only a failure of that path raises.
+
+Mixed precision.  The pivot-free LU is factored and applied in float32:
+``BlockPattern.matrix`` scatters the blocks straight into float32 data, and
+each application casts the permuted right-hand side to float32 and writes
+the result into a float64 vector.  The operator, the Sherman-Morrison term,
+GMRES, the residual gate and the solution stay float64.  The LU only
+preconditions GMRES, so its precision sets the iteration count and not the
+accuracy, and float32 halves the bytes of L and U (GMRES-based iterative
+refinement with a low-precision LU: Carson and Higham, SIAM J. Sci. Comput.
+40, 2018; Higham and Mary, Acta Numerica 31, 2022).  Without pivoting the
+LU is not backward stable in general either, so a fresh solve is always
+refined on its own LU before the residual gate, the static pivoting plus
+iterative refinement of SuperLU_DIST (Li and Demmel, ACM TOMS 29, 2003).
+
+Fallback ladder.  A fresh solve that fails (GMRES gives up, the residual
+gate fails, the Sherman-Morrison denominator vanishes, or SuperLU reports a
+zero pivot) is refactored on the next rung: float32 pivot-free, then
+float64 pivot-free (logged at INFO; the ``BlockSolver`` then factors in
+float64 for the rest of its life), then COLAMD with partial pivoting in
+float64 (logged as a WARNING; ``SolveStats.fallback`` is set).  Only a
+failure of COLAMD raises.  Every rung attempted counts as a factorization.
 
 One solve path.  Every solve, on a fresh or a kept LU, runs right-
 preconditioned GMRES (``gmres``) on the full operator from the
 preconditioner applied to the rhs; the preconditioner is the LU with the
 current rank-one term folded in by Sherman-Morrison.  GMRES stops at
-GMRES_TOL * ||rhs|| (a fresh LU that meets it takes no iteration), gives up
-after GMRES_MAX_ITER iterations (one preconditioner application costs 1/15
-(level 3) to 1/28 (level 5) of a factorization), or from the second on as
-soon as the last residual reduction factor, kept for the remaining
-iterations, would not reach the target.  Then the full-operator residual is
-checked against ``SolverConfig.rel_tolerance``.
+FRESH_TOL * ||rhs|| on a fresh LU, the residual a float64 direct solve
+reaches, so a fresh solve is as accurate as one, and at GMRES_TOL * ||rhs||
+on a reused LU.  It gives up after GMRES_MAX_ITER iterations (one
+preconditioner application costs 1/15 (level 3) to 1/28 (level 5) of a
+factorization), or from the second on as soon as the last residual
+reduction factor, kept for the remaining iterations, would not reach the
+target.  Then the full-operator residual is checked against
+``SolverConfig.rel_tolerance``.
 
 LU reuse.  A ``BlockSolver``, owned by a time loop, keeps its last LU and
 serves every later solve on the same ``BlockPattern`` object with it
@@ -88,7 +104,8 @@ log = logging.getLogger(__name__)
 
 SINGULAR_TOL = 1e-14
 LEAF_SIZE = 64  # dofs per nested-dissection leaf
-GMRES_TOL = 1e-13  # GMRES target, relative to ||rhs||
+FRESH_TOL = 1e-15  # GMRES target on a fresh LU, relative to ||rhs||
+GMRES_TOL = 1e-13  # GMRES target on a reused LU, relative to ||rhs||
 GMRES_MAX_ITER = 20  # GMRES iteration cap
 REFRESH_ITER = 5  # a reuse above this many iterations in a steady run drops the LU
 
@@ -142,7 +159,7 @@ class SolveStats:
     residual: float
     rel_residual: float
     woodbury_denominator: float  # of the solve's LU: the fresh one, or the reused one
-    fallback: bool = False  # the fixed-pattern LU failed and COLAMD solved the system
+    fallback: bool = False  # the pivot-free LUs failed and COLAMD solved the system
     iterations: int = 0  # GMRES iterations on the solve's LU
     refactored: bool = True  # the solve factored the base operator
 
@@ -150,9 +167,11 @@ class SolveStats:
 @dataclass
 class SolverTotals:
     """Counts over the solves of one BlockSolver.  ``iterations`` includes
-    those of abandoned reuses and failed refinements; a fallback is a second
-    factorization.  ``refreshed`` counts the LUs dropped after a slow reuse
-    in a steady run, ``refined`` the fresh solves that needed iterations."""
+    those of abandoned reuses and failed refinements; every rung of the
+    fallback ladder attempted is a factorization.  ``refreshed`` counts the
+    LUs dropped after a slow reuse in a steady run, ``refined`` the fresh
+    solves that needed iterations, ``promoted`` the float32 LUs that failed,
+    so that the solver went on in float64."""
 
     solves: int = 0
     factorizations: int = 0
@@ -161,6 +180,7 @@ class SolverTotals:
     refreshed: int = 0
     iterations: int = 0
     refined: int = 0
+    promoted: int = 0
     fallbacks: int = 0
 
 
@@ -258,10 +278,11 @@ class BlockPattern:
             ):
                 raise LinearSolveError(f"block {name} does not have the fixed CSR pattern")
 
-    def matrix(self, system: BlockSystem) -> sp.csc_matrix:
-        """The permuted base operator of ``system``, whose blocks are checked."""
-        self.check(system)
-        data = np.empty(len(self.indices))
+    def matrix(self, system: BlockSystem, dtype) -> sp.csc_matrix:
+        """The permuted base operator of ``system`` with ``dtype`` data,
+        scattered from the blocks without a float64 copy.  The blocks'
+        pattern is not checked here; see ``check``."""
+        data = np.empty(len(self.indices), dtype=dtype)
         for block, where in zip(system.blocks, self.positions):
             data[where] = block.data
         size = len(self.order)
@@ -285,11 +306,13 @@ def _colamd_solver(system: BlockSystem):
 
 
 def _pivot_free_solver(a: sp.csc_matrix, order: np.ndarray):
+    """Float64 solve by the pivot-free LU of ``a``, in ``a``'s precision."""
     lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    dtype = a.dtype
 
     def solve(b):
-        x = np.empty_like(b)
-        x[order] = lu.solve(b[order])
+        x = np.empty(len(b))
+        x[order] = lu.solve(b[order].astype(dtype, copy=False))
         return x
 
     return solve
@@ -380,14 +403,16 @@ class BlockSolver:
     """Block solves of one time loop, reusing the last LU on its pattern.
 
     Holds the pattern and the solve of its last LU (pivot-free, or the
-    COLAMD fallback) and the previous solve's B_cc data; see the module
-    docstring for the reuse policy.  ``totals`` counts the solves.  Call
-    ``release`` to drop the stored LU when the loop ends.
+    COLAMD fallback), the previous solve's B_cc data and the precision of
+    its pivot-free LUs (float32 until one fails); see the module docstring
+    for the reuse policy and the fallback ladder.  ``totals`` counts the
+    solves.  Call ``release`` to drop the stored LU when the loop ends.
     """
 
     def __init__(self, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
         self.totals = SolverTotals()
+        self._dtype = np.float32
         self.release()
 
     def release(self) -> None:
@@ -401,7 +426,7 @@ class BlockSolver:
         if self._solve is not None and pattern is self._pattern:
             pattern.check(system)
             try:
-                x, stats = self._gmres(system, self._solve)
+                x, stats = self._gmres(system, self._solve, GMRES_TOL)
             except LinearSolveError:
                 totals.abandoned += 1
         if stats is not None:
@@ -415,39 +440,51 @@ class BlockSolver:
         else:
             self.release()  # drop the old LU before factoring a new one
             x, stats = self._factor(system, pattern)
-            totals.factorizations += 1 + stats.fallback
-            totals.fallbacks += stats.fallback
             totals.refined += stats.iterations > 0
         self._prev_b_cc = system.b_cc.data.copy()
         return x[:n], x[n:], stats
 
     def _factor(self, system: BlockSystem, pattern: BlockPattern):
-        """(x, stats) on a fresh LU, which is kept for reuse."""
-        a = pattern.matrix(system)  # a pattern mismatch raises here, before any fallback
-        try:
-            solve = _pivot_free_solver(a, pattern.order)
-            x, stats = self._gmres(system, solve)
-        except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
-            log.warning(
-                "pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting", exc
-            )
-            solve = None
-        if solve is None:
-            solve = _colamd_solver(system)
-            x, stats = self._gmres(system, solve)
-            stats.fallback = True
+        """(x, stats) on a fresh LU, which is kept for reuse: the first rung
+        of the fallback ladder, from the solver's precision on, that passes."""
+        pattern.check(system)  # a pattern mismatch raises here, before any fallback
+        totals = self.totals
+        while True:
+            totals.factorizations += 1
+            try:
+                a = pattern.matrix(system, self._dtype)
+                return self._keep(system, pattern, _pivot_free_solver(a, pattern.order))
+            except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
+                if self._dtype == np.float64:
+                    log.warning(
+                        "pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting",
+                        exc,
+                    )
+                    break
+                log.info("float32 pivot-free LU failed (%s); factoring in float64 from now on", exc)
+                self._dtype = np.float64
+                totals.promoted += 1
+        totals.factorizations += 1
+        totals.fallbacks += 1
+        x, stats = self._keep(system, pattern, _colamd_solver(system))
+        stats.fallback = True
+        return x, stats
+
+    def _keep(self, system: BlockSystem, pattern: BlockPattern, solve):
+        """(x, stats) refined on the fresh LU ``solve``, which is kept."""
+        x, stats = self._gmres(system, solve, FRESH_TOL)
         self._pattern, self._solve = pattern, solve
         return x, stats
 
-    def _gmres(self, system: BlockSystem, solve):
-        """(x, stats) by GMRES on the LU ``solve``.  Raises
+    def _gmres(self, system: BlockSystem, solve, tol: float):
+        """(x, stats) by GMRES on the LU ``solve`` to ``tol`` * ||rhs||.  Raises
         SingularUpdateError when the Sherman-Morrison denominator vanishes
         and LinearSolveError when GMRES gives up or the true residual
         exceeds the gate."""
         precond, denom = _sherman_morrison(system, solve)
         x, iterations = gmres(
             lambda y: apply_operator(system, y), precond, system.rhs, precond(system.rhs),
-            GMRES_TOL * float(np.linalg.norm(system.rhs)), GMRES_MAX_ITER,
+            tol * float(np.linalg.norm(system.rhs)), GMRES_MAX_ITER,
         )
         self.totals.iterations += iterations
         if x is None:
@@ -468,11 +505,12 @@ def solve_rank_one_system(
     ``solver`` is the BlockSolver whose stored LU may serve the solve;
     without one the system is solved on a fresh LU with the default
     SolverConfig.  The base operator is factorized pivot-free in the
-    pattern's nested-dissection order and refined by GMRES, falling back to
-    COLAMD with partial pivoting (``stats.fallback``) when that solve fails
-    its checks; a block off the fixed pattern raises LinearSolveError.  A
-    fresh solve raises SingularUpdateError when the Sherman-Morrison
-    denominator is below 1e-14 in magnitude, and LinearSolveError when the
-    full-operator residual exceeds rel_tolerance * ||rhs||.
+    pattern's nested-dissection order, in float32, and refined by GMRES,
+    falling back to float64 and then to COLAMD with partial pivoting
+    (``stats.fallback``) when that solve fails its checks; a block off the
+    fixed pattern raises LinearSolveError.  A fresh solve raises
+    SingularUpdateError when the Sherman-Morrison denominator is below 1e-14
+    in magnitude, and LinearSolveError when the full-operator residual
+    exceeds rel_tolerance * ||rhs||.
     """
     return (solver or BlockSolver()).solve(system, pattern)

@@ -1,11 +1,15 @@
 """CLI subcommands end to end through main()."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from savfem import cli
+from savfem import cli, experiments
 from savfem.cli import main
 from savfem.experiments import ConvergenceRow
+from savfem.linsolve import BlockSolver
 from savfem.output import format_convergence_table
 
 
@@ -94,8 +98,7 @@ class TestConverge:
         assert fields[0] == "2"
         assert float(fields[4]) > 0.0
 
-    # the bytes the table printer of the CLI and of
-    # scripts/run_convergence_tables.py wrote line by line
+    # the bytes the table printer of the CLI wrote line by line
     TABLE_ROWS = [
         ConvergenceRow(level=3, h=0.2083333333, dt=0.02, n_dofs=664, error=3.453e-3, rate=None),
         ConvergenceRow(level=4, h=0.1041666667, dt=0.01, n_dofs=2764, error=7.654321e-4, rate=2.17456),
@@ -135,6 +138,31 @@ class TestConverge:
         )
         assert code == 0
         assert out_csv.read_text().splitlines()[0] == "level,h,dt,n_dofs,error,rate"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["converge", "--levels", "2", "--epsilon", "1.0", "--t-end", "0.2"]],
+    ids=["solve", "converge"],
+)
+def test_verbose_run_logs_the_solver_totals(command, sphere_cfg, tmp_path, caplog, monkeypatch):
+    solvers = []
+
+    class Recorded(BlockSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(experiments, "BlockSolver", Recorded)
+    monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path / "out"))
+    with caplog.at_level("INFO", logger="savfem.experiments"):
+        assert main(["-v", command[0], "--config", str(sphere_cfg), *command[1:]]) == 0
+    lines = [r.getMessage() for r in caplog.records if "factorizations" in r.getMessage()]
+    assert len(lines) == len(solvers) == 1
+    counts = [int(k) for k in re.findall(r"(\d+) [a-zA-Z]", lines[0].split(": ", 1)[1])]
+    totals = solvers[0].totals
+    assert counts == list(dataclasses.astuple(totals))
+    assert totals.solves > 0 and totals.factorizations > 0
 
 
 class TestMeshInfo:
