@@ -449,21 +449,23 @@ class BlockSolver:
         of the fallback ladder, from the solver's precision on, that passes."""
         pattern.check(system)  # a pattern mismatch raises here, before any fallback
         totals = self.totals
-        while True:
+        for dtype in [np.float32, np.float64] if self._dtype == np.float32 else [np.float64]:
             totals.factorizations += 1
             try:
-                a = pattern.matrix(system, self._dtype)
+                a = pattern.matrix(system, dtype)
                 return self._keep(system, pattern, _pivot_free_solver(a, pattern.order))
             except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
-                if self._dtype == np.float64:
+                if dtype == np.float32:
+                    log.info(
+                        "float32 pivot-free LU failed (%s); factoring in float64 from now on", exc
+                    )
+                    self._dtype = np.float64
+                    totals.promoted += 1
+                else:
                     log.warning(
                         "pivot-free LU failed (%s); refactoring with COLAMD and partial pivoting",
                         exc,
                     )
-                    break
-                log.info("float32 pivot-free LU failed (%s); factoring in float64 from now on", exc)
-                self._dtype = np.float64
-                totals.promoted += 1
         totals.factorizations += 1
         totals.fallbacks += 1
         x, stats = self._keep(system, pattern, _colamd_solver(system))

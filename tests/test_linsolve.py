@@ -131,13 +131,7 @@ def test_zero_scale_skips_update(rng):
 def test_apply_operator_matches_dense(rng):
     system, _ = random_system(rng, 9)
     x = rng.standard_normal(2 * 9)
-    n = system.n
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, :n] = system.b_cc.toarray()
-    a[:n, n:] = system.b_cmu.toarray()
-    a[n:, :n] = system.b_muc.toarray()
-    a[n:, n:] = system.b_mumu.toarray()
-    a[n:, :n] += system.rank_one_scale * np.outer(system.rank_one_left, system.rank_one_right)
+    a = dense_matrix(system)
     np.testing.assert_allclose(apply_operator(system, x), a @ x, rtol=1e-12, atol=1e-12)
 
 
@@ -235,11 +229,15 @@ def interleaved_trap(rng, n=50, cc=1e-30):
 
 def test_pivot_free_failure_falls_back_to_pivoting(rng, caplog):
     system, pattern = interleaved_trap(rng)
+    solver = BlockSolver()
     with caplog.at_level("WARNING", logger="savfem.linsolve"):
-        c, mu, stats = solve_rank_one_system(system, pattern)
+        c, mu, stats = solve_rank_one_system(system, pattern, solver)
     assert stats.fallback is True
     assert stats.rel_residual <= 1e-10
     assert "exceeds tolerance" in caplog.text and "COLAMD" in caplog.text
+    # float32 pivot-free, float64 pivot-free, COLAMD: three factorizations
+    totals = solver.totals
+    assert (totals.factorizations, totals.promoted, totals.fallbacks) == (3, 1, 1)
     exact = dense_solve(system)
     err = np.linalg.norm(np.concatenate([c, mu]) - exact) / np.linalg.norm(exact)
     assert err < 1e-10
@@ -333,9 +331,9 @@ def test_block_solver_reuses_the_lu_along_a_bdf2_sequence(sphere_l3_forms, monke
         seen.append(stats)
         assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(c_ref)
         # mu of a reuse is resolved less tightly (measured 3.9e-12 to 1.3e-11,
-        # c up to 2.8e-13; a fresh solve 1.6e-14 and 2.6e-16): the residual
-        # GMRES leaves sits in the c rows, and mu, which enters them through
-        # the mobility stiffness, is the more sensitive to it
+        # c at most 2.8e-13; fresh solves: mu at most 1.6e-14, c 2.6e-16):
+        # the residual GMRES leaves sits in the c rows, and mu, which enters
+        # them through the mobility stiffness, is the more sensitive to it
         assert np.linalg.norm(mu - mu_ref) <= 2e-11 * np.linalg.norm(mu_ref)
         return c, mu, stats
 
