@@ -11,8 +11,10 @@ restricted to the discrete surface Gamma_h:
 Three operators, built once per active mesh, carry every form:
   - the CSR pattern of the element scatter ``elem_dofs``, with the position
     of each element entry (e, i, j) in its ``data``;
-  - B (Q x N, ``data`` is ``sq_bary``): c_h at the surface quadrature points
-    is B c, and a load (f, psi_j) is B^T (w f);
+  - B_P (P x N, ``data`` is ``poly_bary``): c_h at the cut-polygon vertices.
+    A triangle's quadrature points are fixed rule combinations R of its
+    vertices, so c_h there is (B_P c)[tri_index] R^T, a load (f, psi_j) is
+    B_P^T of the vertex sums of (w f) R, and int c_h = m . c, m_j = int psi_j;
   - G (nnz x n_p): patch p's Gram tensor grad_G psi_i . grad_G psi_j at its
     element's pattern positions.  Gradients and normals are constant per
     patch, so the coefficient stiffness is G k_p with k_p = int_p k ds.
@@ -38,6 +40,11 @@ import scipy.sparse as sp
 
 from .mesh import ActiveMesh
 from .physics import PhysicsParams, f0, f0_prime
+from .quadrature import triangle_bary_rule
+
+# (3, 6) R^T: a triangle's point values are its vertex values times R^T, taken
+# by single-threaded einsums (a threaded BLAS product stalls on busy cores).
+_RULE_T = np.ascontiguousarray(triangle_bary_rule()[0].T)
 
 __all__ = [
     "AssembledForms",
@@ -60,14 +67,22 @@ class _Operators(NamedTuple):
     indptr: np.ndarray  # CSR pattern of the element scatter, shared by every form
     indices: np.ndarray
     positions: np.ndarray  # (n_e * 16,) element entry (e, i, j) -> index into data
-    interp: sp.csr_matrix  # B, Q x N
+    interp: sp.csr_matrix  # B_P, P x N
     patch_to_pattern: sp.csc_matrix  # G, nnz x n_p
+    mass_vector: np.ndarray  # m_j = int psi_j ds
+
+
+def _vertex_sums(active: ActiveMesh, values) -> np.ndarray:
+    """(P,) vertex sums of the weighted point values w f, shared by R."""
+    weighted = (active.sq_weights * values).reshape(-1, _RULE_T.shape[1])
+    tri_values = np.einsum("tk,jk->tj", weighted, _RULE_T)  # (T, 3)
+    return np.bincount(active.tri_index.reshape(-1), tri_values.reshape(-1), len(active.poly_bary))
 
 
 def _operators(active: ActiveMesh) -> _Operators:
     ops = active._cache.get("operators")
     if ops is None:
-        n, q, n_p = active.n_dofs, len(active.sq_weights), active.n_patches
+        n, n_v, n_p = active.n_dofs, len(active.poly_bary), active.n_patches
         d = active.elem_dofs.astype(np.int64)
         keys, pos = np.unique((d[:, :, None] * n + d[:, None, :]).reshape(-1), return_inverse=True)
         pos = pos.reshape(-1, 16)
@@ -76,14 +91,15 @@ def _operators(active: ActiveMesh) -> _Operators:
         for a in (indptr, indices):
             a.setflags(write=False)  # shared by every form: nothing may sort or prune in place
         # int32 indices, which the CSR constructor keeps without a copy
-        qdofs = active.elem_dofs.astype(np.int32)[active.sq_elem].reshape(-1)
-        qptr = np.arange(0, 4 * q + 1, 4, dtype=np.int32)
-        b = sp.csr_matrix((active.sq_bary.reshape(-1), qdofs, qptr), shape=(q, n))
+        vdofs = active.elem_dofs.astype(np.int32)[active.poly_elem].reshape(-1)
+        vptr = np.arange(0, 4 * n_v + 1, 4, dtype=np.int32)
+        b = sp.csr_matrix((active.poly_bary.reshape(-1), vdofs, vptr), shape=(n_v, n))
         tg = active.patch_tangential_grads
         gram = np.einsum("pik,pjk->pij", tg, tg).reshape(-1)
         rows = pos[active.patch_elem].reshape(-1)
         g = sp.csc_matrix((gram, rows, np.arange(0, 16 * n_p + 1, 16)), shape=(len(keys), n_p))
-        ops = active._cache["operators"] = _Operators(indptr, indices, pos.reshape(-1), b, g)
+        m = b.T @ _vertex_sums(active, 1.0)
+        ops = active._cache["operators"] = _Operators(indptr, indices, pos.reshape(-1), b, g, m)
     return ops
 
 
@@ -102,7 +118,8 @@ def _scatter(active: ActiveMesh, elem_mats: np.ndarray) -> sp.csr_matrix:
 
 def interpolate_at_surface_qp(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
     """P1 values of the DOF vector c at all surface quadrature points."""
-    return _operators(active).interp @ np.asarray(c, dtype=float)
+    vertex_values = _operators(active).interp @ np.asarray(c, dtype=float)
+    return np.einsum("tj,jk->tk", vertex_values[active.tri_index], _RULE_T).reshape(-1)
 
 
 # The exact P1 mass of a triangle of unit area in its vertex values:
@@ -165,14 +182,13 @@ def assemble_coefficient_forms(
 def assemble_load(active: ActiveMesh, values) -> np.ndarray:
     """Load vector (f, psi_j)_{Gamma_h}.
 
-    ``values`` is either a callable evaluated at the surface quadrature
-    points or a precomputed (Q,) array.
+    ``values`` is a callable evaluated at the (Q, 3) surface quadrature
+    points, built for the call, or a precomputed (Q,) array.
     """
     if callable(values):
-        vals = np.asarray(values(active.sq_points), dtype=float)
-    else:
-        vals = np.asarray(values, dtype=float)
-    return _operators(active).interp.T @ (active.sq_weights * vals)
+        rule_bary, _ = triangle_bary_rule()
+        values = values(np.matmul(rule_bary, active.poly_points[active.tri_index]).reshape(-1, 3))
+    return _operators(active).interp.T @ _vertex_sums(active, np.asarray(values, dtype=float))
 
 
 def compute_E1(active: ActiveMesh, c: np.ndarray) -> float:
@@ -182,8 +198,8 @@ def compute_E1(active: ActiveMesh, c: np.ndarray) -> float:
 
 
 def compute_mass(active: ActiveMesh, c: np.ndarray) -> float:
-    """int_{Gamma_h} c_h ds."""
-    return float(np.dot(active.sq_weights, interpolate_at_surface_qp(active, c)))
+    """int_{Gamma_h} c_h ds, as m . c."""
+    return float(_operators(active).mass_vector @ np.asarray(c, dtype=float))
 
 
 def l2_norm_gamma(active: ActiveMesh, c: np.ndarray) -> float:

@@ -140,43 +140,45 @@ def run_convergence(
     """
     if scheme not in ("bdf1", "bdf2"):
         raise ValueError("convergence runs support bdf1 or bdf2")
-    ms = manufactured_solution(epsilon)
     physics = PhysicsParams(epsilon=epsilon, c_shift=c_shift)
+    study = (manufactured_solution(epsilon), physics, scheme, t_end, solver_config, geometry_divisions)
     rows: list[ConvergenceRow] = []
-    prev_error = None
     for level in levels:
         t0 = time.perf_counter()
-        mesh = build_mesh(sphere(1.0), SPHERE_BOX, level)
-        active = build_active_mesh(mesh, levelset=sphere(1.0), geometry_divisions=geometry_divisions)
-        forms = assemble_forms(active)
-        forcing = assemble_load(active, ms.forcing)
-        c_star = ms.concentration(active.dof_coords)
-        state = initial_state(forms, physics, c_star)
-
-        dt = REFERENCE_DT * 2.0 ** (3 - level)
-        solver = BlockSolver(solver_config)
-        prev = None
-        for _ in range(_step_count(t_end, dt)):
-            nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver, forcing)
-            prev, state = state, nxt
-        solver.release()
-        _log_totals(f"level {level}", solver.totals)
-
-        error = l2_norm_gamma(active, state.c - c_star)
-        rate = None if prev_error is None else observed_rate(prev_error, error)
-        prev_error = error
-        rows.append(
-            ConvergenceRow(
-                level=level, h=mesh.h, dt=dt, n_dofs=active.n_dofs, error=error, rate=rate
-            )
-        )
+        row = _convergence_level(level, rows[-1].error if rows else None, *study)
+        rows.append(row)
         if progress:
             log.info(
                 "level %d: h=%.4e dofs=%d error=%.4e rate=%s (%.1fs)",
-                level, mesh.h, active.n_dofs, error,
-                "-" if rate is None else f"{rate:.2f}", time.perf_counter() - t0,
+                level, row.h, row.n_dofs, row.error,
+                "-" if row.rate is None else f"{row.rate:.2f}", time.perf_counter() - t0,
             )
     return rows
+
+
+def _convergence_level(level, prev_error, ms, physics, scheme, t_end, solver_config, divisions):
+    """One level of ``run_convergence``; its mesh, forms and states die on return."""
+    mesh = build_mesh(sphere(1.0), SPHERE_BOX, level)
+    active = build_active_mesh(mesh, levelset=sphere(1.0), geometry_divisions=divisions)
+    forms = assemble_forms(active)
+    forcing = assemble_load(active, ms.forcing)
+    c_star = ms.concentration(active.dof_coords)
+    state = initial_state(forms, physics, c_star)
+
+    dt = REFERENCE_DT * 2.0 ** (3 - level)
+    solver = BlockSolver(solver_config)
+    prev = None
+    for _ in range(_step_count(t_end, dt)):
+        nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver, forcing)
+        prev, state = state, nxt
+    solver.release()
+    _log_totals(f"level {level}", solver.totals)
+
+    error = l2_norm_gamma(active, state.c - c_star)
+    return ConvergenceRow(
+        level=level, h=mesh.h, dt=dt, n_dofs=active.n_dofs, error=error,
+        rate=None if prev_error is None else observed_rate(prev_error, error),
+    )
 
 
 def build_problem(config: RunConfig):

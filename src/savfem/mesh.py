@@ -19,15 +19,14 @@ samples on the common face.
 Each cut sub-tetrahedron is a "patch": it carries one unit normal, the
 tangential projections of the parent basis gradients, its cut polygon (one
 or two surface triangles) and a contiguous block of surface quadrature
-points.  Triangles and quadrature arrays are sorted patch-major and patches
-parent-major, so per-parent and per-patch segmented reductions both work on
-contiguous slices.
+points, stored as weights only: a triangle's six points are fixed
+combinations of its polygon vertices.  Triangles and points are sorted
+patch-major and patches parent-major, so per-parent and per-patch segmented
+reductions both work on contiguous slices.
 
 ``build_active_mesh`` runs in stages, one function each: classification,
 element geometry, patches, polygons and surface quadrature, so that the
-temporaries of a stage are freed when it returns.  The physical quadrature
-points are built on first access (``ActiveMesh.sq_points``): only a load of
-a callable integrand reads them.
+temporaries of a stage are freed when it returns.
 """
 
 from __future__ import annotations
@@ -205,13 +204,11 @@ class ActiveMesh:
     DOFs are the vertices of cut tetrahedra, numbered 0..n_dofs-1 in
     ascending background-node order.  Patches (cut sub-tetrahedra of the
     geometry lattice) are sorted by parent element; surface triangles and
-    quadrature points are sorted by patch.  ``sq_patch_offsets`` delimit
-    each patch's surface points.
+    quadrature points are sorted by patch; point 6 t + k is rule point k of
+    triangle t.  ``sq_patch_offsets`` delimit each patch's surface points.
     ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
-    normal-gradient volume stabilization.  The physical quadrature points
-    ``sq_points`` are built on first access: only loads of a callable
-    integrand read them.
+    normal-gradient volume stabilization.
     """
 
     mesh: BackgroundMesh
@@ -229,9 +226,7 @@ class ActiveMesh:
     poly_elem: np.ndarray  # (P,)
     tri_index: np.ndarray  # (T, 3) into poly_points
     tri_areas: np.ndarray  # (T,)
-    sq_weights: np.ndarray  # (Q,)
-    sq_bary: np.ndarray  # (Q, 4) parent barycentric coordinates
-    sq_elem: np.ndarray  # (Q,)
+    sq_weights: np.ndarray  # (Q,) = (6 T,)
     sq_patch_offsets: np.ndarray  # (n_p + 1,)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -250,16 +245,6 @@ class ActiveMesh:
     @property
     def dof_coords(self) -> np.ndarray:
         return self.mesh.nodes[self.active_nodes]
-
-    @property
-    def sq_points(self) -> np.ndarray:
-        """(Q, 3) physical surface quadrature points."""
-        points = self._cache.get("sq_points")
-        if points is None:
-            rule_bary, _ = triangle_bary_rule()
-            points = np.matmul(rule_bary, self.poly_points[self.tri_index]).reshape(-1, 3)
-            self._cache["sq_points"] = points
-        return points
 
     @property
     def area(self) -> float:
@@ -370,21 +355,18 @@ def _polygons(coords, vals, normals, patch_sub, divisions: int):
     return poly_points, poly_bary, poly_patch, tri_index, tri_patch
 
 
-def _surface_quadrature(poly_points, poly_bary, tri_index, tri_patch, patch_elem):
-    """Triangle areas, and the barycentric points, weights and elements of
-    the surface rule, with each patch's offsets into them."""
-    rule_bary, rule_w = triangle_bary_rule()
-    nq = len(rule_w)
+def _surface_quadrature(poly_points, tri_index, tri_patch, n_patches):
+    """Triangle areas, and the weights of the surface rule, with each
+    patch's offsets into them."""
+    _, rule_w = triangle_bary_rule()
     tri_coords = poly_points[tri_index]  # (T, 3, 3)
     tri_areas = 0.5 * np.linalg.norm(
         np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
     )
-    sq_bary = np.matmul(rule_bary, poly_bary[tri_index]).reshape(-1, 4)
     sq_weights = (rule_w[None, :] * tri_areas[:, None]).reshape(-1)
-    sq_elem = np.repeat(patch_elem[tri_patch], nq)
-    tri_counts = np.bincount(tri_patch, minlength=len(patch_elem))
-    sq_patch_offsets = nq * np.concatenate([[0], np.cumsum(tri_counts)])
-    return tri_areas, sq_bary, sq_weights, sq_elem, sq_patch_offsets
+    tri_counts = np.bincount(tri_patch, minlength=n_patches)
+    sq_patch_offsets = len(rule_w) * np.concatenate([[0], np.cumsum(tri_counts)])
+    return tri_areas, sq_weights, sq_patch_offsets
 
 
 def build_active_mesh(
@@ -417,8 +399,8 @@ def build_active_mesh(
     poly_points, poly_bary, poly_patch, tri_index, tri_patch = _polygons(
         patch_coords, patch_vals, normals, patch_sub, geometry_divisions
     )
-    tri_areas, sq_bary, sq_weights, sq_elem, sq_patch_offsets = _surface_quadrature(
-        poly_points, poly_bary, tri_index, tri_patch, patch_elem
+    tri_areas, sq_weights, sq_patch_offsets = _surface_quadrature(
+        poly_points, tri_index, tri_patch, len(patch_elem)
     )
 
     return ActiveMesh(
@@ -438,8 +420,6 @@ def build_active_mesh(
         tri_index=tri_index,
         tri_areas=tri_areas,
         sq_weights=sq_weights,
-        sq_bary=sq_bary,
-        sq_elem=sq_elem,
         sq_patch_offsets=sq_patch_offsets,
     )
 

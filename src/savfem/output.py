@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assembly import _operators
 from .integrators import EnergyReport
 from .mesh import ActiveMesh
 
@@ -94,7 +95,8 @@ def write_vtk_surface(path: str | Path, active: ActiveMesh, c: np.ndarray) -> No
     c = np.asarray(c, dtype=float)
     if c.shape != (active.n_dofs,):
         raise ValueError(f"expected {active.n_dofs} dof values, got shape {c.shape}")
-    values = np.einsum("pi,pi->p", active.poly_bary, c[active.elem_dofs[active.poly_elem]])
+    dofs = _operators(active).interp.indices.reshape(-1, 4)  # B_P's int32 dof table
+    values = np.einsum("pi,pi->p", active.poly_bary, c[dofs])
     geometry = _vtk_geometry(active)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

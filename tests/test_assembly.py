@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pointwise import point_bary, point_coords, point_elem
 from savfem import assembly
 from savfem.assembly import (
     _operators,
@@ -133,7 +134,8 @@ class TestPlaneOracle:
     def test_interpolation_is_exact_for_affine(self, plane_active):
         c = 2.0 * plane_active.dof_coords[:, 0] - plane_active.dof_coords[:, 1] + 0.25
         vals = interpolate_at_surface_qp(plane_active, c)
-        exact = 2.0 * plane_active.sq_points[:, 0] - plane_active.sq_points[:, 1] + 0.25
+        points = point_coords(plane_active)
+        exact = 2.0 * points[:, 0] - points[:, 1] + 0.25
         np.testing.assert_allclose(vals, exact, atol=1e-13)
 
     def test_load_of_affine_integrand(self, plane_active):
@@ -142,7 +144,7 @@ class TestPlaneOracle:
         assert w.sum() == pytest.approx(0.5, rel=1e-12)
 
     def test_load_accepts_precomputed_values(self, plane_active):
-        vals = plane_active.sq_points[:, 0]
+        vals = point_coords(plane_active)[:, 0]
         w1 = assemble_load(plane_active, vals)
         w2 = assemble_load(plane_active, lambda p: p[:, 0])
         np.testing.assert_allclose(w1, w2, atol=1e-15)
@@ -230,7 +232,8 @@ class TestAssembledForms:
 
 # Oracles: the element-scatter formulas the assembly used before its forms
 # were built from cached operators (COO -> CSR with duplicate summation,
-# np.add.at for loads, a gathered einsum for interpolation).
+# np.add.at for loads, a gathered einsum for interpolation), on the
+# per-point tables of tests/pointwise.py.
 
 
 def _coo_oracle(active, elem_mats):
@@ -244,26 +247,25 @@ def _coo_oracle(active, elem_mats):
 
 
 def _interp_oracle(active, c):
-    return np.einsum("qi,qi->q", active.sq_bary, c[active.elem_dofs[active.sq_elem]])
+    return np.einsum("qi,qi->q", point_bary(active), c[active.elem_dofs[point_elem(active)]])
 
 
 def _load_oracle(active, vals):
     out = np.zeros(active.n_dofs)
-    qdofs = active.elem_dofs[active.sq_elem]
-    np.add.at(out, qdofs, (active.sq_weights * vals)[:, None] * active.sq_bary)
+    qdofs = active.elem_dofs[point_elem(active)]
+    np.add.at(out, qdofs, (active.sq_weights * vals)[:, None] * point_bary(active))
     return out
 
 
 def _sq_offsets(active):
     """Each element's offsets into the surface quadrature points."""
-    return np.concatenate([[0], np.cumsum(np.bincount(active.sq_elem, minlength=active.n_elements))])
+    return np.concatenate([[0], np.cumsum(np.bincount(point_elem(active), minlength=active.n_elements))])
 
 
 def _mass_oracle(active):
     """The degree-4 rule applied to the (Q, 4, 4) products of the basis values."""
-    contrib = active.sq_weights[:, None, None] * (
-        active.sq_bary[:, :, None] * active.sq_bary[:, None, :]
-    )
+    sq_bary = point_bary(active)
+    contrib = active.sq_weights[:, None, None] * (sq_bary[:, :, None] * sq_bary[:, None, :])
     flat = np.add.reduceat(contrib.reshape(len(contrib), -1), _sq_offsets(active)[:-1])
     return _coo_oracle(active, flat.reshape(-1, 4, 4))
 
@@ -293,11 +295,23 @@ class TestOperatorsAgainstElementScatter:
         vals = interpolate_at_surface_qp(sphere_l2, bernoulli)
         np.testing.assert_allclose(vals, _interp_oracle(sphere_l2, bernoulli), rtol=0.0, atol=1e-13)
 
-    def test_interpolation_operator_shares_sq_bary(self, sphere_l2):
-        assert np.shares_memory(_operators(sphere_l2).interp.data, sphere_l2.sq_bary)
+    def test_interpolation_operator_shares_poly_bary(self, sphere_l2):
+        interp = _operators(sphere_l2).interp
+        assert interp.shape == (len(sphere_l2.poly_bary), sphere_l2.n_dofs)
+        assert np.shares_memory(interp.data, sphere_l2.poly_bary)
+
+    @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+    def test_load_is_adjoint_of_interpolation(self, mesh_name, request):
+        # (w v) . (B c) = (B^T (w v)) . c for the per-point operator B; a
+        # slip in the vertex scatter of the load breaks it
+        active = request.getfixturevalue(mesh_name)
+        rng = np.random.default_rng(5)
+        c, v = rng.standard_normal(active.n_dofs), rng.standard_normal(len(active.sq_weights))
+        lhs = np.dot(active.sq_weights * v, interpolate_at_surface_qp(active, c))
+        assert lhs == pytest.approx(np.dot(assemble_load(active, v), c), rel=1e-13)
 
     def test_loads(self, sphere_l2, bernoulli):
-        for vals in (f0_prime(_interp_oracle(sphere_l2, bernoulli)), sphere_l2.sq_points[:, 0]):
+        for vals in (f0_prime(_interp_oracle(sphere_l2, bernoulli)), point_coords(sphere_l2)[:, 0]):
             oracle = _load_oracle(sphere_l2, vals)
             np.testing.assert_allclose(
                 assemble_load(sphere_l2, vals), oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max()
@@ -388,8 +402,7 @@ def _separate_mobility(active, c, physics):
 
 
 def _separate_load(active, c):
-    vals = f0_prime(interpolate_at_surface_qp(active, c))
-    return _operators(active).interp.T @ (active.sq_weights * vals)
+    return assemble_load(active, f0_prime(interpolate_at_surface_qp(active, c)))
 
 
 def _separate_E1(active, c):

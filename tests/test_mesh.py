@@ -2,8 +2,9 @@
 
 Oracles: closed-form mesh sizes h_l = base_edge / 2^l, exact volume
 partition of cubes into six Kuhn tetrahedra, single-tet polygon extraction
-from tests/cutcells.py as the reference for the batched extraction, and the
-exact sphere area 4*pi as the limit of the discrete area.
+from tests/cutcells.py as the reference for the batched extraction, the
+per-point quadrature tables of tests/pointwise.py, and the exact sphere
+area 4*pi as the limit of the discrete area.
 """
 
 import dataclasses
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from cutcells import extract_cut_polygon
+from pointwise import point_bary, point_coords, point_elem
+from savfem.assembly import _operators, assemble_load
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import idealized_cell, interpolate_p1, sphere
 from savfem.mesh import MeshError, build_active_mesh, build_mesh
@@ -80,8 +83,9 @@ def test_active_mesh_dof_numbering(sphere_l2):
 
 def test_active_mesh_grouping_invariants(sphere_l2):
     active = sphere_l2
+    sq_elem, sq_bary = point_elem(active), point_bary(active)
     assert np.all(np.diff(active.patch_elem) >= 0)
-    assert np.all(np.diff(active.sq_elem) >= 0)
+    assert np.all(np.diff(sq_elem) >= 0)
     assert np.all(np.diff(active.sq_patch_offsets) > 0)
     patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
     assert len(patch_offsets) == active.n_elements + 1
@@ -90,34 +94,35 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     # the points of a patch belong to the patch's element, and every
     # element has points
     sq_patch = np.repeat(np.arange(active.n_patches), np.diff(active.sq_patch_offsets))
-    assert np.array_equal(active.sq_elem, active.patch_elem[sq_patch])
-    assert np.bincount(active.sq_elem, minlength=active.n_elements).min() > 0
-    # each surface triangle carries the same number of points
+    assert np.array_equal(sq_elem, active.patch_elem[sq_patch])
+    assert np.bincount(sq_elem, minlength=active.n_elements).min() > 0
+    # each surface triangle carries the same number of points, and its
+    # three vertices lie in one element
     nq = len(triangle_bary_rule()[1])
     assert len(active.sq_weights) == nq * len(active.tri_index)
-    assert np.array_equal(active.poly_elem[active.tri_index[:, 0]], active.sq_elem[::nq])
-    assert np.allclose(active.sq_bary.sum(axis=1), 1.0, atol=1e-12)
+    tri_elem = active.poly_elem[active.tri_index]
+    assert np.all(tri_elem == tri_elem[:, :1])
+    assert np.allclose(sq_bary.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(active.sq_weights >= 0)
     # Quadrature barycentrics reproduce the physical points through the
     # element map (P1 geometric consistency).
-    coords = active.dof_coords[active.elem_dofs[active.sq_elem]]
-    recon = np.einsum("qi,qij->qj", active.sq_bary, coords)
-    assert np.allclose(recon, active.sq_points, atol=1e-12)
+    coords = active.dof_coords[active.elem_dofs[sq_elem]]
+    recon = np.einsum("qi,qij->qj", sq_bary, coords)
+    assert np.allclose(recon, point_coords(active), atol=1e-12)
 
 
 def test_quadrature_points_against_einsum_formulas(sphere_l2, sphere_l2_flat):
-    """sq_bary, and sq_points built on first access, equal the einsum
-    formulas that evaluated both eagerly."""
+    """A load of a callable integrand evaluates it at the einsum formula's
+    points, built for the call: the mesh caches no per-point array."""
     rule_bary, _ = triangle_bary_rule()
     for active in (sphere_l2, sphere_l2_flat):
-        bary = np.einsum("qi,tif->tqf", rule_bary, active.poly_bary[active.tri_index])
-        np.testing.assert_allclose(active.sq_bary, bary.reshape(-1, 4), rtol=0.0, atol=1e-15)
-
         fresh = dataclasses.replace(active, _cache={})
-        assert "sq_points" not in fresh._cache
+        seen = []
+        assemble_load(fresh, lambda p: seen.append(p) or p[:, 0])
         points = np.einsum("qi,tij->tqj", rule_bary, fresh.poly_points[fresh.tri_index])
-        np.testing.assert_allclose(fresh.sq_points, points.reshape(-1, 3), rtol=0.0, atol=1e-15)
-        assert fresh.sq_points is fresh._cache["sq_points"]
+        np.testing.assert_allclose(seen[0], points.reshape(-1, 3), rtol=0.0, atol=1e-15)
+        assert list(fresh._cache) == ["operators"]
+        assert _operators(fresh).interp.shape == (len(fresh.poly_points), fresh.n_dofs)
 
 
 def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
@@ -168,7 +173,7 @@ def test_active_mesh_determinism():
     mesh = build_mesh(ls, SPHERE_BOX, 2)
     a1 = build_active_mesh(mesh, levelset=ls)
     a2 = build_active_mesh(mesh, levelset=ls)
-    assert np.array_equal(a1.sq_points, a2.sq_points)
+    assert np.array_equal(point_coords(a1), point_coords(a2))
     assert np.array_equal(a1.sq_weights, a2.sq_weights)
     assert np.array_equal(a1.patch_tangential_grads, a2.patch_tangential_grads)
 
