@@ -8,20 +8,19 @@ restricted to the discrete surface Gamma_h:
     stab       (n.grad u, n.grad v)_{Omega_h}     kernel grad_i . M_e . grad_j,
                M_e = sum_s |T_s| n_s n_s^T
 
-Three operators, built once per active mesh, carry every form:
+Two operators, built once per active mesh, carry every form:
   - the CSR pattern of the element scatter ``elem_dofs``, with the position
     of each element entry (e, i, j) in its ``data``;
   - B_P (P x N, ``data`` is ``poly_bary``): c_h at the cut-polygon vertices.
     A triangle's quadrature points are fixed rule combinations R of its
     vertices, so c_h there is (B_P c)[tri_index] R^T, a load (f, psi_j) is
-    B_P^T of the vertex sums of (w f) R, and int c_h = m . c, m_j = int psi_j;
-  - G (nnz x n_p): patch p's Gram tensor grad_G psi_i . grad_G psi_j at its
-    element's pattern positions.  Gradients and normals are constant per
-    patch, so the coefficient stiffness is G k_p with k_p = int_p k ds.
-Mass and stabilization are one ``bincount`` over the positions.  Every
-matrix is ``data`` on the one pattern with explicit zeros kept, so no form
-needs a sparse add or a duplicate summation, and blocks combine by adding
-``data``.
+    B_P^T of the vertex sums of (w f) R, and int c_h = m . c, m_j = int psi_j.
+Every form is one ``bincount`` of element matrices over the positions.  The
+stiffness ones sum k_p = int_p k ds times the Gram table ``patch_gram`` over
+the element's patches (gradients and normals are constant per patch), by a
+CSR product.  Every matrix is ``data`` on the one pattern with explicit
+zeros kept, so no form needs a sparse add or a duplicate summation, and
+blocks combine by adding ``data``.
 
 The mass comes from the exact P1 triangle mass |T|/12 (1 + delta_ab) on each
 surface triangle, which the degree-4 rule would reproduce to round-off with
@@ -60,15 +59,17 @@ __all__ = [
     "compute_mass",
     "l2_norm_gamma",
     "on_pattern",
+    "polygon_points",
 ]
 
 
 class _Operators(NamedTuple):
     indptr: np.ndarray  # CSR pattern of the element scatter, shared by every form
     indices: np.ndarray
-    positions: np.ndarray  # (n_e * 16,) element entry (e, i, j) -> index into data
+    positions: np.ndarray  # (n_e * 16,) intp, read uncast by every bincount: entry (e, i, j) -> data index
     interp: sp.csr_matrix  # B_P, P x N
-    patch_to_pattern: sp.csc_matrix  # G, nnz x n_p
+    patch_indptr: np.ndarray  # (n_e + 1,) each element's patches, which are parent-major
+    patch_indices: np.ndarray  # (n_p,) arange: patch columns of the element-patch CSR
     mass_vector: np.ndarray  # m_j = int psi_j ds
 
 
@@ -82,25 +83,27 @@ def _vertex_sums(active: ActiveMesh, values) -> np.ndarray:
 def _operators(active: ActiveMesh) -> _Operators:
     ops = active._cache.get("operators")
     if ops is None:
-        n, n_v, n_p = active.n_dofs, len(active.poly_bary), active.n_patches
+        n, n_v = active.n_dofs, len(active.poly_bary)
         d = active.elem_dofs.astype(np.int64)
         keys, pos = np.unique((d[:, :, None] * n + d[:, None, :]).reshape(-1), return_inverse=True)
-        pos = pos.reshape(-1, 16)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         indices = (keys % n).astype(np.int32)
-        for a in (indptr, indices):
-            a.setflags(write=False)  # shared by every form: nothing may sort or prune in place
         # int32 indices, which the CSR constructor keeps without a copy
         vdofs = active.elem_dofs.astype(np.int32)[active.poly_elem].reshape(-1)
         vptr = np.arange(0, 4 * n_v + 1, 4, dtype=np.int32)
         b = sp.csr_matrix((active.poly_bary.reshape(-1), vdofs, vptr), shape=(n_v, n))
-        tg = active.patch_tangential_grads
-        gram = np.einsum("pik,pjk->pij", tg, tg).reshape(-1)
-        rows = pos[active.patch_elem].reshape(-1)
-        g = sp.csc_matrix((gram, rows, np.arange(0, 16 * n_p + 1, 16)), shape=(len(keys), n_p))
+        patch_indptr = np.searchsorted(active.patch_elem, np.arange(active.n_elements + 1)).astype(np.int32)
+        patch_indices = np.arange(active.n_patches, dtype=np.int32)
+        for a in (indptr, indices, patch_indptr, patch_indices):
+            a.setflags(write=False)  # shared by every call: nothing may sort or prune in place
         m = b.T @ _vertex_sums(active, 1.0)
-        ops = active._cache["operators"] = _Operators(indptr, indices, pos.reshape(-1), b, g, m)
+        ops = active._cache["operators"] = _Operators(indptr, indices, pos, b, patch_indptr, patch_indices, m)
     return ops
+
+
+def polygon_points(active: ActiveMesh) -> np.ndarray:
+    """(P, 3) cut-polygon vertices, built per call as B_P applied to the dof coordinates."""
+    return _operators(active).interp @ active.dof_coords
 
 
 def on_pattern(active: ActiveMesh, data: np.ndarray) -> sp.csr_matrix:
@@ -150,7 +153,9 @@ def assemble_surface_stiffness(active: ActiveMesh, coefficient=None) -> sp.csr_m
     """
     weight = active.sq_weights if coefficient is None else active.sq_weights * coefficient
     k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
-    return on_pattern(active, _operators(active).patch_to_pattern @ k_p)
+    ops = _operators(active)
+    per_elem = sp.csr_matrix((k_p, ops.patch_indices, ops.patch_indptr), shape=(active.n_elements, len(k_p)))
+    return _scatter(active, per_elem @ active.patch_gram)
 
 
 def assemble_normal_stabilization(active: ActiveMesh) -> sp.csr_matrix:
@@ -187,7 +192,7 @@ def assemble_load(active: ActiveMesh, values) -> np.ndarray:
     """
     if callable(values):
         rule_bary, _ = triangle_bary_rule()
-        values = values(np.matmul(rule_bary, active.poly_points[active.tri_index]).reshape(-1, 3))
+        values = values(np.matmul(rule_bary, polygon_points(active)[active.tri_index]).reshape(-1, 3))
     return _operators(active).interp.T @ _vertex_sums(active, np.asarray(values, dtype=float))
 
 

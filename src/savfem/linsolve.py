@@ -256,15 +256,15 @@ class BlockPattern:
         prow = np.concatenate([2 * rows + a for a in (0, 0, 1, 1)])
         pcol = np.concatenate([2 * cols + b for b in (0, 1, 0, 1)])
         sort = np.lexsort((prow, pcol))
-        where = np.empty_like(sort)
+        where = np.empty(len(sort), dtype=np.int32)  # int32 CSC pattern and positions: read per factorization
         where[sort] = np.arange(len(sort))
         nnz = block.nnz
         return cls(
             block_indptr=block.indptr.copy(),
             block_indices=block.indices.copy(),
-            order=np.column_stack([nodes, nodes + n]).reshape(-1),
-            indptr=np.concatenate([[0], np.cumsum(np.bincount(pcol, minlength=2 * n))]),
-            indices=prow[sort],
+            order=np.column_stack([nodes, nodes + n]).reshape(-1),  # intp: gathered at every LU solve
+            indptr=np.concatenate([[0], np.cumsum(np.bincount(pcol, minlength=2 * n))]).astype(np.int32),
+            indices=prow[sort].astype(np.int32),
             positions=tuple(where[k * nnz : (k + 1) * nnz] for k in range(4)),
         )
 

@@ -16,17 +16,18 @@ finite element space, which stays P1 on the parent tetrahedra.  Geometry is
 continuous across faces because neighboring parents share the midpoint
 samples on the common face.
 
-Each cut sub-tetrahedron is a "patch": it carries one unit normal, the
-tangential projections of the parent basis gradients, its cut polygon (one
-or two surface triangles) and a contiguous block of surface quadrature
-points, stored as weights only: a triangle's six points are fixed
-combinations of its polygon vertices.  Triangles and points are sorted
-patch-major and patches parent-major, so per-parent and per-patch segmented
-reductions both work on contiguous slices.
+Each cut sub-tetrahedron is a "patch": it carries the Gram table of the
+parent basis gradients projected onto its plane, its cut polygon (one or
+two surface triangles, whose vertices are stored by parent barycentric
+coordinates only) and a contiguous block of surface quadrature points,
+stored as weights only: a triangle's six points are fixed combinations of
+its polygon vertices.  Triangles and points are sorted patch-major and
+patches parent-major, so per-parent and per-patch segmented reductions
+both work on contiguous slices.
 
 ``build_active_mesh`` runs in stages, one function each: classification,
-element geometry, patches, polygons and surface quadrature, so that the
-temporaries of a stage are freed when it returns.
+element geometry, patches, polygons, surface quadrature and Gram tables, so
+that the temporaries of a stage are freed when it returns.
 """
 
 from __future__ import annotations
@@ -182,17 +183,14 @@ def build_mesh(
     if len(cubes) == 0:
         raise MeshError("level set does not intersect the box: no band cubes materialized")
 
-    ny1, nz1 = div[1] + 1, div[2] + 1
     corner_idx = cubes[:, None, None, :] + _KUHN_OFFSETS[None, :, :, :]  # (K, 6, 4, 3)
-    grid_ids = (corner_idx[..., 0] * ny1 + corner_idx[..., 1]) * nz1 + corner_idx[..., 2]
-    tets_grid = grid_ids.reshape(-1, 4)
+    tets_grid = np.ravel_multi_index(tuple(np.moveaxis(corner_idx, -1, 0)), phi.shape).reshape(-1, 4)
 
-    uniq = np.unique(tets_grid)
-    tets = np.searchsorted(uniq, tets_grid)
-    iz = uniq % nz1
-    iy = (uniq // nz1) % ny1
-    ix = uniq // (ny1 * nz1)
-    nodes = np.column_stack([axes[0][ix], axes[1][iy], axes[2][iz]])
+    # band nodes in ascending grid order: the used grid points, numbered by a cumsum
+    used = np.zeros(phi.size, dtype=bool)
+    used[tets_grid] = True
+    tets = (np.cumsum(used) - 1)[tets_grid]  # int64: the edge keys min * n + max overflow int32
+    nodes = grid.reshape(-1, 3)[used]
 
     return BackgroundMesh(box=box, level=level, divisions=div, h=h, nodes=nodes, tets=tets)
 
@@ -220,11 +218,10 @@ class ActiveMesh:
     diameters: np.ndarray  # (n_e,) circumscribed diameters
     stab_metric: np.ndarray  # (n_e, 3, 3)
     patch_elem: np.ndarray  # (n_p,) parent element of each patch
-    patch_tangential_grads: np.ndarray  # (n_p, 4, 3)
-    poly_points: np.ndarray  # (P, 3) cut-polygon vertices
-    poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates
+    patch_gram: np.ndarray  # (n_p, 16) row-major grad_G psi_i . grad_G psi_j, constant per patch
+    poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates of the cut-polygon vertices
     poly_elem: np.ndarray  # (P,)
-    tri_index: np.ndarray  # (T, 3) into poly_points
+    tri_index: np.ndarray  # (T, 3) into the polygon vertices
     tri_areas: np.ndarray  # (T,)
     sq_weights: np.ndarray  # (Q,) = (6 T,)
     sq_patch_offsets: np.ndarray  # (n_p + 1,)
@@ -308,13 +305,12 @@ def _element_geometry(coords: np.ndarray):
     return grads, volumes, diameters
 
 
-def _patches(coords, sub_vals, sub_cut, grads, divisions: int):
+def _patches(coords, sub_vals, sub_cut, divisions: int):
     """Stabilization metric of every cut parent, and its patches.
 
     Returns the (n_e, 3, 3) metric, each patch's parent element and
-    lattice sub-tetrahedron, its unit normal, the tangential projections of
-    the parent basis gradients, and its vertex coordinates and level-set
-    values for the polygon extraction.
+    lattice sub-tetrahedron, its unit normal, and its vertex coordinates and
+    level-set values for the polygon extraction.
     """
     subtets = _SUBTETS[divisions]
     n_e, n_sub = sub_cut.shape
@@ -337,14 +333,7 @@ def _patches(coords, sub_vals, sub_cut, grads, divisions: int):
     # Patches: the cut sub-tetrahedra, parent-major order.
     patch_flat = np.flatnonzero(sub_cut.reshape(-1))
     patch_elem, patch_sub = np.divmod(patch_flat, n_sub)
-    patch_normals = unit[patch_flat]
-    pg = grads[patch_elem]  # (n_p, 4, 3)
-    pnd = np.einsum("pik,pk->pi", pg, patch_normals)
-    patch_tangential_grads = pg - pnd[:, :, None] * patch_normals[:, None, :]
-    return (
-        stab_metric, patch_elem, patch_sub, patch_normals, patch_tangential_grads,
-        flat_coords[patch_flat], flat_vals[patch_flat],
-    )
+    return stab_metric, patch_elem, patch_sub, unit[patch_flat], flat_coords[patch_flat], flat_vals[patch_flat]
 
 
 def _polygons(coords, vals, normals, patch_sub, divisions: int):
@@ -369,6 +358,14 @@ def _surface_quadrature(poly_points, tri_index, tri_patch, n_patches):
     return tri_areas, sq_weights, sq_patch_offsets
 
 
+def _patch_gram(grads, patch_elem, normals):
+    """(n_p, 16) Gram table grad_G psi_i . grad_G psi_j of every patch, with
+    grad_G the parent basis gradients projected onto the patch's plane."""
+    pg = grads[patch_elem]  # (n_p, 4, 3)
+    tangential = pg - np.einsum("pik,pk->pi", pg, normals)[:, :, None] * normals[:, None, :]
+    return np.einsum("pik,pjk->pij", tangential, tangential).reshape(-1, 16)
+
+
 def build_active_mesh(
     mesh: BackgroundMesh, levelset: LevelSetField, geometry_divisions: int = 2
 ) -> ActiveMesh:
@@ -388,35 +385,33 @@ def build_active_mesh(
 
     cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, geometry_divisions)
     elem_nodes = mesh.tets[cut_tets]
-    active_nodes = np.unique(elem_nodes)
-    dof_of_node = np.full(len(mesh.nodes), -1, dtype=np.int64)
-    dof_of_node[active_nodes] = np.arange(len(active_nodes))
+    active_nodes, elem_dofs = np.unique(elem_nodes, return_inverse=True)
 
     coords = mesh.nodes[elem_nodes]  # (n_e, 4, 3)
     grads, volumes, diameters = _element_geometry(coords)
-    patches = _patches(coords, sub_vals, sub_cut, grads, geometry_divisions)
-    stab_metric, patch_elem, patch_sub, normals, tangential_grads, patch_coords, patch_vals = patches
+    patches = _patches(coords, sub_vals, sub_cut, geometry_divisions)
+    stab_metric, patch_elem, patch_sub, normals, patch_coords, patch_vals = patches
     poly_points, poly_bary, poly_patch, tri_index, tri_patch = _polygons(
         patch_coords, patch_vals, normals, patch_sub, geometry_divisions
     )
     tri_areas, sq_weights, sq_patch_offsets = _surface_quadrature(
         poly_points, tri_index, tri_patch, len(patch_elem)
     )
+    patch_gram = _patch_gram(grads, patch_elem, normals)
 
     return ActiveMesh(
         mesh=mesh,
         geometry_divisions=geometry_divisions,
-        elem_dofs=dof_of_node[elem_nodes],
+        elem_dofs=elem_dofs.reshape(elem_nodes.shape),
         active_nodes=active_nodes,
         grads=grads,
         volumes=volumes,
         diameters=diameters,
         stab_metric=stab_metric,
-        patch_elem=patch_elem,
-        patch_tangential_grads=tangential_grads,
-        poly_points=poly_points,
+        patch_elem=patch_elem.astype(np.int32),  # int32: read at set-up only
+        patch_gram=patch_gram,
         poly_bary=poly_bary,
-        poly_elem=patch_elem[poly_patch],
+        poly_elem=patch_elem[poly_patch].astype(np.int32),  # int32: read at set-up only
         tri_index=tri_index,
         tri_areas=tri_areas,
         sq_weights=sq_weights,
@@ -447,7 +442,7 @@ def _extract_polygons(coords, vals, normals):
     poly_points = np.empty((pv_off[-1], 3))
     poly_bary = np.zeros((pv_off[-1], 4))
     poly_elem = np.repeat(np.arange(n_e), nv)
-    tri_index = np.empty((tri_off[-1], 3), dtype=np.int64)
+    tri_index = np.empty((tri_off[-1], 3), dtype=np.intp)  # intp: gathered every step, no cast per call
     tri_elem = np.repeat(np.arange(n_e), ntri)
 
     rows_a = np.flatnonzero(n_neg != 2)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import _operators
+from .assembly import _operators, polygon_points
 from .integrators import EnergyReport
 from .mesh import ActiveMesh
 
@@ -67,7 +67,7 @@ def _vtk_geometry(active: ActiveMesh) -> bytes:
     """The snapshot text up to the point data, encoded once per active mesh."""
     geometry = active._cache.get("vtk_geometry")
     if geometry is None:
-        points, tri = active.poly_points, active.tri_index
+        points, tri = polygon_points(active), active.tri_index
         n, m = len(points), len(tri)
         text = "".join(
             [

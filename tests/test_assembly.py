@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pointwise import point_bary, point_coords, point_elem
+from pointwise import cut_edge_points, point_bary, point_coords, point_elem, tangential_grads
 from savfem import assembly
 from savfem.assembly import (
     _operators,
@@ -27,6 +27,7 @@ from savfem.assembly import (
     interpolate_at_surface_qp,
     l2_norm_gamma,
     on_pattern,
+    polygon_points,
 )
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
@@ -93,9 +94,11 @@ class TestPlaneOracle:
         assert abs(val) < 1e-13
 
     def test_patch_normals_are_ez(self, plane_active):
-        # every patch normal is e_z: the tangential gradients have no e_z part
-        tg = plane_active.patch_tangential_grads
-        assert np.abs(tg[:, :, 2]).max() < 1e-12 * np.abs(tg).max()
+        # every patch normal is e_z: the Gram tables are those of the x and y
+        # parts of the parent gradients
+        g = plane_active.grads[plane_active.patch_elem][:, :, :2]
+        planar = np.einsum("pik,pjk->pij", g, g).reshape(-1, 16)
+        assert np.abs(plane_active.patch_gram - planar).max() < 1e-12 * np.abs(planar).max()
 
     def test_element_weighted_stab(self, plane_active):
         # the schemes scale stab by the uniform diameter h: the form with
@@ -271,9 +274,8 @@ def _mass_oracle(active):
 
 
 def _stiffness_oracle(active, weight):
-    tg = active.patch_tangential_grads
     k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
-    patch_mats = k_p[:, None, None] * np.einsum("pik,pjk->pij", tg, tg)
+    patch_mats = k_p[:, None, None] * active.patch_gram.reshape(-1, 4, 4)
     patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
     return _coo_oracle(active, np.add.reduceat(patch_mats, patch_offsets[:-1], axis=0))
 
@@ -383,6 +385,46 @@ class TestOperatorsAgainstElementScatter:
             np.testing.assert_array_equal(form.indices, forms.mass.indices)
 
 
+_LEVELSETS = {"sphere_l2": sphere(1.0), "cell_l2": idealized_cell()}
+
+
+def _patch_to_pattern(active, tg):
+    """G (nnz x n_p): patch p's Gram tensor at its element's pattern
+    positions, so that the coefficient stiffness is G k_p."""
+    ops, n_p = _operators(active), active.n_patches
+    gram = np.einsum("pik,pjk->pij", tg, tg).reshape(-1)
+    rows = ops.positions.reshape(-1, 16)[active.patch_elem].reshape(-1)
+    return sp.csc_matrix((gram, rows, np.arange(0, 16 * n_p + 1, 16)), shape=(len(ops.indices), n_p))
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+class TestSurfaceTablesAgainstPatchStage:
+    """The per-patch Gram table, the derived polygon points and the element
+    scatter of the coefficient stiffness against the tables they replaced."""
+
+    @staticmethod
+    def assert_close(actual, oracle):
+        np.testing.assert_allclose(actual, oracle, rtol=0.0, atol=1e-14 * np.abs(oracle).max())
+
+    def test_gram_table(self, mesh_name, request):
+        active = request.getfixturevalue(mesh_name)
+        tg = tangential_grads(active, _LEVELSETS[mesh_name])
+        self.assert_close(active.patch_gram, np.einsum("pik,pjk->pij", tg, tg).reshape(-1, 16))
+
+    def test_polygon_points(self, mesh_name, request):
+        active = request.getfixturevalue(mesh_name)
+        self.assert_close(polygon_points(active), cut_edge_points(active, _LEVELSETS[mesh_name]))
+
+    def test_coefficient_stiffness(self, mesh_name, request):
+        active = request.getfixturevalue(mesh_name)
+        g = _patch_to_pattern(active, tangential_grads(active, _LEVELSETS[mesh_name]))
+        k = 0.5 + 0.4 * np.sin(5.0 * point_coords(active)[:, 0])
+        k_p = np.add.reduceat(active.sq_weights * k, active.sq_patch_offsets[:-1])
+        mat, oracle = assemble_surface_stiffness(active, k), on_pattern(active, g @ k_p)
+        np.testing.assert_array_equal(mat.indices, oracle.indices)
+        self.assert_close(mat.data, oracle.data)
+
+
 def test_E1_matches_quadrature_of_f0(sphere_l2, rng):
     c = rng.uniform(0.0, 1.0, sphere_l2.n_dofs)
     vals = f0(interpolate_at_surface_qp(sphere_l2, c))
@@ -396,9 +438,7 @@ def test_E1_matches_quadrature_of_f0(sphere_l2, rng):
 
 
 def _separate_mobility(active, c, physics):
-    vals = physics.mobility(interpolate_at_surface_qp(active, c))
-    k_p = np.add.reduceat(active.sq_weights * vals, active.sq_patch_offsets[:-1])
-    return on_pattern(active, _operators(active).patch_to_pattern @ k_p)
+    return assemble_surface_stiffness(active, physics.mobility(interpolate_at_surface_qp(active, c)))
 
 
 def _separate_load(active, c):

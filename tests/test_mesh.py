@@ -14,7 +14,7 @@ import pytest
 
 from cutcells import extract_cut_polygon
 from pointwise import point_bary, point_coords, point_elem
-from savfem.assembly import _operators, assemble_load
+from savfem.assembly import _operators, assemble_load, polygon_points
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import idealized_cell, interpolate_p1, sphere
 from savfem.mesh import MeshError, build_active_mesh, build_mesh
@@ -119,10 +119,10 @@ def test_quadrature_points_against_einsum_formulas(sphere_l2, sphere_l2_flat):
         fresh = dataclasses.replace(active, _cache={})
         seen = []
         assemble_load(fresh, lambda p: seen.append(p) or p[:, 0])
-        points = np.einsum("qi,tij->tqj", rule_bary, fresh.poly_points[fresh.tri_index])
+        points = np.einsum("qi,tij->tqj", rule_bary, polygon_points(fresh)[fresh.tri_index])
         np.testing.assert_allclose(seen[0], points.reshape(-1, 3), rtol=0.0, atol=1e-15)
         assert list(fresh._cache) == ["operators"]
-        assert _operators(fresh).interp.shape == (len(fresh.poly_points), fresh.n_dofs)
+        assert _operators(fresh).interp.shape == (len(fresh.poly_bary), fresh.n_dofs)
 
 
 def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
@@ -146,7 +146,7 @@ def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
         poly = extract_cut_polygon(coords[e], vals[e])
         assert poly is not None
         sel = active.poly_elem == e
-        assert np.allclose(np.sort(active.poly_points[sel], axis=0),
+        assert np.allclose(np.sort(polygon_points(active)[sel], axis=0),
                            np.sort(poly.vertices, axis=0), atol=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_active_mesh_determinism():
     a2 = build_active_mesh(mesh, levelset=ls)
     assert np.array_equal(point_coords(a1), point_coords(a2))
     assert np.array_equal(a1.sq_weights, a2.sq_weights)
-    assert np.array_equal(a1.patch_tangential_grads, a2.patch_tangential_grads)
+    assert np.array_equal(a1.patch_gram, a2.patch_gram)
 
 
 def test_geometry_divisions_validation(sphere_l2):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from savfem.assembly import polygon_points
 from savfem.experiments import ConvergenceRow
 from savfem.integrators import EnergyReport
 from savfem.output import (
@@ -74,7 +75,7 @@ class TestVtkSurface:
         assert lines[2] == "ASCII"
         assert lines[3] == "DATASET POLYDATA"
         n_pts = int(lines[4].split()[1])
-        assert n_pts == len(sphere_l2.poly_points)
+        assert n_pts == len(sphere_l2.poly_bary)
 
         poly_at = 5 + n_pts
         n_tri, n_ints = (int(s) for s in lines[poly_at].split()[1:])
@@ -115,18 +116,19 @@ class TestVtkSurface:
     def line_by_line(active, c):
         """The writer's earlier formatter, one f-string per value: the oracle."""
         values = np.einsum("pi,pi->p", active.poly_bary, c[active.elem_dofs[active.poly_elem]])
+        points = polygon_points(active)
         lines = [
             "# vtk DataFile Version 3.0",
             "trace surface",
             "ASCII",
             "DATASET POLYDATA",
-            f"POINTS {len(active.poly_points)} float",
+            f"POINTS {len(points)} float",
         ]
-        lines.extend(" ".join(f"{x:.9g}" for x in p) for p in active.poly_points)
+        lines.extend(" ".join(f"{x:.9g}" for x in p) for p in points)
         tri = active.tri_index
         lines.append(f"POLYGONS {len(tri)} {4 * len(tri)}")
         lines.extend(f"3 {a} {b} {d}" for a, b, d in tri)
-        lines.append(f"POINT_DATA {len(active.poly_points)}")
+        lines.append(f"POINT_DATA {len(points)}")
         lines.append("SCALARS concentration float 1")
         lines.append("LOOKUP_TABLE default")
         lines.extend(f"{v:.9g}" for v in values)
