@@ -21,7 +21,6 @@ from .experiments import (
     ConvergenceRow,
     RunResult,
     bernoulli_ic,
-    constant_ic,
     initial_state,
     observed_rate,
     run_convergence,

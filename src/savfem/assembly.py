@@ -217,8 +217,8 @@ def l2_norm_gamma(active: ActiveMesh, c: np.ndarray) -> float:
 class AssembledForms:
     """Static forms of one active mesh.
 
-    The schemes scale ``stab`` by ``h_stab``, the common element diameter
-    (the band mesh is uniform, which is asserted at assembly), in the
+    The schemes scale ``stab`` by ``h_stab``, the circumscribed diameter
+    sqrt(3) h of every Kuhn tetrahedron of the uniform band mesh, in the
     c-equation and by its inverse in the mu-equation.
     """
 
@@ -230,14 +230,10 @@ class AssembledForms:
 
 
 def assemble_forms(active: ActiveMesh) -> AssembledForms:
-    d = active.diameters
-    h = float(np.mean(d))
-    if np.max(d) - np.min(d) > 1e-9 * h:
-        raise ValueError("active mesh has non-uniform element diameters; expected a uniform band mesh")
     return AssembledForms(
         active=active,
         mass=assemble_surface_mass(active),
         stiffness=assemble_surface_stiffness(active),
         stab=assemble_normal_stabilization(active),
-        h_stab=h,
+        h_stab=float(np.sqrt(3.0) * active.mesh.h),
     )

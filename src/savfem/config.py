@@ -37,7 +37,6 @@ CELL_BOX = np.array([[-2.0, 2.0], [-4.0 / 3.0, 4.0 / 3.0], [-4.0 / 3.0, 4.0 / 3.
 
 _SURFACES = ("sphere", "cell")
 _SCHEMES = ("bdf1", "bdf2", "adaptive")
-_ICS = ("random", "constant", "manufactured")
 
 
 class ConfigError(ValueError):
@@ -58,7 +57,6 @@ class RunConfig:
     scheme: str = "bdf2"
     dt: float = 0.005
     t_end: float = 1.0
-    ic: str = "random"
     ic_mean: float = 0.5
     seed: int = 0
     tol: float = 1e-3
@@ -77,8 +75,8 @@ class RunConfig:
             raise ConfigError(f"surface must be one of {_SURFACES}, got {self.surface!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.ic not in _ICS:
-            raise ConfigError(f"ic must be one of {_ICS}, got {self.ic!r}")
+        if not 0.0 < self.ic_mean < 1.0:
+            raise ConfigError("ic_mean must lie in (0, 1)")
         if self.level < 1:
             raise ConfigError("level must be >= 1")
         if self.base_scale < 1:

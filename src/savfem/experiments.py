@@ -35,7 +35,6 @@ from .physics import PhysicsParams, r_init
 
 __all__ = [
     "bernoulli_ic",
-    "constant_ic",
     "initial_state",
     "observed_rate",
     "ConvergenceRow",
@@ -56,10 +55,6 @@ def bernoulli_ic(active: ActiveMesh, mean: float, seed: int) -> np.ndarray:
         raise ValueError("mean must lie in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
     return (rng.random(active.n_dofs) < mean).astype(float)
-
-
-def constant_ic(active: ActiveMesh, value: float) -> np.ndarray:
-    return np.full(active.n_dofs, float(value))
 
 
 def initial_state(forms: AssembledForms, physics: PhysicsParams, c0: np.ndarray) -> StateSnapshot:
@@ -190,14 +185,6 @@ def build_problem(config: RunConfig):
     return mesh, active, assemble_forms(active)
 
 
-def _initial_concentration(config: RunConfig, active: ActiveMesh) -> np.ndarray:
-    if config.ic == "random":
-        return bernoulli_ic(active, config.ic_mean, config.seed)
-    if config.ic == "constant":
-        return constant_ic(active, config.ic_mean)
-    return manufactured_solution(config.epsilon).concentration(active.dof_coords)
-
-
 @dataclass
 class RunResult:
     """Final state plus the per-step diagnostics of one time loop."""
@@ -228,7 +215,7 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
     physics = config.physics()
     solver = BlockSolver(config.solver_config())
     controller = config.controller() if adaptive else None
-    state = initial_state(forms, physics, _initial_concentration(config, active))
+    state = initial_state(forms, physics, bernoulli_ic(active, config.ic_mean, config.seed))
 
     out_dir = config.resolved_output_dir()
     sink = None

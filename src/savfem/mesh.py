@@ -25,6 +25,13 @@ its polygon vertices.  Triangles and points are sorted patch-major and
 patches parent-major, so per-parent and per-patch segmented reductions
 both work on contiguous slices.
 
+The cut geometry is a function of the lattice level-set values and the
+parent geometry: a sub-tetrahedron's gradient follows from its four values
+and the parent basis gradients, its volume is |T| / S for the S lattice
+sub-tetrahedra of a red-refined parent T (Bey, Computing 55, 1995), and a
+polygon's vertices and their order follow from its patch's values alone,
+so no sub-tetrahedron coordinates are formed and no order reads a normal.
+
 ``build_active_mesh`` runs in stages, one function each: classification,
 element geometry, patches, polygons, surface quadrature and Gram tables, so
 that the temporaries of a stage are freed when it returns.
@@ -206,7 +213,8 @@ class ActiveMesh:
     triangle t.  ``sq_patch_offsets`` delimit each patch's surface points.
     ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
-    normal-gradient volume stabilization.
+    normal-gradient volume stabilization.  Every element has circumscribed
+    diameter sqrt(3) * mesh.h, the scale of that stabilization.
     """
 
     mesh: BackgroundMesh
@@ -215,7 +223,6 @@ class ActiveMesh:
     active_nodes: np.ndarray  # (n_dofs,) background node ids
     grads: np.ndarray  # (n_e, 4, 3) P1 basis gradients
     volumes: np.ndarray  # (n_e,)
-    diameters: np.ndarray  # (n_e,) circumscribed diameters
     stab_metric: np.ndarray  # (n_e, 3, 3)
     patch_elem: np.ndarray  # (n_p,) parent element of each patch
     patch_gram: np.ndarray  # (n_p, 16) row-major grad_G psi_i . grad_G psi_j, constant per patch
@@ -289,66 +296,52 @@ def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
 
 
 def _element_geometry(coords: np.ndarray):
-    """P1 basis gradients, volumes and circumscribed diameters of the
-    tetrahedra with vertex coordinates ``coords`` (n_e, 4, 3)."""
+    """P1 basis gradients and volumes of the tetrahedra with vertex
+    coordinates ``coords`` (n_e, 4, 3)."""
     edges = coords[:, 1:, :] - coords[:, :1, :]  # (n_e, 3, 3) rows x_i - x_0
     grads = np.empty((len(coords), 4, 3))
     grads[:, 1:, :] = np.linalg.inv(edges).transpose(0, 2, 1)
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-
-    volumes = np.abs(np.linalg.det(edges)) / 6.0
-    rhs = np.einsum("eij,eij->ei", coords[:, 1:, :], coords[:, 1:, :]) - np.einsum(
-        "ej,ej->e", coords[:, 0, :], coords[:, 0, :]
-    )[:, None]
-    centers = np.linalg.solve(2.0 * edges, rhs[:, :, None])[:, :, 0]
-    diameters = 2.0 * np.linalg.norm(centers - coords[:, 0, :], axis=1)
-    return grads, volumes, diameters
+    return grads, np.abs(np.linalg.det(edges)) / 6.0
 
 
-def _patches(coords, sub_vals, sub_cut, divisions: int):
+def _patches(grads, volumes, sub_vals, sub_cut, divisions: int):
     """Stabilization metric of every cut parent, and its patches.
 
-    Returns the (n_e, 3, 3) metric, each patch's parent element and
-    lattice sub-tetrahedron, its unit normal, and its vertex coordinates and
-    level-set values for the polygon extraction.
+    A sub-tetrahedron's level-set gradient is sum_k v_k grad mu_k, with its
+    barycentric coordinates mu = inv(B)^T lambda in terms of the parent's
+    (B: the parent barycentric coordinates of its vertices, by row), and
+    red refinement gives every child the volume |T| / S.  Returns the
+    (n_e, 3, 3) metric, each patch's parent element and lattice
+    sub-tetrahedron, its unit normal and its level-set values.
     """
-    subtets = _SUBTETS[divisions]
-    n_e, n_sub = sub_cut.shape
-    lat_coords = np.matmul(_lattice_bary(divisions), coords)  # (n_e, L, 3)
-    flat_coords = lat_coords[:, subtets, :].reshape(n_e * n_sub, 4, 3)
-    flat_vals = sub_vals.reshape(n_e * n_sub, 4)
-    sub_edges = flat_coords[:, 1:, :] - flat_coords[:, :1, :]
-    sub_grad = np.linalg.solve(sub_edges, (flat_vals[:, 1:] - flat_vals[:, :1])[:, :, None])[:, :, 0]
-    sub_norm = np.linalg.norm(sub_grad, axis=1)
-    sub_vols = np.abs(np.linalg.det(sub_edges)) / 6.0
-    if np.any(sub_norm[sub_cut.reshape(-1)] == 0.0):
+    n_sub = sub_cut.shape[1]
+    sub_inv = np.linalg.inv(_lattice_bary(divisions)[_SUBTETS[divisions]])  # (S, 4, 4)
+    sub_grad = np.einsum("esk,sjk,ejx->esx", sub_vals, sub_inv, grads, optimize=True)
+    sub_norm = np.linalg.norm(sub_grad, axis=2, keepdims=True)
+    if np.any(sub_norm[sub_cut] == 0.0):
         raise MeshError("grad(phi_h) vanishes on a cut sub-tetrahedron")
-    unit = np.zeros_like(sub_grad)
-    nz = sub_norm > 0.0
-    unit[nz] = sub_grad[nz] / sub_norm[nz, None]
-
-    outer = sub_vols[:, None, None] * (unit[:, :, None] * unit[:, None, :])
-    stab_metric = outer.reshape(n_e, n_sub, 3, 3).sum(axis=1)
+    unit = np.divide(sub_grad, sub_norm, out=np.zeros_like(sub_grad), where=sub_norm > 0.0)
+    stab_metric = (volumes / n_sub)[:, None, None] * np.einsum("esi,esj->eij", unit, unit)
 
     # Patches: the cut sub-tetrahedra, parent-major order.
-    patch_flat = np.flatnonzero(sub_cut.reshape(-1))
-    patch_elem, patch_sub = np.divmod(patch_flat, n_sub)
-    return stab_metric, patch_elem, patch_sub, unit[patch_flat], flat_coords[patch_flat], flat_vals[patch_flat]
+    patch_elem, patch_sub = np.nonzero(sub_cut)
+    return stab_metric, patch_elem, patch_sub, unit[sub_cut], sub_vals[sub_cut]
 
 
-def _polygons(coords, vals, normals, patch_sub, divisions: int):
+def _polygons(vals, patch_sub, divisions: int):
     """Cut polygons of the patches, with barycentric coordinates in the parent."""
-    poly_points, sub_bary, poly_patch, tri_index, tri_patch = _extract_polygons(coords, vals, normals)
+    sub_bary, poly_patch, tri_index, tri_patch = _extract_polygons(vals)
     sub_to_parent = _lattice_bary(divisions)[_SUBTETS[divisions]]  # (S, 4, 4)
     poly_bary = np.einsum("pk,pkf->pf", sub_bary, sub_to_parent[patch_sub[poly_patch]])
-    return poly_points, poly_bary, poly_patch, tri_index, tri_patch
+    return poly_bary, poly_patch, tri_index, tri_patch
 
 
-def _surface_quadrature(poly_points, tri_index, tri_patch, n_patches):
+def _surface_quadrature(coords, poly_bary, poly_elem, tri_index, tri_patch, n_patches):
     """Triangle areas, and the weights of the surface rule, with each
-    patch's offsets into them."""
+    patch's offsets into them.  ``coords`` are the parents' vertices."""
     _, rule_w = triangle_bary_rule()
-    tri_coords = poly_points[tri_index]  # (T, 3, 3)
+    tri_coords = np.einsum("pf,pfx->px", poly_bary, coords[poly_elem])[tri_index]  # (T, 3, 3)
     tri_areas = 0.5 * np.linalg.norm(
         np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
     )
@@ -388,14 +381,14 @@ def build_active_mesh(
     active_nodes, elem_dofs = np.unique(elem_nodes, return_inverse=True)
 
     coords = mesh.nodes[elem_nodes]  # (n_e, 4, 3)
-    grads, volumes, diameters = _element_geometry(coords)
-    patches = _patches(coords, sub_vals, sub_cut, geometry_divisions)
-    stab_metric, patch_elem, patch_sub, normals, patch_coords, patch_vals = patches
-    poly_points, poly_bary, poly_patch, tri_index, tri_patch = _polygons(
-        patch_coords, patch_vals, normals, patch_sub, geometry_divisions
+    grads, volumes = _element_geometry(coords)
+    stab_metric, patch_elem, patch_sub, normals, patch_vals = _patches(
+        grads, volumes, sub_vals, sub_cut, geometry_divisions
     )
+    poly_bary, poly_patch, tri_index, tri_patch = _polygons(patch_vals, patch_sub, geometry_divisions)
+    poly_elem = patch_elem[poly_patch]
     tri_areas, sq_weights, sq_patch_offsets = _surface_quadrature(
-        poly_points, tri_index, tri_patch, len(patch_elem)
+        coords, poly_bary, poly_elem, tri_index, tri_patch, len(patch_elem)
     )
     patch_gram = _patch_gram(grads, patch_elem, normals)
 
@@ -406,12 +399,11 @@ def build_active_mesh(
         active_nodes=active_nodes,
         grads=grads,
         volumes=volumes,
-        diameters=diameters,
         stab_metric=stab_metric,
         patch_elem=patch_elem.astype(np.int32),  # int32: read at set-up only
         patch_gram=patch_gram,
         poly_bary=poly_bary,
-        poly_elem=patch_elem[poly_patch].astype(np.int32),  # int32: read at set-up only
+        poly_elem=poly_elem.astype(np.int32),  # int32: read at set-up only
         tri_index=tri_index,
         tri_areas=tri_areas,
         sq_weights=sq_weights,
@@ -422,15 +414,34 @@ def build_active_mesh(
 _OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)], dtype=np.int64)
 
 
-def _extract_polygons(coords, vals, normals):
-    """Vectorized cut-polygon extraction for all patches at once.
+def _crossings(vals, a, b):
+    """Barycentric coordinates (n, k, 4) of the zero of the linear
+    interpolant of ``vals`` (n, 4) on the edges a[:, j]-b[:, j], at
+    t = v_a / (v_a - v_b) from vertex a."""
+    va = np.take_along_axis(vals, a, axis=1)
+    vb = np.take_along_axis(vals, b, axis=1)
+    t = va / (va - vb)
+    rows, cols = np.arange(len(a))[:, None], np.arange(a.shape[1])[None, :]
+    bary = np.zeros(a.shape + (4,))
+    bary[rows, cols, a] = 1.0 - t
+    bary[rows, cols, b] = t
+    return bary
 
-    Equivalent to extract_cut_polygon of tests/cutcells.py per patch, the
-    single-tetrahedron oracle it is tested against; output arrays are
-    ordered by patch, barycentric coordinates refer to the patch
-    tetrahedron.
+
+def _extract_polygons(vals):
+    """Vectorized cut-polygon extraction for all patches at once, from
+    their (n, 4) level-set values.
+
+    Returns the polygon vertices by barycentric coordinates in their patch,
+    each vertex's patch, and the triangles with their patches, all ordered
+    by patch.  A triangle's vertices follow the order of its crossing edges
+    around the lone vertex.  A quadrilateral with negative vertices
+    a0 < a1 and positive vertices b0 < b1 runs a0b0, a0b1, a1b1, a1b0, so
+    consecutive crossings share a face, and is split along a0b0-a1b1.  The
+    vertex sets equal those of extract_cut_polygon of tests/cutcells.py,
+    the single-tetrahedron oracle it is tested against.
     """
-    n_e = len(vals)
+    n_p = len(vals)
     neg = vals < 0.0
     n_neg = neg.sum(axis=1)
 
@@ -439,66 +450,21 @@ def _extract_polygons(coords, vals, normals):
     pv_off = np.concatenate([[0], np.cumsum(nv)])
     tri_off = np.concatenate([[0], np.cumsum(ntri)])
 
-    poly_points = np.empty((pv_off[-1], 3))
-    poly_bary = np.zeros((pv_off[-1], 4))
-    poly_elem = np.repeat(np.arange(n_e), nv)
+    poly_bary = np.empty((pv_off[-1], 4))
     tri_index = np.empty((tri_off[-1], 3), dtype=np.intp)  # intp: gathered every step, no cast per call
-    tri_elem = np.repeat(np.arange(n_e), ntri)
 
-    rows_a = np.flatnonzero(n_neg != 2)
-    if len(rows_a):
-        lone = np.where(n_neg[rows_a] == 1, np.argmax(neg[rows_a], axis=1), np.argmax(~neg[rows_a], axis=1))
-        others = _OTHERS[lone]  # (nA, 3) increasing index order
-        va = vals[rows_a, lone][:, None]
-        vo = np.take_along_axis(vals[rows_a], others, axis=1)
-        t = va / (va - vo)  # (nA, 3)
-        xa = coords[rows_a, lone][:, None, :]
-        xo = np.take_along_axis(coords[rows_a], others[:, :, None], axis=1)
-        verts = xa + t[:, :, None] * (xo - xa)
-        slot = pv_off[rows_a][:, None] + np.arange(3)[None, :]
-        poly_points[slot] = verts
-        ar = np.arange(len(rows_a))[:, None]
-        bary = np.zeros((len(rows_a), 3, 4))
-        bary[ar, np.arange(3)[None, :], others] = t
-        bary[ar, np.arange(3)[None, :], lone[:, None]] = 1.0 - t
-        poly_bary[slot] = bary
-        tri_index[tri_off[rows_a]] = slot
+    rows = np.flatnonzero(n_neg != 2)
+    lone = np.where(n_neg[rows] == 1, np.argmax(neg[rows], axis=1), np.argmax(~neg[rows], axis=1))
+    slot = pv_off[rows][:, None] + np.arange(3)[None, :]
+    poly_bary[slot] = _crossings(vals[rows], np.repeat(lone[:, None], 3, axis=1), _OTHERS[lone])
+    tri_index[tri_off[rows]] = slot
 
-    rows_b = np.flatnonzero(n_neg == 2)
-    if len(rows_b):
-        negs = np.argsort(~neg[rows_b], axis=1, kind="stable")[:, :2]
-        poss = np.argsort(neg[rows_b], axis=1, kind="stable")[:, :2]
-        a_idx = negs[:, [0, 0, 1, 1]]
-        b_idx = poss[:, [0, 1, 0, 1]]
-        va = np.take_along_axis(vals[rows_b], a_idx, axis=1)
-        vb = np.take_along_axis(vals[rows_b], b_idx, axis=1)
-        t = va / (va - vb)  # (nB, 4)
-        xa = np.take_along_axis(coords[rows_b], a_idx[:, :, None], axis=1)
-        xb = np.take_along_axis(coords[rows_b], b_idx[:, :, None], axis=1)
-        verts = xa + t[:, :, None] * (xb - xa)
-        ar = np.arange(len(rows_b))[:, None]
-        bary = np.zeros((len(rows_b), 4, 4))
-        bary[ar, np.arange(4)[None, :], a_idx] = 1.0 - t
-        bary[ar, np.arange(4)[None, :], b_idx] = t
+    rows = np.flatnonzero(n_neg == 2)
+    negs = np.argsort(~neg[rows], axis=1, kind="stable")[:, :2]
+    poss = np.argsort(neg[rows], axis=1, kind="stable")[:, :2]
+    slot = pv_off[rows][:, None] + np.arange(4)[None, :]
+    poly_bary[slot] = _crossings(vals[rows], negs[:, [0, 0, 1, 1]], poss[:, [0, 1, 1, 0]])
+    tri_index[tri_off[rows]] = slot[:, [0, 1, 2]]
+    tri_index[tri_off[rows] + 1] = slot[:, [0, 2, 3]]
 
-        # Deterministic angular order around the centroid in the cut plane.
-        nrm = normals[rows_b]
-        centroid = verts.mean(axis=1)
-        d = verts - centroid[:, None, :]
-        k = np.argmin(np.abs(nrm), axis=1)
-        ek = np.eye(3)[k]
-        t1 = ek - np.einsum("nj,nj->n", ek, nrm)[:, None] * nrm
-        t1 /= np.linalg.norm(t1, axis=1)[:, None]
-        t2 = np.cross(nrm, t1)
-        ang = np.arctan2(np.einsum("nvj,nj->nv", d, t2), np.einsum("nvj,nj->nv", d, t1))
-        order = np.argsort(ang, axis=1)
-        verts = np.take_along_axis(verts, order[:, :, None], axis=1)
-        bary = np.take_along_axis(bary, order[:, :, None], axis=1)
-
-        slot = pv_off[rows_b][:, None] + np.arange(4)[None, :]
-        poly_points[slot] = verts
-        poly_bary[slot] = bary
-        tri_index[tri_off[rows_b]] = slot[:, [0, 1, 2]]
-        tri_index[tri_off[rows_b] + 1] = slot[:, [0, 2, 3]]
-
-    return poly_points, poly_bary, poly_elem, tri_index, tri_elem
+    return poly_bary, np.repeat(np.arange(n_p), nv), tri_index, np.repeat(np.arange(n_p), ntri)

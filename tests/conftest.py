@@ -1,12 +1,12 @@
-"""Shared fixtures: small sphere meshes reused across test modules."""
+"""Shared fixtures: small sphere and cell meshes reused across test modules."""
 
 import numpy as np
 import pytest
 
 from savfem.assembly import assemble_forms
-from savfem.levelset import sphere
+from savfem.levelset import idealized_cell, sphere
 from savfem.mesh import build_active_mesh, build_mesh
-from savfem.config import SPHERE_BOX
+from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.physics import PhysicsParams
 
 
@@ -37,6 +37,13 @@ def sphere_l2_flat():
     """Interpolant geometry (divisions = 1) of the level-2 sphere."""
     mesh = build_mesh(sphere(1.0), SPHERE_BOX, 2)
     return build_active_mesh(mesh, levelset=sphere(1.0), geometry_divisions=1)
+
+
+@pytest.fixture(scope="session")
+def cell_l2():
+    """Idealized-cell active mesh: a curved surface with varying curvature."""
+    mesh = build_mesh(idealized_cell(), CELL_BOX, 2)
+    return build_active_mesh(mesh, levelset=idealized_cell())
 
 
 @pytest.fixture()

@@ -1,6 +1,6 @@
-"""Tables the mesh no longer stores, rebuilt for the tests: the oracles for
-the polygon-vertex operators of ``savfem.assembly`` and for the per-patch
-Gram tables.
+"""Tables the mesh no longer stores or never forms, rebuilt for the tests:
+the oracles for the polygon-vertex operators of ``savfem.assembly``, for
+the per-patch Gram tables and for the closed-form cut geometry.
 
 The mesh stores the surface rule by triangle: point 6 t + k is rule point k
 of triangle t, at the rule's barycentric combination of the triangle's
@@ -8,9 +8,13 @@ polygon vertices ``tri_index[t]``.  These helpers form, point by point, the
 parent barycentric coordinates, parent elements and physical coordinates of
 the surface quadrature points, the tables the mesh once stored.
 
-The patch stage of ``build_active_mesh``, re-run on an active mesh's
-background mesh, gives the tangential gradients of every patch and the
-polygon vertices as the extraction computes them on the patch edges.
+The classification stage of ``build_active_mesh``, re-run on an active
+mesh's background mesh, gives the level-set values of every lattice
+sub-tetrahedron; from their physical coordinates, which the mesh never
+forms, come the LAPACK gradients and volumes that the closed forms of
+``mesh._patches`` replaced, the tangential gradients of every patch and
+the polygon vertices on the patch edges.  The circumscribed diameters come
+from the circumcenter solve that ``h_stab = sqrt(3) h`` replaced.
 """
 
 from __future__ import annotations
@@ -19,10 +23,19 @@ import numpy as np
 
 from savfem.assembly import polygon_points
 from savfem.levelset import interpolate_p1
-from savfem.mesh import ZERO_SHIFT_SCALE, _classify, _patches, _polygons
+from savfem.mesh import _SUBTETS, ZERO_SHIFT_SCALE, _classify, _extract_polygons, _lattice_bary, _patches
 from savfem.quadrature import triangle_bary_rule
 
-__all__ = ["point_bary", "point_elem", "point_coords", "tangential_grads", "cut_edge_points"]
+__all__ = [
+    "point_bary",
+    "point_elem",
+    "point_coords",
+    "patch_stage",
+    "lapack_geometry",
+    "circumdiameters",
+    "tangential_grads",
+    "cut_edge_points",
+]
 
 
 def point_bary(active) -> np.ndarray:
@@ -43,26 +56,72 @@ def point_coords(active) -> np.ndarray:
     return np.matmul(rule_bary, polygon_points(active)[active.tri_index]).reshape(-1, 3)
 
 
-def _patch_stage(active, levelset):
-    """``mesh._patches`` of ``active``, whose surface is the zero set of
-    ``levelset``: (stab_metric, patch_elem, patch_sub, normals, coords, vals)."""
+def _lattice_stage(active, levelset):
+    """Classification of ``active``, whose surface is the zero set of
+    ``levelset``: the vertex coordinates (n_e, S, 4, 3) and level-set
+    values (n_e, S, 4) of every lattice sub-tetrahedron, and its cut flags."""
     mesh, divisions = active.mesh, active.geometry_divisions
     phi = interpolate_p1(levelset, mesh)
     phi[phi == 0.0] = ZERO_SHIFT_SCALE * mesh.h
     cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, divisions)
-    return _patches(mesh.nodes[mesh.tets[cut_tets]], sub_vals, sub_cut, divisions)
+    lat_coords = np.matmul(_lattice_bary(divisions), mesh.nodes[mesh.tets[cut_tets]])  # (n_e, L, 3)
+    return lat_coords[:, _SUBTETS[divisions], :], sub_vals, sub_cut
+
+
+def patch_stage(active, levelset):
+    """``mesh._patches`` of ``active``: (stab_metric, patch_elem, patch_sub,
+    normals, vals)."""
+    _, sub_vals, sub_cut = _lattice_stage(active, levelset)
+    return _patches(active.grads, active.volumes, sub_vals, sub_cut, active.geometry_divisions)
+
+
+def lapack_geometry(active, levelset):
+    """Unit normals (n_e, S, 3) and volumes (n_e, S) of every lattice
+    sub-tetrahedron from its own coordinates, by a LAPACK solve for the
+    level-set gradient and a determinant, and the cut flags (n_e, S).
+    Normals of sub-tetrahedra with a vanishing gradient are zero."""
+    sub_coords, sub_vals, sub_cut = _lattice_stage(active, levelset)
+    edges = sub_coords[:, :, 1:, :] - sub_coords[:, :, :1, :]
+    grad = np.linalg.solve(edges, (sub_vals[:, :, 1:] - sub_vals[:, :, :1])[..., None])[..., 0]
+    norm = np.linalg.norm(grad, axis=2, keepdims=True)
+    unit = np.divide(grad, norm, out=np.zeros_like(grad), where=norm > 0.0)
+    return unit, np.abs(np.linalg.det(edges)) / 6.0, sub_cut
+
+
+def circumdiameters(active) -> np.ndarray:
+    """(n_e,) circumscribed diameters of the active elements, from the
+    circumcenter solve 2 (x_i - x_0) . c = |x_i|^2 - |x_0|^2."""
+    coords = active.dof_coords[active.elem_dofs]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    sq = np.einsum("eij,eij->ei", coords, coords)
+    rhs = sq[:, 1:] - sq[:, :1]
+    centers = np.linalg.solve(2.0 * edges, rhs[:, :, None])[:, :, 0]
+    return 2.0 * np.linalg.norm(centers - coords[:, 0, :], axis=1)
 
 
 def tangential_grads(active, levelset) -> np.ndarray:
-    """(n_p, 4, 3) parent basis gradients projected onto each patch's plane."""
-    _, patch_elem, _, normals, _, _ = _patch_stage(active, levelset)
+    """(n_p, 4, 3) parent basis gradients projected onto each patch's plane,
+    with the normals of ``lapack_geometry``."""
+    unit, _, sub_cut = lapack_geometry(active, levelset)
+    patch_elem = np.nonzero(sub_cut)[0]
     assert np.array_equal(patch_elem, active.patch_elem)
+    normals = unit[sub_cut]
     pg = active.grads[patch_elem]
     return pg - np.einsum("pik,pk->pi", pg, normals)[:, :, None] * normals[:, None, :]
 
 
 def cut_edge_points(active, levelset) -> np.ndarray:
-    """(P, 3) cut-polygon vertices x_a + t (x_b - x_a) on the patch edges,
-    as the extraction computes them."""
-    _, _, patch_sub, normals, coords, vals = _patch_stage(active, levelset)
-    return _polygons(coords, vals, normals, patch_sub, active.geometry_divisions)[0]
+    """(P, 3) cut-polygon vertices x_a + t (x_b - x_a), t = v_a / (v_a - v_b),
+    on the patch edges a-b (v_a < 0 < v_b) that the extraction crosses, in
+    its vertex order."""
+    sub_coords, sub_vals, sub_cut = _lattice_stage(active, levelset)
+    coords, vals = sub_coords[sub_cut], sub_vals[sub_cut]  # (n_p, 4, 3), (n_p, 4)
+    sub_bary, poly_patch, _, _ = _extract_polygons(vals)
+    pv, on_edge = vals[poly_patch], sub_bary > 0.0
+    assert np.all(on_edge.sum(axis=1) == 2)
+    a = np.argmax(on_edge & (pv < 0.0), axis=1)
+    b = np.argmax(on_edge & (pv > 0.0), axis=1)
+    rows = np.arange(len(poly_patch))
+    t = pv[rows, a] / (pv[rows, a] - pv[rows, b])
+    xa, xb = coords[poly_patch, a], coords[poly_patch, b]
+    return xa + t[:, None] * (xb - xa)

@@ -175,7 +175,6 @@ def decay_runs():
                 scheme=scheme,
                 dt=0.005,
                 t_end=1.0,  # 200 steps
-                ic="random",
                 ic_mean=a,
                 seed=1,
             )

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pointwise import cut_edge_points, point_bary, point_coords, point_elem, tangential_grads
+from pointwise import (
+    circumdiameters,
+    cut_edge_points,
+    point_bary,
+    point_coords,
+    point_elem,
+    tangential_grads,
+)
 from savfem import assembly
 from savfem.assembly import (
     _operators,
@@ -29,7 +36,7 @@ from savfem.assembly import (
     on_pattern,
     polygon_points,
 )
-from savfem.config import CELL_BOX, SPHERE_BOX
+from savfem.config import SPHERE_BOX
 from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
 from savfem.mesh import build_active_mesh, build_mesh
 from savfem.physics import PhysicsParams, f0, f0_prime
@@ -45,13 +52,6 @@ def plane_active(request):
     box = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
     mesh = build_mesh(ls, box, 1)
     return build_active_mesh(mesh, levelset=ls, geometry_divisions=request.param)
-
-
-@pytest.fixture(scope="module")
-def cell_l2():
-    """Idealized-cell active mesh: a curved surface with varying curvature."""
-    mesh = build_mesh(idealized_cell(), CELL_BOX, 2)
-    return build_active_mesh(mesh, levelset=idealized_cell())
 
 
 def quad_form(active, mat, fn):
@@ -105,8 +105,9 @@ class TestPlaneOracle:
         # each element weighted by its own diameter
         a = plane_active
         elem = np.einsum("eik,ekl,ejl->eij", a.grads, a.stab_metric, a.grads)
-        stab_h = _coo_oracle(a, a.diameters[:, None, None] * elem)
-        h = float(np.mean(a.diameters))
+        d = circumdiameters(a)
+        stab_h = _coo_oracle(a, d[:, None, None] * elem)
+        h = float(np.mean(d))
         assert abs(stab_h - h * assemble_normal_stabilization(a)).max() < 1e-12 * h
 
     def test_mobility_coefficient_factorization(self, plane_active):
@@ -203,7 +204,7 @@ class TestAssembledForms:
         import dataclasses
 
         forms = sphere_l2_forms
-        assert forms.h_stab == pytest.approx(np.mean(forms.active.diameters), rel=1e-15)
+        assert forms.h_stab == pytest.approx(np.mean(circumdiameters(forms.active)), rel=1e-15)
         for form in (forms.stiffness, forms.stab):
             assert form.shape == forms.mass.shape
         # static forms only: nothing per step is stored on the bundle
@@ -221,16 +222,6 @@ class TestAssembledForms:
         assert abs(mobility - 0.25 * forms.stiffness).max() < 1e-14
         assert np.abs(load).max() < 1e-15
         assert e1 == pytest.approx(forms.active.sq_weights.sum() / 64.0, rel=1e-14)
-
-    def test_non_uniform_diameters_rejected(self, sphere_l2):
-        import dataclasses
-
-        bad = dataclasses.replace(sphere_l2)
-        bad.diameters = sphere_l2.diameters.copy()
-        bad.diameters[0] *= 1.5
-        bad._cache = {}
-        with pytest.raises(ValueError, match="uniform"):
-            assemble_forms(bad)
 
 
 # Oracles: the element-scatter formulas the assembly used before its forms
@@ -373,8 +364,9 @@ class TestOperatorsAgainstElementScatter:
         stab = assemble_normal_stabilization(a)
         self.assert_same_matrix(stab, _coo_oracle(a, elem))
         # the uniform scalings the schemes use equal the diameter-weighted forms
-        h = float(np.mean(a.diameters))
-        for scale, weight in ((h, a.diameters), (1.0 / h, 1.0 / a.diameters)):
+        d = circumdiameters(a)
+        h = float(np.mean(d))
+        for scale, weight in ((h, d), (1.0 / h, 1.0 / d)):
             self.assert_same_matrix(scale * stab, _coo_oracle(a, weight[:, None, None] * elem))
 
     def test_every_form_has_one_pattern(self, sphere_l2_forms, bernoulli):

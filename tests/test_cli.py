@@ -24,7 +24,6 @@ def sphere_cfg(tmp_path):
         scheme = bdf1
         dt = 0.005
         t_end = 0.02
-        ic = random
         ic_mean = 0.5
         seed = 3
         run_name = clitest

@@ -53,7 +53,7 @@ class TestValidation:
         [
             ({"surface": "torus"}, "surface"),
             ({"scheme": "rk4"}, "scheme"),
-            ({"ic": "vortex"}, "ic"),
+            ({"ic_mean": 1.0}, "ic"),
             ({"level": 0}, "level"),
             ({"base_scale": 0}, "base_scale"),
             ({"geometry_divisions": 3}, "geometry_divisions"),
@@ -111,7 +111,7 @@ class TestParsing:
         path.write_text("solver = krylov\n")
         with pytest.raises(ConfigError, match="unknown config key 'solver'"):
             load_config(path)
-        for key in ("solver_max_iterations", "preconditioner", "mobility", "mobility_constant"):
+        for key in ("solver_max_iterations", "preconditioner", "mobility", "mobility_constant", "ic"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 parse_overrides([f"{key}=1"])
 

@@ -8,7 +8,6 @@ from savfem.config import RunConfig
 from savfem.experiments import (
     bernoulli_ic,
     build_problem,
-    constant_ic,
     initial_state,
     observed_rate,
     run_convergence,
@@ -36,14 +35,9 @@ class TestInitialData:
         with pytest.raises(ValueError, match="mean"):
             bernoulli_ic(sphere_l2, 1.0, seed=0)
 
-    def test_constant_ic(self, sphere_l2):
-        c = constant_ic(sphere_l2, 0.25)
-        assert c.shape == (sphere_l2.n_dofs,)
-        assert np.all(c == 0.25)
-
     def test_initial_state_r(self, sphere_l2_forms):
         physics = PhysicsParams(epsilon=0.05, c_shift=1.0)
-        c0 = constant_ic(sphere_l2_forms.active, 0.5)
+        c0 = np.full(sphere_l2_forms.active.n_dofs, 0.5)
         state = initial_state(sphere_l2_forms, physics, c0)
         e1 = compute_E1(sphere_l2_forms.active, c0)
         assert state.r == pytest.approx(np.sqrt(e1 + 1.0), rel=1e-14)
@@ -95,7 +89,6 @@ def quick_config(**overrides):
         scheme="bdf1",
         dt=0.005,
         t_end=0.025,
-        ic="random",
         ic_mean=0.5,
         seed=3,
         run_name="quick",

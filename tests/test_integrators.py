@@ -9,13 +9,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointwise import circumdiameters
 from savfem.assembly import (
     assemble_f0prime_load,
     assemble_surface_stiffness,
     compute_E1,
     interpolate_at_surface_qp,
 )
-from savfem.experiments import constant_ic, initial_state
+from savfem.experiments import initial_state
 from savfem.integrators import (
     BDF1,
     HistoryError,
@@ -78,7 +79,7 @@ class TestCoefficients:
 class TestEquilibrium:
     def test_constant_half_is_steady(self, sphere_l2_forms, physics):
         # f0'(1/2) = 0: the flow starts at an equilibrium and stays there
-        state = initial_state(sphere_l2_forms, physics, constant_ic(sphere_l2_forms.active, 0.5))
+        state = initial_state(sphere_l2_forms, physics, np.full(sphere_l2_forms.active.n_dofs, 0.5))
         nxt = bdf1_step(state, 0.01, sphere_l2_forms, physics)
         np.testing.assert_allclose(nxt.c, state.c, atol=1e-12)
         assert nxt.r == pytest.approx(state.r, abs=1e-12)
@@ -166,7 +167,7 @@ class TestVariableStep:
 class TestModifiedEnergies:
     def test_bdf1_energy_at_equilibrium(self, sphere_l2_forms, physics):
         # constant c: gradient and stab terms vanish, energy = r^2 = E1 + C
-        state = initial_state(sphere_l2_forms, physics, constant_ic(sphere_l2_forms.active, 0.5))
+        state = initial_state(sphere_l2_forms, physics, np.full(sphere_l2_forms.active.n_dofs, 0.5))
         area = sphere_l2_forms.active.area
         expected = area / 64.0 + physics.c_shift
         assert modified_energy(state, sphere_l2_forms, physics) == pytest.approx(
@@ -174,7 +175,7 @@ class TestModifiedEnergies:
         )
 
     def test_bdf2_energy_of_identical_pair(self, sphere_l2_forms, physics):
-        state = initial_state(sphere_l2_forms, physics, constant_ic(sphere_l2_forms.active, 0.5))
+        state = initial_state(sphere_l2_forms, physics, np.full(sphere_l2_forms.active.n_dofs, 0.5))
         e1 = modified_energy(state, sphere_l2_forms, physics)
         e2 = modified_energy(state, sphere_l2_forms, physics, prev=state)
         # with state == prev the pair energy doubles the r^2 and gradient parts
@@ -254,7 +255,7 @@ class TestGuards:
     def test_initial_state_fails_without_shift_at_zero(self, sphere_l2_forms):
         physics = PhysicsParams(epsilon=0.05, c_shift=0.0)
         with pytest.raises(EnergyFloorError):
-            initial_state(sphere_l2_forms, physics, constant_ic(sphere_l2_forms.active, 0.0))
+            initial_state(sphere_l2_forms, physics, np.zeros(sphere_l2_forms.active.n_dofs))
 
 
 class TestEnergyReport:
@@ -370,7 +371,8 @@ def _oracle_forms(forms, weighted: bool) -> _OracleForms:
             np.testing.assert_array_equal(mat.indices, stab.indices)
             return mat
 
-        stab_h, stab_invh = scaled(a.diameters), scaled(1.0 / a.diameters)
+        d = circumdiameters(a)
+        stab_h, stab_invh = scaled(d), scaled(1.0 / d)
     else:
         stab_h, stab_invh = _on(stab, h * stab.data), _on(stab, stab.data / h)
     pattern = BlockPattern.build(a.dof_coords, forms.mass)

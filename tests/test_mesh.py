@@ -3,7 +3,8 @@
 Oracles: closed-form mesh sizes h_l = base_edge / 2^l, exact volume
 partition of cubes into six Kuhn tetrahedra, single-tet polygon extraction
 from tests/cutcells.py as the reference for the batched extraction, the
-per-point quadrature tables of tests/pointwise.py, and the exact sphere
+per-point quadrature tables, the per-sub-tetrahedron LAPACK geometry and
+the circumscribed diameters of tests/pointwise.py, and the exact sphere
 area 4*pi as the limit of the discrete area.
 """
 
@@ -13,11 +14,18 @@ import numpy as np
 import pytest
 
 from cutcells import extract_cut_polygon
-from pointwise import point_bary, point_coords, point_elem
+from pointwise import (
+    circumdiameters,
+    lapack_geometry,
+    patch_stage,
+    point_bary,
+    point_coords,
+    point_elem,
+)
 from savfem.assembly import _operators, assemble_load, polygon_points
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import idealized_cell, interpolate_p1, sphere
-from savfem.mesh import MeshError, build_active_mesh, build_mesh
+from savfem.mesh import MeshError, _extract_polygons, build_active_mesh, build_mesh
 from savfem.quadrature import triangle_bary_rule
 
 
@@ -136,6 +144,51 @@ def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
         assert np.all(eig > -1e-15)
 
 
+_LEVELSETS = {"sphere_l2": sphere(1.0), "sphere_l2_flat": sphere(1.0), "cell_l2": idealized_cell()}
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
+def test_closed_form_geometry_matches_lapack_oracle(mesh_name, request):
+    """Patch normals from the parent gradients, sub-volumes |T| / S and the
+    stabilization metric against a LAPACK solve and determinant on the
+    coordinates of every lattice sub-tetrahedron."""
+    active, levelset = request.getfixturevalue(mesh_name), _LEVELSETS[mesh_name]
+    unit, sub_vols, sub_cut = lapack_geometry(active, levelset)
+    _, patch_elem, _, normals, _ = patch_stage(active, levelset)
+    np.testing.assert_array_equal(patch_elem, active.patch_elem)
+    np.testing.assert_allclose(normals, unit[sub_cut], rtol=0.0, atol=1e-12)
+    n_sub = sub_cut.shape[1]
+    np.testing.assert_allclose(sub_vols, np.repeat(active.volumes[:, None] / n_sub, n_sub, axis=1), rtol=1e-12)
+    metric = np.einsum("es,esi,esj->eij", sub_vols, unit, unit)
+    np.testing.assert_allclose(active.stab_metric, metric, rtol=0.0, atol=1e-12 * np.abs(metric).max())
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+def test_quadrilaterals_run_around_the_faces(mesh_name, request):
+    """Consecutive vertices of a cut quadrilateral lie on edges that share
+    one tetrahedron vertex, so they share a face, and its two fan triangles
+    face the same way: no bow-tie."""
+    active = request.getfixturevalue(mesh_name)
+    vals = patch_stage(active, _LEVELSETS[mesh_name])[4]
+    sub_bary, poly_patch, tri_index, tri_patch = _extract_polygons(vals)
+    np.testing.assert_array_equal(tri_index, active.tri_index)
+    quads = np.flatnonzero(np.bincount(poly_patch) == 4)
+    assert len(quads) > 0
+    slots = np.searchsorted(poly_patch, quads)[:, None] + np.arange(4)
+    ends = sub_bary[slots] > 0.0  # (n_q, 4, 4) the two ends of each crossing edge
+    assert np.all(ends.sum(axis=2) == 2)
+    assert np.all((ends & np.roll(ends, -1, axis=1)).sum(axis=2) == 1)
+
+    first = np.searchsorted(tri_patch, quads)
+    np.testing.assert_array_equal(tri_index[first], slots[:, [0, 1, 2]])
+    np.testing.assert_array_equal(tri_index[first + 1], slots[:, [0, 2, 3]])
+    p = polygon_points(active)[slots]
+    n1 = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    n2 = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
+    cos = np.einsum("qx,qx->q", n1, n2) / (np.linalg.norm(n1, axis=1) * np.linalg.norm(n2, axis=1))
+    assert cos.min() > 0.0
+
+
 def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
     """Batched extraction (divisions=1) equals the single-tet oracle."""
     active = sphere_l2_flat
@@ -183,7 +236,8 @@ def test_geometry_divisions_validation(sphere_l2):
         build_active_mesh(sphere_l2.mesh, levelset=sphere(1.0), geometry_divisions=3)
 
 
-def test_diameters_uniform_kuhn(sphere_l2):
-    # Kuhn tets of a cube of edge h have circumscribed diameter sqrt(3)*h.
-    h = sphere_l2.mesh.h
-    assert np.allclose(sphere_l2.diameters, np.sqrt(3.0) * h, rtol=1e-12)
+def test_diameters_uniform_kuhn(sphere_l2_forms):
+    # Kuhn tets of a cube of edge h have circumscribed diameter sqrt(3)*h,
+    # the stabilization scale.
+    d = circumdiameters(sphere_l2_forms.active)
+    assert np.allclose(d, sphere_l2_forms.h_stab, rtol=1e-12)

@@ -57,7 +57,7 @@ def bindings() -> dict:
 def run_config(**overrides) -> RunConfig:
     base = dict(
         surface="sphere", level=2, epsilon=0.05, scheme="bdf2", dt=0.005, t_end=0.02,
-        ic="random", ic_mean=0.5, seed=1, run_name="traced",
+        ic_mean=0.5, seed=1, run_name="traced",
     )
     base.update(overrides)
     return RunConfig(**base)
