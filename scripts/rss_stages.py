@@ -35,7 +35,7 @@ PROBES = {
         "build_mesh", "build_active_mesh", "assemble_forms", "initial_state", "write_vtk_surface",
     ),
     "savfem.mesh": (
-        "_classify", "_element_geometry", "_patches", "_patch_gram", "_polygons", "_surface_quadrature",
+        "_classify", "_element_geometry", "_patches", "_patch_gram", "_polygons", "_triangle_areas",
     ),
     "savfem.linsolve": ("_pivot_free_solver", "_colamd_solver"),
 }

@@ -12,13 +12,16 @@ Two operators, built once per active mesh, carry every form:
   - the CSR pattern of the element scatter ``elem_dofs``, with the position
     of each element entry (e, i, j) in its ``data``;
   - B_P (P x N, ``data`` is ``poly_bary``): c_h at the cut-polygon vertices.
-    A triangle's quadrature points are fixed rule combinations R of its
-    vertices, so c_h there is (B_P c)[tri_index] R^T, a load (f, psi_j) is
-    B_P^T of the vertex sums of (w f) R, and int c_h = m . c, m_j = int psi_j.
+The mesh keeps each surface triangle's area |T| and nothing per point; the
+rule lives here.  A triangle's points are fixed combinations R of its
+vertices and its weights are the rule weights w times |T|, so c_h there is
+(B_P c)[tri_index] R^T, an integral is |T| w . f, a load (f, psi_j) is B_P^T
+of the vertex sums of |T| (w f) R, and int c_h = m . c, m_j = int psi_j.
 Every form is one ``bincount`` of element matrices over the positions.  The
-stiffness ones sum k_p = int_p k ds times the Gram table ``patch_gram`` over
-the element's patches (gradients and normals are constant per patch), by a
-CSR product.  Every matrix is ``data`` on the one pattern with explicit
+stiffness ones sum k_p = int_p k ds (the triangle integrals summed over the
+patch, or its area when k = 1) times the Gram table ``patch_gram`` over the
+element's patches (gradients and normals are constant per patch), by a CSR
+product.  Every matrix is ``data`` on the one pattern with explicit
 zeros kept, so no form needs a sparse add or a duplicate summation, and
 blocks combine by adding ``data``.
 
@@ -38,12 +41,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import ActiveMesh
-from .physics import PhysicsParams, f0, f0_prime
+from .physics import f0, f0_prime, mobility
 from .quadrature import triangle_bary_rule
 
-# (3, 6) R^T: a triangle's point values are its vertex values times R^T, taken
-# by single-threaded einsums (a threaded BLAS product stalls on busy cores).
-_RULE_T = np.ascontiguousarray(triangle_bary_rule()[0].T)
+# (3, 6) R^T and (6,) w: a triangle's point values are its vertex values times
+# R^T, taken by single-threaded einsums (a threaded BLAS product stalls on busy
+# cores).  R^T w folds the weights into the vertex sums of a load.
+_RULE_BARY, _RULE_W = triangle_bary_rule()
+_RULE_T = np.ascontiguousarray(_RULE_BARY.T)
+_WEIGHTED_RULE_T = _RULE_T * _RULE_W
 
 __all__ = [
     "AssembledForms",
@@ -73,10 +79,15 @@ class _Operators(NamedTuple):
     mass_vector: np.ndarray  # m_j = int psi_j ds
 
 
-def _vertex_sums(active: ActiveMesh, values) -> np.ndarray:
-    """(P,) vertex sums of the weighted point values w f, shared by R."""
-    weighted = (active.sq_weights * values).reshape(-1, _RULE_T.shape[1])
-    tri_values = np.einsum("tk,jk->tj", weighted, _RULE_T)  # (T, 3)
+def _triangle_integrals(active: ActiveMesh, values: np.ndarray) -> np.ndarray:
+    """(T,) surface rule on each triangle of the point values f: |T| w . f."""
+    return active.tri_areas * np.einsum("tk,k->t", values.reshape(-1, len(_RULE_W)), _RULE_W)
+
+
+def _vertex_sums(active: ActiveMesh, values: np.ndarray) -> np.ndarray:
+    """(P,) vertex sums of the weighted point values |T| (w f), shared by R."""
+    tri_values = np.einsum("tk,jk->tj", values.reshape(-1, len(_RULE_W)), _WEIGHTED_RULE_T)  # (T, 3)
+    tri_values *= active.tri_areas[:, None]
     return np.bincount(active.tri_index.reshape(-1), tri_values.reshape(-1), len(active.poly_bary))
 
 
@@ -96,7 +107,8 @@ def _operators(active: ActiveMesh) -> _Operators:
         patch_indices = np.arange(active.n_patches, dtype=np.int32)
         for a in (indptr, indices, patch_indptr, patch_indices):
             a.setflags(write=False)  # shared by every call: nothing may sort or prune in place
-        m = b.T @ _vertex_sums(active, 1.0)
+        # exact P1: int psi_j over a triangle is |T| / 3 at each of its vertices
+        m = b.T @ np.bincount(active.tri_index.reshape(-1), np.repeat(active.tri_areas / 3.0, 3), n_v)
         ops = active._cache["operators"] = _Operators(indptr, indices, pos, b, patch_indptr, patch_indices, m)
     return ops
 
@@ -151,8 +163,8 @@ def assemble_surface_stiffness(active: ActiveMesh, coefficient=None) -> sp.csr_m
     ``coefficient`` holds k at the surface quadrature points (e.g. the
     mobility of an interpolated field); without it, k = 1.
     """
-    weight = active.sq_weights if coefficient is None else active.sq_weights * coefficient
-    k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
+    tri_k = active.tri_areas if coefficient is None else _triangle_integrals(active, coefficient)
+    k_p = np.add.reduceat(tri_k, active.tri_patch_offsets[:-1])
     ops = _operators(active)
     per_elem = sp.csr_matrix((k_p, ops.patch_indices, ops.patch_indptr), shape=(active.n_elements, len(k_p)))
     return _scatter(active, per_elem @ active.patch_gram)
@@ -170,17 +182,15 @@ def assemble_f0prime_load(active: ActiveMesh, c_qp: np.ndarray) -> np.ndarray:
     return assemble_load(active, f0_prime(c_qp))
 
 
-def assemble_coefficient_forms(
-    active: ActiveMesh, c_ref: np.ndarray, physics: PhysicsParams
-) -> tuple[sp.csr_matrix, np.ndarray, float]:
+def assemble_coefficient_forms(active: ActiveMesh, c_ref: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """The mobility stiffness (M(c) grad u, grad v), the SAV load
     (f0'(c), psi_j) and E1(c) of one step, at its reference field ``c_ref``,
     which is interpolated to the quadrature points once."""
     vals = interpolate_at_surface_qp(active, c_ref)
     return (
-        assemble_surface_stiffness(active, physics.mobility(vals)),
+        assemble_surface_stiffness(active, mobility(vals)),
         assemble_f0prime_load(active, vals),
-        float(np.dot(active.sq_weights, f0(vals))),
+        float(_triangle_integrals(active, f0(vals)).sum()),
     )
 
 
@@ -191,15 +201,14 @@ def assemble_load(active: ActiveMesh, values) -> np.ndarray:
     points, built for the call, or a precomputed (Q,) array.
     """
     if callable(values):
-        rule_bary, _ = triangle_bary_rule()
-        values = values(np.matmul(rule_bary, polygon_points(active)[active.tri_index]).reshape(-1, 3))
+        values = values(np.matmul(_RULE_BARY, polygon_points(active)[active.tri_index]).reshape(-1, 3))
     return _operators(active).interp.T @ _vertex_sums(active, np.asarray(values, dtype=float))
 
 
 def compute_E1(active: ActiveMesh, c: np.ndarray) -> float:
     """E1(c) = int_{Gamma_h} f0(c_h) ds, exact for the degree-4 rule."""
     vals = f0(interpolate_at_surface_qp(active, c))
-    return float(np.dot(active.sq_weights, vals))
+    return float(_triangle_integrals(active, vals).sum())
 
 
 def compute_mass(active: ActiveMesh, c: np.ndarray) -> float:
@@ -210,7 +219,7 @@ def compute_mass(active: ActiveMesh, c: np.ndarray) -> float:
 def l2_norm_gamma(active: ActiveMesh, c: np.ndarray) -> float:
     """||c_h||_{L2(Gamma_h)}."""
     vals = interpolate_at_surface_qp(active, c)
-    return float(np.sqrt(np.dot(active.sq_weights, vals**2)))
+    return float(np.sqrt(_triangle_integrals(active, vals**2).sum()))
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def _sav_step(
     optional pre-assembled load vector (f, psi_j) added to the concentration
     equation.
     """
-    mobility, w, e1 = assemble_coefficient_forms(forms.active, c_ref, physics)
+    mobility, w, e1 = assemble_coefficient_forms(forms.active, c_ref)
     s = guarded_shifted_energy(e1, physics.c_shift)
     sq = np.sqrt(s)
     al, be, ga = coef.alpha, coef.beta, coef.gamma

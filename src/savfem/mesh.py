@@ -17,13 +17,12 @@ continuous across faces because neighboring parents share the midpoint
 samples on the common face.
 
 Each cut sub-tetrahedron is a "patch": it carries the Gram table of the
-parent basis gradients projected onto its plane, its cut polygon (one or
-two surface triangles, whose vertices are stored by parent barycentric
-coordinates only) and a contiguous block of surface quadrature points,
-stored as weights only: a triangle's six points are fixed combinations of
-its polygon vertices.  Triangles and points are sorted patch-major and
-patches parent-major, so per-parent and per-patch segmented reductions
-both work on contiguous slices.
+parent basis gradients projected onto its plane and its cut polygon, one
+or two planar surface triangles whose vertices are stored by parent
+barycentric coordinates only.  Of each triangle the mesh keeps its area;
+the quadrature rule on it is applied by ``savfem.assembly``.  Triangles
+are sorted patch-major and patches parent-major, so per-parent and
+per-patch segmented reductions both work on contiguous slices.
 
 The cut geometry is a function of the lattice level-set values and the
 parent geometry: a sub-tetrahedron's gradient follows from its four values
@@ -33,7 +32,7 @@ polygon's vertices and their order follow from its patch's values alone,
 so no sub-tetrahedron coordinates are formed and no order reads a normal.
 
 ``build_active_mesh`` runs in stages, one function each: classification,
-element geometry, patches, polygons, surface quadrature and Gram tables, so
+element geometry, patches, polygons, triangle areas and Gram tables, so
 that the temporaries of a stage are freed when it returns.
 """
 
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .levelset import LevelSetField, interpolate_p1
-from .quadrature import triangle_bary_rule
 
 __all__ = ["MeshError", "BackgroundMesh", "ActiveMesh", "build_mesh", "build_active_mesh"]
 
@@ -146,13 +144,12 @@ def build_mesh(
     levelset: LevelSetField,
     box,
     level: int,
-    band_factor: float = BAND_FACTOR,
     base_scale: int = 1,
 ) -> BackgroundMesh:
     """Build the band mesh at refinement ``level``.
 
     A cube is materialized when its corner values of phi change sign or when
-    ``min |phi|`` over its corners is within ``band_factor * h``; this covers
+    ``min |phi|`` over its corners is within ``BAND_FACTOR * h``; this covers
     every cube containing cut tetrahedra (tet vertices are cube corners)
     plus a safety band.  ``base_scale`` multiplies the base cube counts, for
     resolutions between the power-of-two levels.
@@ -185,7 +182,7 @@ def build_mesh(
     cmin = np.minimum.reduce(corners)
     cmax = np.maximum.reduce(corners)
     amin = np.minimum.reduce([np.abs(c) for c in corners])
-    keep = ((cmin < 0) & (cmax > 0)) | (amin <= band_factor * h)
+    keep = ((cmin < 0) & (cmax > 0)) | (amin <= BAND_FACTOR * h)
     cubes = np.argwhere(keep)
     if len(cubes) == 0:
         raise MeshError("level set does not intersect the box: no band cubes materialized")
@@ -208,9 +205,8 @@ class ActiveMesh:
 
     DOFs are the vertices of cut tetrahedra, numbered 0..n_dofs-1 in
     ascending background-node order.  Patches (cut sub-tetrahedra of the
-    geometry lattice) are sorted by parent element; surface triangles and
-    quadrature points are sorted by patch; point 6 t + k is rule point k of
-    triangle t.  ``sq_patch_offsets`` delimit each patch's surface points.
+    geometry lattice) are sorted by parent element and surface triangles by
+    patch; ``tri_patch_offsets`` delimit each patch's one or two triangles.
     ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
     normal-gradient volume stabilization.  Every element has circumscribed
@@ -230,8 +226,7 @@ class ActiveMesh:
     poly_elem: np.ndarray  # (P,)
     tri_index: np.ndarray  # (T, 3) into the polygon vertices
     tri_areas: np.ndarray  # (T,)
-    sq_weights: np.ndarray  # (Q,) = (6 T,)
-    sq_patch_offsets: np.ndarray  # (n_p + 1,)
+    tri_patch_offsets: np.ndarray  # (n_p + 1,)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -252,7 +247,7 @@ class ActiveMesh:
 
     @property
     def area(self) -> float:
-        return float(self.sq_weights.sum())
+        return float(self.tri_areas.sum())
 
     @property
     def band_volume(self) -> float:
@@ -331,24 +326,18 @@ def _patches(grads, volumes, sub_vals, sub_cut, divisions: int):
 
 def _polygons(vals, patch_sub, divisions: int):
     """Cut polygons of the patches, with barycentric coordinates in the parent."""
-    sub_bary, poly_patch, tri_index, tri_patch = _extract_polygons(vals)
+    sub_bary, poly_patch, tri_index, tri_offsets = _extract_polygons(vals)
     sub_to_parent = _lattice_bary(divisions)[_SUBTETS[divisions]]  # (S, 4, 4)
     poly_bary = np.einsum("pk,pkf->pf", sub_bary, sub_to_parent[patch_sub[poly_patch]])
-    return poly_bary, poly_patch, tri_index, tri_patch
+    return poly_bary, poly_patch, tri_index, tri_offsets
 
 
-def _surface_quadrature(coords, poly_bary, poly_elem, tri_index, tri_patch, n_patches):
-    """Triangle areas, and the weights of the surface rule, with each
-    patch's offsets into them.  ``coords`` are the parents' vertices."""
-    _, rule_w = triangle_bary_rule()
+def _triangle_areas(coords, poly_bary, poly_elem, tri_index):
+    """Areas of the surface triangles; ``coords`` are the parents' vertices."""
     tri_coords = np.einsum("pf,pfx->px", poly_bary, coords[poly_elem])[tri_index]  # (T, 3, 3)
-    tri_areas = 0.5 * np.linalg.norm(
+    return 0.5 * np.linalg.norm(
         np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
     )
-    sq_weights = (rule_w[None, :] * tri_areas[:, None]).reshape(-1)
-    tri_counts = np.bincount(tri_patch, minlength=n_patches)
-    sq_patch_offsets = len(rule_w) * np.concatenate([[0], np.cumsum(tri_counts)])
-    return tri_areas, sq_weights, sq_patch_offsets
 
 
 def _patch_gram(grads, patch_elem, normals):
@@ -385,11 +374,9 @@ def build_active_mesh(
     stab_metric, patch_elem, patch_sub, normals, patch_vals = _patches(
         grads, volumes, sub_vals, sub_cut, geometry_divisions
     )
-    poly_bary, poly_patch, tri_index, tri_patch = _polygons(patch_vals, patch_sub, geometry_divisions)
+    poly_bary, poly_patch, tri_index, tri_patch_offsets = _polygons(patch_vals, patch_sub, geometry_divisions)
     poly_elem = patch_elem[poly_patch]
-    tri_areas, sq_weights, sq_patch_offsets = _surface_quadrature(
-        coords, poly_bary, poly_elem, tri_index, tri_patch, len(patch_elem)
-    )
+    tri_areas = _triangle_areas(coords, poly_bary, poly_elem, tri_index)
     patch_gram = _patch_gram(grads, patch_elem, normals)
 
     return ActiveMesh(
@@ -406,8 +393,7 @@ def build_active_mesh(
         poly_elem=poly_elem.astype(np.int32),  # int32: read at set-up only
         tri_index=tri_index,
         tri_areas=tri_areas,
-        sq_weights=sq_weights,
-        sq_patch_offsets=sq_patch_offsets,
+        tri_patch_offsets=tri_patch_offsets,
     )
 
 
@@ -433,8 +419,8 @@ def _extract_polygons(vals):
     their (n, 4) level-set values.
 
     Returns the polygon vertices by barycentric coordinates in their patch,
-    each vertex's patch, and the triangles with their patches, all ordered
-    by patch.  A triangle's vertices follow the order of its crossing edges
+    each vertex's patch, and the triangles with each patch's offsets into
+    them, all ordered by patch.  A triangle's vertices follow the order of its crossing edges
     around the lone vertex.  A quadrilateral with negative vertices
     a0 < a1 and positive vertices b0 < b1 runs a0b0, a0b1, a1b1, a1b0, so
     consecutive crossings share a face, and is split along a0b0-a1b1.  The
@@ -467,4 +453,4 @@ def _extract_polygons(vals):
     tri_index[tri_off[rows]] = slot[:, [0, 1, 2]]
     tri_index[tri_off[rows] + 1] = slot[:, [0, 2, 3]]
 
-    return poly_bary, np.repeat(np.arange(n_p), nv), tri_index, np.repeat(np.arange(n_p), ntri)
+    return poly_bary, np.repeat(np.arange(n_p), nv), tri_index, tri_off

@@ -18,6 +18,7 @@ __all__ = [
     "E1_FLOOR",
     "f0",
     "f0_prime",
+    "mobility",
     "r_init",
     "guarded_shifted_energy",
 ]
@@ -50,11 +51,6 @@ class PhysicsParams:
         if self.c_shift < 0:
             raise ValueError("c_shift must be nonnegative")
 
-    def mobility(self, c):
-        """Pointwise degenerate mobility max(c(1-c), 0); vectorized over arrays."""
-        c = np.asarray(c, dtype=float)
-        return np.maximum(c * (1.0 - c), 0.0)
-
 
 def f0(c):
     """Double-well density 0.25 c^2 (1-c)^2, minima at c = 0 and c = 1."""
@@ -66,6 +62,12 @@ def f0_prime(c):
     """Derivative 0.5 c (1-c)(1-2c) of the double-well density."""
     c = np.asarray(c, dtype=float)
     return 0.5 * c * (1.0 - c) * (1.0 - 2.0 * c)
+
+
+def mobility(c):
+    """Pointwise degenerate mobility max(c(1-c), 0); vectorized over arrays."""
+    c = np.asarray(c, dtype=float)
+    return np.maximum(c * (1.0 - c), 0.0)
 
 
 def guarded_shifted_energy(e1: float, c_shift: float) -> float:

@@ -2,11 +2,13 @@
 the oracles for the polygon-vertex operators of ``savfem.assembly``, for
 the per-patch Gram tables and for the closed-form cut geometry.
 
-The mesh stores the surface rule by triangle: point 6 t + k is rule point k
-of triangle t, at the rule's barycentric combination of the triangle's
-polygon vertices ``tri_index[t]``.  These helpers form, point by point, the
-parent barycentric coordinates, parent elements and physical coordinates of
-the surface quadrature points, the tables the mesh once stored.
+The mesh stores the surface triangles and their areas; ``savfem.assembly``
+applies the surface rule to them, so that point 6 t + k is rule point k of
+triangle t, at the rule's barycentric combination of the triangle's polygon
+vertices ``tri_index[t]``, with the rule weight times the triangle's area.
+These helpers form, point by point, the parent barycentric coordinates,
+parent elements, physical coordinates and weights of the surface quadrature
+points, and each patch's offsets into them, the tables the mesh once stored.
 
 The classification stage of ``build_active_mesh``, re-run on an active
 mesh's background mesh, gives the level-set values of every lattice
@@ -30,6 +32,8 @@ __all__ = [
     "point_bary",
     "point_elem",
     "point_coords",
+    "point_weights",
+    "point_offsets",
     "patch_stage",
     "lapack_geometry",
     "circumdiameters",
@@ -54,6 +58,16 @@ def point_coords(active) -> np.ndarray:
     """(Q, 3) physical surface points."""
     rule_bary, _ = triangle_bary_rule()
     return np.matmul(rule_bary, polygon_points(active)[active.tri_index]).reshape(-1, 3)
+
+
+def point_weights(active) -> np.ndarray:
+    """(Q,) surface point weights: the rule weight times the triangle area."""
+    return (triangle_bary_rule()[1][None, :] * active.tri_areas[:, None]).reshape(-1)
+
+
+def point_offsets(active) -> np.ndarray:
+    """(n_p + 1,) each patch's offsets into the surface points."""
+    return len(triangle_bary_rule()[1]) * active.tri_patch_offsets
 
 
 def _lattice_stage(active, levelset):

@@ -17,6 +17,8 @@ from pointwise import (
     point_bary,
     point_coords,
     point_elem,
+    point_offsets,
+    point_weights,
     tangential_grads,
 )
 from savfem import assembly
@@ -39,7 +41,7 @@ from savfem.assembly import (
 from savfem.config import SPHERE_BOX
 from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
 from savfem.mesh import build_active_mesh, build_mesh
-from savfem.physics import PhysicsParams, f0, f0_prime
+from savfem.physics import f0, f0_prime, mobility
 
 
 Z0 = 0.37  # irrational-ish plane height, cuts every column of cubes
@@ -112,14 +114,13 @@ class TestPlaneOracle:
 
     def test_mobility_coefficient_factorization(self, plane_active):
         # constant c = 1/2 gives M = 1/4 exactly, a pure rescaling
-        physics = PhysicsParams(epsilon=1.0)
-        c_qp = np.full(len(plane_active.sq_weights), 0.5)
+        c_qp = np.full(len(point_weights(plane_active)), 0.5)
         stiff = assemble_surface_stiffness(plane_active)
-        mob = assemble_surface_stiffness(plane_active, physics.mobility(c_qp))
+        mob = assemble_surface_stiffness(plane_active, mobility(c_qp))
         assert abs(mob - 0.25 * stiff).max() < 1e-14
 
     def test_f0prime_load_vanishes_at_half(self, plane_active):
-        w = assemble_f0prime_load(plane_active, np.full(len(plane_active.sq_weights), 0.5))
+        w = assemble_f0prime_load(plane_active, np.full(len(point_weights(plane_active)), 0.5))
         assert np.abs(w).max() < 1e-15
 
     def test_E1_of_constant_half(self, plane_active):
@@ -191,9 +192,8 @@ class TestSphere:
     def test_mobility_matrix_psd_after_clamp(self, sphere_l2, rng):
         # nodal values outside [0, 1] still give a PSD matrix by clamping at
         # the quadrature points
-        physics = PhysicsParams(epsilon=1.0)
         c = rng.uniform(-0.5, 1.5, sphere_l2.n_dofs)
-        mob = assemble_surface_stiffness(sphere_l2, physics.mobility(interpolate_at_surface_qp(sphere_l2, c)))
+        mob = assemble_surface_stiffness(sphere_l2, mobility(interpolate_at_surface_qp(sphere_l2, c)))
         for _ in range(5):
             v = rng.standard_normal(sphere_l2.n_dofs)
             assert v @ (mob @ v) >= -1e-12
@@ -216,12 +216,11 @@ class TestAssembledForms:
 
     def test_coefficient_forms(self, sphere_l2_forms):
         forms = sphere_l2_forms
-        physics = PhysicsParams(epsilon=1.0)
         c = np.full(forms.active.n_dofs, 0.5)
-        mobility, load, e1 = assemble_coefficient_forms(forms.active, c, physics)
-        assert abs(mobility - 0.25 * forms.stiffness).max() < 1e-14
+        mob, load, e1 = assemble_coefficient_forms(forms.active, c)
+        assert abs(mob - 0.25 * forms.stiffness).max() < 1e-14
         assert np.abs(load).max() < 1e-15
-        assert e1 == pytest.approx(forms.active.sq_weights.sum() / 64.0, rel=1e-14)
+        assert e1 == pytest.approx(forms.active.area / 64.0, rel=1e-14)
 
 
 # Oracles: the element-scatter formulas the assembly used before its forms
@@ -247,7 +246,7 @@ def _interp_oracle(active, c):
 def _load_oracle(active, vals):
     out = np.zeros(active.n_dofs)
     qdofs = active.elem_dofs[point_elem(active)]
-    np.add.at(out, qdofs, (active.sq_weights * vals)[:, None] * point_bary(active))
+    np.add.at(out, qdofs, (point_weights(active) * vals)[:, None] * point_bary(active))
     return out
 
 
@@ -259,13 +258,13 @@ def _sq_offsets(active):
 def _mass_oracle(active):
     """The degree-4 rule applied to the (Q, 4, 4) products of the basis values."""
     sq_bary = point_bary(active)
-    contrib = active.sq_weights[:, None, None] * (sq_bary[:, :, None] * sq_bary[:, None, :])
+    contrib = point_weights(active)[:, None, None] * (sq_bary[:, :, None] * sq_bary[:, None, :])
     flat = np.add.reduceat(contrib.reshape(len(contrib), -1), _sq_offsets(active)[:-1])
     return _coo_oracle(active, flat.reshape(-1, 4, 4))
 
 
 def _stiffness_oracle(active, weight):
-    k_p = np.add.reduceat(weight, active.sq_patch_offsets[:-1])
+    k_p = np.add.reduceat(weight, point_offsets(active)[:-1])
     patch_mats = k_p[:, None, None] * active.patch_gram.reshape(-1, 4, 4)
     patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
     return _coo_oracle(active, np.add.reduceat(patch_mats, patch_offsets[:-1], axis=0))
@@ -299,8 +298,9 @@ class TestOperatorsAgainstElementScatter:
         # slip in the vertex scatter of the load breaks it
         active = request.getfixturevalue(mesh_name)
         rng = np.random.default_rng(5)
-        c, v = rng.standard_normal(active.n_dofs), rng.standard_normal(len(active.sq_weights))
-        lhs = np.dot(active.sq_weights * v, interpolate_at_surface_qp(active, c))
+        weights = point_weights(active)
+        c, v = rng.standard_normal(active.n_dofs), rng.standard_normal(len(weights))
+        lhs = np.dot(weights * v, interpolate_at_surface_qp(active, c))
         assert lhs == pytest.approx(np.dot(assemble_load(active, v), c), rel=1e-13)
 
     def test_loads(self, sphere_l2, bernoulli):
@@ -318,7 +318,7 @@ class TestOperatorsAgainstElementScatter:
     def test_mass_and_stiffness(self, sphere_l2):
         self.assert_same_matrix(assemble_surface_mass(sphere_l2), _mass_oracle(sphere_l2))
         self.assert_same_matrix(
-            assemble_surface_stiffness(sphere_l2), _stiffness_oracle(sphere_l2, sphere_l2.sq_weights)
+            assemble_surface_stiffness(sphere_l2), _stiffness_oracle(sphere_l2, point_weights(sphere_l2))
         )
 
     @pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
@@ -342,21 +342,31 @@ class TestOperatorsAgainstElementScatter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < len(active.sq_weights) * 16 * 8
+        assert peak < len(point_weights(active)) * 16 * 8
 
-    def test_mobility_keeps_exact_zeros(self, sphere_l2, bernoulli):
-        physics = PhysicsParams(epsilon=1.0)
-        mob, _, _ = assemble_coefficient_forms(sphere_l2, bernoulli, physics)
-        weight = sphere_l2.sq_weights * physics.mobility(_interp_oracle(sphere_l2, bernoulli))
-        oracle = _stiffness_oracle(sphere_l2, weight)
-        self.assert_same_matrix(mob, oracle)
-        # entries whose elements all have M(c_h) = 0 are exact zeros, still stored
-        vals = physics.mobility(interpolate_at_surface_qp(sphere_l2, bernoulli))
-        alive = np.add.reduceat(vals, _sq_offsets(sphere_l2)[:-1]) > 0.0
-        counts = _coo_oracle(sphere_l2, np.broadcast_to(alive[:, None, None], (len(alive), 4, 4)) * 1.0)
-        dead = counts.data == 0.0
-        assert dead.sum() > 0
-        assert np.all(mob.data[dead] == 0.0)
+    @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+    def test_mass_vector(self, mesh_name, request):
+        # m_j = int psi_j: the degree-4 load of one and the mass row sums
+        active = request.getfixturevalue(mesh_name)
+        m = _operators(active).mass_vector
+        oracle = _load_oracle(active, np.ones(len(point_weights(active))))
+        np.testing.assert_allclose(m, oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max())
+        row_sums = np.asarray(assemble_surface_mass(active).sum(axis=1)).ravel()
+        np.testing.assert_allclose(m, row_sums, rtol=0.0, atol=1e-13 * np.abs(oracle).max())
+
+    def test_mobility_keeps_exact_zeros(self, sphere_l2, cell_l2):
+        for active in (sphere_l2, cell_l2):
+            bernoulli = _fields(active)["bernoulli"]
+            mob, _, _ = assemble_coefficient_forms(active, bernoulli)
+            weight = point_weights(active) * mobility(_interp_oracle(active, bernoulli))
+            self.assert_same_matrix(mob, _stiffness_oracle(active, weight))
+            # entries whose elements all have M(c_h) = 0 are exact zeros, still stored
+            vals = mobility(interpolate_at_surface_qp(active, bernoulli))
+            alive = np.add.reduceat(vals, _sq_offsets(active)[:-1]) > 0.0
+            counts = _coo_oracle(active, np.broadcast_to(alive[:, None, None], (len(alive), 4, 4)) * 1.0)
+            dead = counts.data == 0.0
+            assert dead.sum() > 0
+            assert np.all(mob.data[dead] == 0.0)
 
     def test_stabilization(self, sphere_l2):
         a = sphere_l2
@@ -371,7 +381,7 @@ class TestOperatorsAgainstElementScatter:
 
     def test_every_form_has_one_pattern(self, sphere_l2_forms, bernoulli):
         forms = sphere_l2_forms
-        mob, _, _ = assemble_coefficient_forms(forms.active, bernoulli, PhysicsParams(epsilon=1.0))
+        mob, _, _ = assemble_coefficient_forms(forms.active, bernoulli)
         for form in (forms.stiffness, forms.stab, mob):
             np.testing.assert_array_equal(form.indptr, forms.mass.indptr)
             np.testing.assert_array_equal(form.indices, forms.mass.indices)
@@ -411,26 +421,25 @@ class TestSurfaceTablesAgainstPatchStage:
         active = request.getfixturevalue(mesh_name)
         g = _patch_to_pattern(active, tangential_grads(active, _LEVELSETS[mesh_name]))
         k = 0.5 + 0.4 * np.sin(5.0 * point_coords(active)[:, 0])
-        k_p = np.add.reduceat(active.sq_weights * k, active.sq_patch_offsets[:-1])
+        k_p = np.add.reduceat(point_weights(active) * k, point_offsets(active)[:-1])
         mat, oracle = assemble_surface_stiffness(active, k), on_pattern(active, g @ k_p)
         np.testing.assert_array_equal(mat.indices, oracle.indices)
         self.assert_close(mat.data, oracle.data)
 
 
-def test_E1_matches_quadrature_of_f0(sphere_l2, rng):
-    c = rng.uniform(0.0, 1.0, sphere_l2.n_dofs)
-    vals = f0(interpolate_at_surface_qp(sphere_l2, c))
-    assert compute_E1(sphere_l2, c) == pytest.approx(
-        float(np.dot(sphere_l2.sq_weights, vals)), rel=1e-14
-    )
+def test_E1_matches_quadrature_of_f0(sphere_l2, cell_l2, rng):
+    for active in (sphere_l2, cell_l2):
+        c = rng.uniform(0.0, 1.0, active.n_dofs)
+        vals = f0(_interp_oracle(active, c))
+        assert compute_E1(active, c) == pytest.approx(float(np.dot(point_weights(active), vals)), rel=1e-14)
 
 
 # Oracles: the three separate evaluations of a step's reference field that
 # assemble_coefficient_forms replaced, each interpolating it again.
 
 
-def _separate_mobility(active, c, physics):
-    return assemble_surface_stiffness(active, physics.mobility(interpolate_at_surface_qp(active, c)))
+def _separate_mobility(active, c):
+    return assemble_surface_stiffness(active, mobility(interpolate_at_surface_qp(active, c)))
 
 
 def _separate_load(active, c):
@@ -438,7 +447,7 @@ def _separate_load(active, c):
 
 
 def _separate_E1(active, c):
-    return float(np.dot(active.sq_weights, f0(interpolate_at_surface_qp(active, c))))
+    return float(np.dot(point_weights(active), f0(interpolate_at_surface_qp(active, c))))
 
 
 def _fields(active):
@@ -455,14 +464,14 @@ def _fields(active):
 class TestOneInterpolationPerStep:
     def test_equals_separate_evaluations(self, sphere_l2, field):
         c = _fields(sphere_l2)[field]
-        physics = PhysicsParams(epsilon=0.05)
-        mobility, w, e1 = assemble_coefficient_forms(sphere_l2, c, physics)
-        oracle = _separate_mobility(sphere_l2, c, physics)
-        np.testing.assert_array_equal(mobility.indptr, oracle.indptr)
-        np.testing.assert_array_equal(mobility.indices, oracle.indices)
-        np.testing.assert_array_equal(mobility.data, oracle.data)
+        mob, w, e1 = assemble_coefficient_forms(sphere_l2, c)
+        oracle = _separate_mobility(sphere_l2, c)
+        np.testing.assert_array_equal(mob.indptr, oracle.indptr)
+        np.testing.assert_array_equal(mob.indices, oracle.indices)
+        np.testing.assert_array_equal(mob.data, oracle.data)
         np.testing.assert_array_equal(w, _separate_load(sphere_l2, c))
-        assert e1 == _separate_E1(sphere_l2, c) == compute_E1(sphere_l2, c)
+        assert e1 == compute_E1(sphere_l2, c)
+        assert e1 == pytest.approx(_separate_E1(sphere_l2, c), rel=1e-14)
 
     def test_interpolates_once(self, sphere_l2, field, monkeypatch):
         calls = []
@@ -473,7 +482,7 @@ class TestOneInterpolationPerStep:
             return interpolate(active, c)
 
         monkeypatch.setattr(assembly, "interpolate_at_surface_qp", counting)
-        assemble_coefficient_forms(sphere_l2, _fields(sphere_l2)[field], PhysicsParams(epsilon=0.05))
+        assemble_coefficient_forms(sphere_l2, _fields(sphere_l2)[field])
         assert calls == [sphere_l2.n_dofs]
 
     @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])

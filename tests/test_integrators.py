@@ -34,7 +34,7 @@ from savfem.integrators import (
     proposed_factor,
 )
 from savfem.linsolve import BlockPattern, BlockSystem, solve_rank_one_system
-from savfem.physics import EnergyFloorError, PhysicsParams, guarded_shifted_energy
+from savfem.physics import EnergyFloorError, PhysicsParams, guarded_shifted_energy, mobility
 
 
 @pytest.fixture()
@@ -332,11 +332,11 @@ class TestStepMobility:
         active = sphere_l2_forms.active
         assert seeded_state.mobility is None
         state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics)
-        expected = _oracle_mobility(active, seeded_state.c, physics)
+        expected = _oracle_mobility(active, seeded_state.c)
         np.testing.assert_array_equal(state.mobility.data, expected.data)
         nxt = bdf2_variable_step(seeded_state, state, 0.008, 0.004, sphere_l2_forms, physics)
         c_ref = 2.0 * state.c - seeded_state.c
-        expected = _oracle_mobility(active, c_ref, physics)
+        expected = _oracle_mobility(active, c_ref)
         np.testing.assert_array_equal(nxt.mobility.data, expected.data)
 
 
@@ -383,15 +383,15 @@ def _on(form, data):
     return sp.csr_matrix((data, form.indices, form.indptr), shape=form.shape)
 
 
-def _oracle_mobility(active, c, physics):
-    return assemble_surface_stiffness(active, physics.mobility(interpolate_at_surface_qp(active, c)))
+def _oracle_mobility(active, c):
+    return assemble_surface_stiffness(active, mobility(interpolate_at_surface_qp(active, c)))
 
 
 def _oracle_reference(forms, c_ref, physics):
-    mobility = _oracle_mobility(forms.active, c_ref, physics)
+    mob = _oracle_mobility(forms.active, c_ref)
     w = assemble_f0prime_load(forms.active, interpolate_at_surface_qp(forms.active, c_ref))
     s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
-    return mobility, w, s
+    return mob, w, s
 
 
 def _oracle_solve(forms, physics, mobility, cc_scale, rhs_c, rhs_mu, w, s):
@@ -483,7 +483,7 @@ def _oracle_energy_bdf2(state, prev, forms, physics):
 
 def _oracle_balance_bdf1(prev, nxt, dt, forms, physics):
     eps2 = physics.epsilon**2
-    a_mob = _oracle_mobility(forms.active, prev.c, physics)
+    a_mob = _oracle_mobility(forms.active, prev.c)
     d = nxt.c - prev.c
     return np.array(
         [
@@ -499,7 +499,7 @@ def _oracle_balance_bdf1(prev, nxt, dt, forms, physics):
 
 def _oracle_balance_bdf2(prev2, prev1, nxt, dt, forms, physics):
     eps2 = physics.epsilon**2
-    a_mob = _oracle_mobility(forms.active, 2.0 * prev1.c - prev2.c, physics)
+    a_mob = _oracle_mobility(forms.active, 2.0 * prev1.c - prev2.c)
     d2 = nxt.c - 2.0 * prev1.c + prev2.c
     return np.array(
         [

@@ -169,7 +169,7 @@ def sphere_system(forms, cc_scale=1.5 / 0.005, cmu_scale=1.0):
     physics = PhysicsParams(epsilon=0.05)
     eps2, h = physics.epsilon**2, forms.h_stab
     c = bernoulli_ic(active, 0.5, 1)
-    mobility, w, _ = assemble_coefficient_forms(active, c, physics)
+    mobility, w, _ = assemble_coefficient_forms(active, c)
     return BlockSystem(
         b_cc=cc_scale * forms.mass,
         b_cmu=on_pattern(mobility, cmu_scale * (mobility.data + h * forms.stab.data)),

@@ -21,6 +21,8 @@ from pointwise import (
     point_bary,
     point_coords,
     point_elem,
+    point_offsets,
+    point_weights,
 )
 from savfem.assembly import _operators, assemble_load, polygon_points
 from savfem.config import CELL_BOX, SPHERE_BOX
@@ -91,27 +93,28 @@ def test_active_mesh_dof_numbering(sphere_l2):
 
 def test_active_mesh_grouping_invariants(sphere_l2):
     active = sphere_l2
-    sq_elem, sq_bary = point_elem(active), point_bary(active)
+    sq_elem, sq_bary, sq_weights = point_elem(active), point_bary(active), point_weights(active)
+    sq_patch_offsets = point_offsets(active)
     assert np.all(np.diff(active.patch_elem) >= 0)
     assert np.all(np.diff(sq_elem) >= 0)
-    assert np.all(np.diff(active.sq_patch_offsets) > 0)
+    assert np.all(np.diff(sq_patch_offsets) > 0)
     patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
     assert len(patch_offsets) == active.n_elements + 1
     assert patch_offsets[-1] == active.n_patches
-    assert active.sq_patch_offsets[-1] == len(active.sq_weights)
+    assert sq_patch_offsets[-1] == len(sq_weights)
     # the points of a patch belong to the patch's element, and every
     # element has points
-    sq_patch = np.repeat(np.arange(active.n_patches), np.diff(active.sq_patch_offsets))
+    sq_patch = np.repeat(np.arange(active.n_patches), np.diff(sq_patch_offsets))
     assert np.array_equal(sq_elem, active.patch_elem[sq_patch])
     assert np.bincount(sq_elem, minlength=active.n_elements).min() > 0
     # each surface triangle carries the same number of points, and its
     # three vertices lie in one element
     nq = len(triangle_bary_rule()[1])
-    assert len(active.sq_weights) == nq * len(active.tri_index)
+    assert len(sq_weights) == nq * len(active.tri_index)
     tri_elem = active.poly_elem[active.tri_index]
     assert np.all(tri_elem == tri_elem[:, :1])
     assert np.allclose(sq_bary.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(active.sq_weights >= 0)
+    assert np.all(sq_weights >= 0)
     # Quadrature barycentrics reproduce the physical points through the
     # element map (P1 geometric consistency).
     coords = active.dof_coords[active.elem_dofs[sq_elem]]
@@ -170,7 +173,7 @@ def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     face the same way: no bow-tie."""
     active = request.getfixturevalue(mesh_name)
     vals = patch_stage(active, _LEVELSETS[mesh_name])[4]
-    sub_bary, poly_patch, tri_index, tri_patch = _extract_polygons(vals)
+    sub_bary, poly_patch, tri_index, tri_offsets = _extract_polygons(vals)
     np.testing.assert_array_equal(tri_index, active.tri_index)
     quads = np.flatnonzero(np.bincount(poly_patch) == 4)
     assert len(quads) > 0
@@ -179,7 +182,7 @@ def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     assert np.all(ends.sum(axis=2) == 2)
     assert np.all((ends & np.roll(ends, -1, axis=1)).sum(axis=2) == 1)
 
-    first = np.searchsorted(tri_patch, quads)
+    first = tri_offsets[quads]
     np.testing.assert_array_equal(tri_index[first], slots[:, [0, 1, 2]])
     np.testing.assert_array_equal(tri_index[first + 1], slots[:, [0, 2, 3]])
     p = polygon_points(active)[slots]
@@ -187,6 +190,22 @@ def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     n2 = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
     cos = np.einsum("qx,qx->q", n1, n2) / (np.linalg.norm(n1, axis=1) * np.linalg.norm(n2, axis=1))
     assert cos.min() > 0.0
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
+def test_surface_tables_are_per_triangle(mesh_name, request):
+    """Each patch has one or two triangles, delimited by the offsets, and
+    the mesh holds no per-point table: no array has a length of 6 T."""
+    active = request.getfixturevalue(mesh_name)
+    n_tri = len(active.tri_index)
+    offsets = active.tri_patch_offsets
+    assert len(offsets) == active.n_patches + 1
+    assert offsets[0] == 0 and offsets[-1] == n_tri
+    assert set(np.unique(np.diff(offsets))) <= {1, 2}
+    arrays = [getattr(active, f.name) for f in dataclasses.fields(active)]
+    lengths = [len(a) for a in arrays if isinstance(a, np.ndarray)]
+    assert n_tri in lengths
+    assert len(triangle_bary_rule()[1]) * n_tri not in lengths
 
 
 def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
@@ -227,7 +246,7 @@ def test_active_mesh_determinism():
     a1 = build_active_mesh(mesh, levelset=ls)
     a2 = build_active_mesh(mesh, levelset=ls)
     assert np.array_equal(point_coords(a1), point_coords(a2))
-    assert np.array_equal(a1.sq_weights, a2.sq_weights)
+    assert np.array_equal(a1.tri_areas, a2.tri_areas)
     assert np.array_equal(a1.patch_gram, a2.patch_gram)
 
 

@@ -17,6 +17,7 @@ from savfem.physics import (
     f0,
     f0_prime,
     guarded_shifted_energy,
+    mobility,
     r_init,
 )
 
@@ -53,9 +54,8 @@ def test_f0_symmetry_about_half():
 
 
 def test_degenerate_mobility_clamps():
-    p = PhysicsParams(epsilon=0.1)
     c = np.array([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
-    m = p.mobility(c)
+    m = mobility(c)
     assert np.all(m >= 0.0)
     assert m[3] == pytest.approx(0.25)
     assert m[0] == 0.0 and m[5] == 0.0  # clamped outside [0, 1]
