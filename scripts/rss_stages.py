@@ -35,9 +35,10 @@ PROBES = {
         "build_mesh", "build_active_mesh", "assemble_forms", "initial_state", "write_vtk_surface",
     ),
     "savfem.mesh": (
-        "_classify", "_element_geometry", "_patches", "_patch_gram", "_polygons", "_triangle_areas",
+        "_classify", "_element_geometry", "_patches", "_extract_polygons", "_triangle_areas",
+        "_patch_gram",
     ),
-    "savfem.linsolve": ("_pivot_free_solver", "_colamd_solver"),
+    "savfem.linsolve": ("_lu_solver",),
 }
 
 

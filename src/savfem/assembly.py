@@ -8,15 +8,16 @@ restricted to the discrete surface Gamma_h:
     stab       (n.grad u, n.grad v)_{Omega_h}     kernel grad_i . M_e . grad_j,
                M_e = sum_s |T_s| n_s n_s^T
 
-Two operators, built once per active mesh, carry every form:
-  - the CSR pattern of the element scatter ``elem_dofs``, with the position
-    of each element entry (e, i, j) in its ``data``;
-  - B_P (P x N, ``data`` is ``poly_bary``): c_h at the cut-polygon vertices.
-The mesh keeps each surface triangle's area |T| and nothing per point; the
-rule lives here.  A triangle's points are fixed combinations R of its
-vertices and its weights are the rule weights w times |T|, so c_h there is
-(B_P c)[tri_index] R^T, an integral is |T| w . f, a load (f, psi_j) is B_P^T
-of the vertex sums of |T| (w f) R, and int c_h = m . c, m_j = int psi_j.
+Two operators carry every form: the CSR pattern of the element scatter
+``elem_dofs``, built here once per active mesh with the position of each
+element entry (e, i, j) in its ``data``, and the mesh's B_P
+(``poly_interp``, P x N, ``data`` is ``poly_bary``): c_h at the cut-polygon
+vertices.  The mesh keeps each surface triangle's area |T| and nothing per
+point; the rule lives here.  A triangle's points are fixed combinations R
+of its vertices and its weights are the rule weights w times |T|, so c_h
+there is (B_P c)[tri_index] R^T, an integral is |T| w . f, a load
+(f, psi_j) is B_P^T of the vertex sums of |T| (w f) R, and int c_h = m . c,
+m_j = int psi_j.
 Every form is one ``bincount`` of element matrices over the positions.  The
 stiffness ones sum k_p = int_p k ds (the triangle integrals summed over the
 patch, or its area when k = 1) times the Gram table ``patch_gram`` over the
@@ -65,7 +66,6 @@ __all__ = [
     "compute_mass",
     "l2_norm_gamma",
     "on_pattern",
-    "polygon_points",
 ]
 
 
@@ -73,7 +73,6 @@ class _Operators(NamedTuple):
     indptr: np.ndarray  # CSR pattern of the element scatter, shared by every form
     indices: np.ndarray
     positions: np.ndarray  # (n_e * 16,) intp, read uncast by every bincount: entry (e, i, j) -> data index
-    interp: sp.csr_matrix  # B_P, P x N
     patch_indptr: np.ndarray  # (n_e + 1,) each element's patches, which are parent-major
     patch_indices: np.ndarray  # (n_p,) arange: patch columns of the element-patch CSR
     mass_vector: np.ndarray  # m_j = int psi_j ds
@@ -94,28 +93,20 @@ def _vertex_sums(active: ActiveMesh, values: np.ndarray) -> np.ndarray:
 def _operators(active: ActiveMesh) -> _Operators:
     ops = active._cache.get("operators")
     if ops is None:
-        n, n_v = active.n_dofs, len(active.poly_bary)
+        n = active.n_dofs
         d = active.elem_dofs.astype(np.int64)
         keys, pos = np.unique((d[:, :, None] * n + d[:, None, :]).reshape(-1), return_inverse=True)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         indices = (keys % n).astype(np.int32)
-        # int32 indices, which the CSR constructor keeps without a copy
-        vdofs = active.elem_dofs.astype(np.int32)[active.poly_elem].reshape(-1)
-        vptr = np.arange(0, 4 * n_v + 1, 4, dtype=np.int32)
-        b = sp.csr_matrix((active.poly_bary.reshape(-1), vdofs, vptr), shape=(n_v, n))
         patch_indptr = np.searchsorted(active.patch_elem, np.arange(active.n_elements + 1)).astype(np.int32)
         patch_indices = np.arange(active.n_patches, dtype=np.int32)
         for a in (indptr, indices, patch_indptr, patch_indices):
             a.setflags(write=False)  # shared by every call: nothing may sort or prune in place
         # exact P1: int psi_j over a triangle is |T| / 3 at each of its vertices
-        m = b.T @ np.bincount(active.tri_index.reshape(-1), np.repeat(active.tri_areas / 3.0, 3), n_v)
-        ops = active._cache["operators"] = _Operators(indptr, indices, pos, b, patch_indptr, patch_indices, m)
+        b = active.poly_interp
+        m = b.T @ np.bincount(active.tri_index.reshape(-1), np.repeat(active.tri_areas / 3.0, 3), b.shape[0])
+        ops = active._cache["operators"] = _Operators(indptr, indices, pos, patch_indptr, patch_indices, m)
     return ops
-
-
-def polygon_points(active: ActiveMesh) -> np.ndarray:
-    """(P, 3) cut-polygon vertices, built per call as B_P applied to the dof coordinates."""
-    return _operators(active).interp @ active.dof_coords
 
 
 def on_pattern(active: ActiveMesh, data: np.ndarray) -> sp.csr_matrix:
@@ -133,7 +124,7 @@ def _scatter(active: ActiveMesh, elem_mats: np.ndarray) -> sp.csr_matrix:
 
 def interpolate_at_surface_qp(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
     """P1 values of the DOF vector c at all surface quadrature points."""
-    vertex_values = _operators(active).interp @ np.asarray(c, dtype=float)
+    vertex_values = active.poly_interp @ np.asarray(c, dtype=float)
     return np.einsum("tj,jk->tk", vertex_values[active.tri_index], _RULE_T).reshape(-1)
 
 
@@ -201,8 +192,8 @@ def assemble_load(active: ActiveMesh, values) -> np.ndarray:
     points, built for the call, or a precomputed (Q,) array.
     """
     if callable(values):
-        values = values(np.matmul(_RULE_BARY, polygon_points(active)[active.tri_index]).reshape(-1, 3))
-    return _operators(active).interp.T @ _vertex_sums(active, np.asarray(values, dtype=float))
+        values = values(np.matmul(_RULE_BARY, active.polygon_points[active.tri_index]).reshape(-1, 3))
+    return active.poly_interp.T @ _vertex_sums(active, np.asarray(values, dtype=float))
 
 
 def compute_E1(active: ActiveMesh, c: np.ndarray) -> float:

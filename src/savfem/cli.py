@@ -67,8 +67,7 @@ def _cmd_solve(args) -> int:
     if result.reports:
         print(f"modified_energy={result.reports[-1].modified_energy:.10g} "
               f"mass={result.reports[-1].mass:.10g}")
-    if result.energy_csv:
-        print(f"energy csv: {result.energy_csv}")
+    print(f"energy csv: {result.energy_csv}")
     return 0
 
 

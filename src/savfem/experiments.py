@@ -193,12 +193,12 @@ class RunResult:
     reports: list[EnergyReport]
     accepted: int
     rejected: int
-    energy_csv: Path | None
+    energy_csv: Path
     vtk_files: list[Path] = field(default_factory=list)
     active: ActiveMesh | None = None
 
 
-def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunResult:
+def run_phase_separation(config: RunConfig) -> RunResult:
     """Time loop for one phase-separation run described by ``config``.
 
     Unforced flow; per accepted step one diagnostics row is emitted (rows
@@ -218,14 +218,12 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
     state = initial_state(forms, physics, bernoulli_ic(active, config.ic_mean, config.seed))
 
     out_dir = config.resolved_output_dir()
-    sink = None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sink = EnergyCsvSink(out_dir / f"{config.run_name}_energy.csv")
     vtk_files: list[Path] = []
-    if write_outputs:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sink = EnergyCsvSink(out_dir / f"{config.run_name}_energy.csv")
 
     def maybe_vtk(step_index: int, snapshot: StateSnapshot, final: bool = False) -> None:
-        if not write_outputs or config.vtk_interval == 0:
+        if config.vtk_interval == 0:
             return
         if final or step_index % config.vtk_interval == 0:
             path = out_dir / f"{config.run_name}_{step_index:06d}.vtk"
@@ -249,14 +247,12 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
             )
             prev, state = state, nxt
             rejected += n_rejected
-            if sink:
-                sink.write(reports[-1])
+            sink.write(reports[-1])
             done = state.t >= config.t_end if adaptive else len(reports) == n_steps
             maybe_vtk(len(reports), state, final=done)
     finally:
         solver.release()
-        if sink:
-            sink.close()
+        sink.close()
     _log_totals(config.run_name, solver.totals)
 
     return RunResult(
@@ -264,7 +260,7 @@ def run_phase_separation(config: RunConfig, write_outputs: bool = True) -> RunRe
         reports=reports,
         accepted=len(reports),
         rejected=rejected,
-        energy_csv=sink.path if sink else None,
+        energy_csv=sink.path,
         vtk_files=vtk_files,
         active=active,
     )

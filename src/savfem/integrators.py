@@ -423,8 +423,6 @@ def make_energy_report(
     are this row's modified energy and the previous row's, ``prev_energy``;
     with it, the modified energy is evaluated once per row.
     """
-    if prev1 is None:
-        raise ValueError("the report needs the previous state")
     bdf1 = scheme == "bdf1"
     energy = modified_energy(state, forms, physics, None if bdf1 else prev1)
     energies = None if prev_energy is None else (energy, prev_energy)

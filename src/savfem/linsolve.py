@@ -50,6 +50,8 @@ float64 pivot-free (logged at INFO; the ``BlockSolver`` then factors in
 float64 for the rest of its life), then COLAMD with partial pivoting in
 float64 (logged as a WARNING; ``SolveStats.fallback`` is set).  Only a
 failure of COLAMD raises.  Every rung attempted counts as a factorization.
+Every rung factors the same scattered, permuted matrix and solves through
+the same order permutation; COLAMD then reorders its columns itself.
 
 One solve path.  Every solve, on a fresh or a kept LU, runs right-
 preconditioned GMRES (``gmres``) on the full operator from the
@@ -300,14 +302,12 @@ def apply_operator(system: BlockSystem, x: np.ndarray) -> np.ndarray:
     return np.concatenate([yc, ym])
 
 
-def _colamd_solver(system: BlockSystem):
-    a = sp.bmat([[system.b_cc, system.b_cmu], [system.b_muc, system.b_mumu]], format="csc")
-    return spla.splu(a).solve
-
-
-def _pivot_free_solver(a: sp.csc_matrix, order: np.ndarray):
-    """Float64 solve by the pivot-free LU of ``a``, in ``a``'s precision."""
-    lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+def _lu_solver(a: sp.csc_matrix, order: np.ndarray, pivoting: bool = False):
+    """Float64 solve by the LU of the permuted operator ``a``, in ``a``'s
+    precision: pivot-free in ``a``'s own order, or with ``pivoting``, in
+    SuperLU's default COLAMD column order with partial pivoting."""
+    options = {} if pivoting else {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+    lu = spla.splu(a, **options)
     dtype = a.dtype
 
     def solve(b):
@@ -453,7 +453,7 @@ class BlockSolver:
             totals.factorizations += 1
             try:
                 a = pattern.matrix(system, dtype)
-                return self._keep(system, pattern, _pivot_free_solver(a, pattern.order))
+                return self._keep(system, pattern, _lu_solver(a, pattern.order))
             except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
                 if dtype == np.float32:
                     log.info(
@@ -468,7 +468,8 @@ class BlockSolver:
                     )
         totals.factorizations += 1
         totals.fallbacks += 1
-        x, stats = self._keep(system, pattern, _colamd_solver(system))
+        a = pattern.matrix(system, np.float64)
+        x, stats = self._keep(system, pattern, _lu_solver(a, pattern.order, pivoting=True))
         stats.fallback = True
         return x, stats
 

@@ -30,10 +30,12 @@ and the parent basis gradients, its volume is |T| / S for the S lattice
 sub-tetrahedra of a red-refined parent T (Bey, Computing 55, 1995), and a
 polygon's vertices and their order follow from its patch's values alone,
 so no sub-tetrahedron coordinates are formed and no order reads a normal.
+A vertex's parent coordinates come from the two lattice points of its edge,
+and B_P (P x N), the one map from dof values to the vertices, is kept.
 
 ``build_active_mesh`` runs in stages, one function each: classification,
-element geometry, patches, polygons, triangle areas and Gram tables, so
-that the temporaries of a stage are freed when it returns.
+element geometry, patches, polygon extraction, triangle areas and Gram
+tables, so that the temporaries of a stage are freed when it returns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .levelset import LevelSetField, interpolate_p1
 
@@ -224,6 +227,7 @@ class ActiveMesh:
     patch_gram: np.ndarray  # (n_p, 16) row-major grad_G psi_i . grad_G psi_j, constant per patch
     poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates of the cut-polygon vertices
     poly_elem: np.ndarray  # (P,)
+    poly_interp: sp.csr_matrix  # B_P (P, n_dofs): data a view of poly_bary, int32 columns
     tri_index: np.ndarray  # (T, 3) into the polygon vertices
     tri_areas: np.ndarray  # (T,)
     tri_patch_offsets: np.ndarray  # (n_p + 1,)
@@ -244,6 +248,11 @@ class ActiveMesh:
     @property
     def dof_coords(self) -> np.ndarray:
         return self.mesh.nodes[self.active_nodes]
+
+    @property
+    def polygon_points(self) -> np.ndarray:
+        """(P, 3) cut-polygon vertices, B_P applied to the dof coordinates."""
+        return self.poly_interp @ self.dof_coords
 
     @property
     def area(self) -> float:
@@ -307,8 +316,8 @@ def _patches(grads, volumes, sub_vals, sub_cut, divisions: int):
     barycentric coordinates mu = inv(B)^T lambda in terms of the parent's
     (B: the parent barycentric coordinates of its vertices, by row), and
     red refinement gives every child the volume |T| / S.  Returns the
-    (n_e, 3, 3) metric, each patch's parent element and lattice
-    sub-tetrahedron, its unit normal and its level-set values.
+    (n_e, 3, 3) metric, each patch's parent element, the lattice-point ids
+    of its four vertices, its unit normal and its level-set values.
     """
     n_sub = sub_cut.shape[1]
     sub_inv = np.linalg.inv(_lattice_bary(divisions)[_SUBTETS[divisions]])  # (S, 4, 4)
@@ -321,20 +330,13 @@ def _patches(grads, volumes, sub_vals, sub_cut, divisions: int):
 
     # Patches: the cut sub-tetrahedra, parent-major order.
     patch_elem, patch_sub = np.nonzero(sub_cut)
-    return stab_metric, patch_elem, patch_sub, unit[sub_cut], sub_vals[sub_cut]
+    patch_ids = _SUBTETS[divisions][patch_sub]
+    return stab_metric, patch_elem, patch_ids, unit[sub_cut], sub_vals[sub_cut]
 
 
-def _polygons(vals, patch_sub, divisions: int):
-    """Cut polygons of the patches, with barycentric coordinates in the parent."""
-    sub_bary, poly_patch, tri_index, tri_offsets = _extract_polygons(vals)
-    sub_to_parent = _lattice_bary(divisions)[_SUBTETS[divisions]]  # (S, 4, 4)
-    poly_bary = np.einsum("pk,pkf->pf", sub_bary, sub_to_parent[patch_sub[poly_patch]])
-    return poly_bary, poly_patch, tri_index, tri_offsets
-
-
-def _triangle_areas(coords, poly_bary, poly_elem, tri_index):
-    """Areas of the surface triangles; ``coords`` are the parents' vertices."""
-    tri_coords = np.einsum("pf,pfx->px", poly_bary, coords[poly_elem])[tri_index]  # (T, 3, 3)
+def _triangle_areas(points, tri_index):
+    """Areas of the surface triangles of the polygon vertices ``points``."""
+    tri_coords = points[tri_index]  # (T, 3, 3)
     return 0.5 * np.linalg.norm(
         np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
     )
@@ -368,21 +370,26 @@ def build_active_mesh(
     cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, geometry_divisions)
     elem_nodes = mesh.tets[cut_tets]
     active_nodes, elem_dofs = np.unique(elem_nodes, return_inverse=True)
+    elem_dofs = elem_dofs.reshape(elem_nodes.shape)
 
-    coords = mesh.nodes[elem_nodes]  # (n_e, 4, 3)
-    grads, volumes = _element_geometry(coords)
-    stab_metric, patch_elem, patch_sub, normals, patch_vals = _patches(
+    grads, volumes = _element_geometry(mesh.nodes[elem_nodes])
+    stab_metric, patch_elem, patch_ids, normals, patch_vals = _patches(
         grads, volumes, sub_vals, sub_cut, geometry_divisions
     )
-    poly_bary, poly_patch, tri_index, tri_patch_offsets = _polygons(patch_vals, patch_sub, geometry_divisions)
+    poly_bary, poly_patch, tri_index, tri_patch_offsets = _extract_polygons(
+        patch_vals, patch_ids, _lattice_bary(geometry_divisions)
+    )
     poly_elem = patch_elem[poly_patch]
-    tri_areas = _triangle_areas(coords, poly_bary, poly_elem, tri_index)
+    cols = elem_dofs.astype(np.int32)[poly_elem].reshape(-1)  # int32: kept by the CSR constructor
+    ptr = np.arange(0, len(cols) + 1, 4, dtype=np.int32)
+    poly_interp = sp.csr_matrix((poly_bary.reshape(-1), cols, ptr), shape=(len(poly_bary), len(active_nodes)))
+    tri_areas = _triangle_areas(poly_interp @ mesh.nodes[active_nodes], tri_index)
     patch_gram = _patch_gram(grads, patch_elem, normals)
 
     return ActiveMesh(
         mesh=mesh,
         geometry_divisions=geometry_divisions,
-        elem_dofs=elem_dofs.reshape(elem_nodes.shape),
+        elem_dofs=elem_dofs,
         active_nodes=active_nodes,
         grads=grads,
         volumes=volumes,
@@ -391,6 +398,7 @@ def build_active_mesh(
         patch_gram=patch_gram,
         poly_bary=poly_bary,
         poly_elem=poly_elem.astype(np.int32),  # int32: read at set-up only
+        poly_interp=poly_interp,
         tri_index=tri_index,
         tri_areas=tri_areas,
         tri_patch_offsets=tri_patch_offsets,
@@ -400,26 +408,26 @@ def build_active_mesh(
 _OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)], dtype=np.int64)
 
 
-def _crossings(vals, a, b):
-    """Barycentric coordinates (n, k, 4) of the zero of the linear
-    interpolant of ``vals`` (n, 4) on the edges a[:, j]-b[:, j], at
-    t = v_a / (v_a - v_b) from vertex a."""
+def _crossings(vals, ids, lattice, a, b):
+    """Parent barycentric coordinates (n, k, 4) of the zero of the linear
+    interpolant of ``vals`` (n, 4) on the edges a[:, j]-b[:, j]: (1 - t) L_a
+    + t L_b at t = v_a / (v_a - v_b), L the ``lattice`` rows of the ends' ids."""
     va = np.take_along_axis(vals, a, axis=1)
     vb = np.take_along_axis(vals, b, axis=1)
-    t = va / (va - vb)
-    rows, cols = np.arange(len(a))[:, None], np.arange(a.shape[1])[None, :]
-    bary = np.zeros(a.shape + (4,))
-    bary[rows, cols, a] = 1.0 - t
-    bary[rows, cols, b] = t
-    return bary
+    t = (va / (va - vb))[:, :, None]
+    ends_a = lattice[np.take_along_axis(ids, a, axis=1)]
+    ends_b = lattice[np.take_along_axis(ids, b, axis=1)]
+    return (1.0 - t) * ends_a + t * ends_b
 
 
-def _extract_polygons(vals):
+def _extract_polygons(vals, ids, lattice):
     """Vectorized cut-polygon extraction for all patches at once, from
-    their (n, 4) level-set values.
+    their (n, 4) level-set values, the lattice-point ids (n, 4) of their
+    vertices and the lattice points' parent coordinates ``lattice`` (L, 4);
+    ids 0..3 with the identity give coordinates in the patch itself.
 
-    Returns the polygon vertices by barycentric coordinates in their patch,
-    each vertex's patch, and the triangles with each patch's offsets into
+    Returns the polygon vertices by parent barycentric coordinates, each
+    vertex's patch, and the triangles with each patch's offsets into
     them, all ordered by patch.  A triangle's vertices follow the order of its crossing edges
     around the lone vertex.  A quadrilateral with negative vertices
     a0 < a1 and positive vertices b0 < b1 runs a0b0, a0b1, a1b1, a1b0, so
@@ -442,14 +450,18 @@ def _extract_polygons(vals):
     rows = np.flatnonzero(n_neg != 2)
     lone = np.where(n_neg[rows] == 1, np.argmax(neg[rows], axis=1), np.argmax(~neg[rows], axis=1))
     slot = pv_off[rows][:, None] + np.arange(3)[None, :]
-    poly_bary[slot] = _crossings(vals[rows], np.repeat(lone[:, None], 3, axis=1), _OTHERS[lone])
+    poly_bary[slot] = _crossings(
+        vals[rows], ids[rows], lattice, np.repeat(lone[:, None], 3, axis=1), _OTHERS[lone]
+    )
     tri_index[tri_off[rows]] = slot
 
     rows = np.flatnonzero(n_neg == 2)
     negs = np.argsort(~neg[rows], axis=1, kind="stable")[:, :2]
     poss = np.argsort(neg[rows], axis=1, kind="stable")[:, :2]
     slot = pv_off[rows][:, None] + np.arange(4)[None, :]
-    poly_bary[slot] = _crossings(vals[rows], negs[:, [0, 0, 1, 1]], poss[:, [0, 1, 1, 0]])
+    poly_bary[slot] = _crossings(
+        vals[rows], ids[rows], lattice, negs[:, [0, 0, 1, 1]], poss[:, [0, 1, 1, 0]]
+    )
     tri_index[tri_off[rows]] = slot[:, [0, 1, 2]]
     tri_index[tri_off[rows] + 1] = slot[:, [0, 2, 3]]
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import _operators, polygon_points
 from .integrators import EnergyReport
 from .mesh import ActiveMesh
 
@@ -67,7 +66,7 @@ def _vtk_geometry(active: ActiveMesh) -> bytes:
     """The snapshot text up to the point data, encoded once per active mesh."""
     geometry = active._cache.get("vtk_geometry")
     if geometry is None:
-        points, tri = polygon_points(active), active.tri_index
+        points, tri = active.polygon_points, active.tri_index
         n, m = len(points), len(tri)
         text = "".join(
             [
@@ -86,17 +85,16 @@ def write_vtk_surface(path: str | Path, active: ActiveMesh, c: np.ndarray) -> No
     """Write the reconstructed surface triangulation as legacy ASCII VTK.
 
     Points are the cut-polygon vertices, connectivity the per-polygon fans,
-    and ``concentration`` is attached as point data by evaluating the P1
-    field with the stored barycentric coordinates of each vertex.  The text
-    before the point data is built on the mesh's first snapshot and reused,
-    so a later snapshot formats only its values; coordinates and values are
-    formatted once per distinct value.
+    and ``concentration`` is attached as point data, the P1 field at each
+    vertex by the mesh's polygon-vertex operator B_P.  The text before the
+    point data is built on the mesh's first snapshot and reused, so a later
+    snapshot formats only its values; coordinates and values are formatted
+    once per distinct value.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (active.n_dofs,):
         raise ValueError(f"expected {active.n_dofs} dof values, got shape {c.shape}")
-    dofs = _operators(active).interp.indices.reshape(-1, 4)  # B_P's int32 dof table
-    values = np.einsum("pi,pi->p", active.poly_bary, c[dofs])
+    values = active.poly_interp @ c
     geometry = _vtk_geometry(active)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 """Tables the mesh no longer stores or never forms, rebuilt for the tests:
 the oracles for the polygon-vertex operators of ``savfem.assembly``, for
-the per-patch Gram tables and for the closed-form cut geometry.
+the per-patch Gram tables, for the closed-form cut geometry and for the
+polygon vertices read straight from the lattice.
 
 The mesh stores the surface triangles and their areas; ``savfem.assembly``
 applies the surface rule to them, so that point 6 t + k is rule point k of
@@ -16,14 +17,17 @@ sub-tetrahedron; from their physical coordinates, which the mesh never
 forms, come the LAPACK gradients and volumes that the closed forms of
 ``mesh._patches`` replaced, the tangential gradients of every patch and
 the polygon vertices on the patch edges.  The circumscribed diameters come
-from the circumcenter solve that ``h_stab = sqrt(3) h`` replaced.
+from the circumcenter solve that ``h_stab = sqrt(3) h`` replaced.  The
+extraction run on the patch itself (lattice-point ids 0..3, the identity
+for their barycentric coordinates) gives each vertex's barycentric
+coordinates in its patch; times the parent coordinates of the patch's
+lattice points they are the two-step map that the extraction replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from savfem.assembly import polygon_points
 from savfem.levelset import interpolate_p1
 from savfem.mesh import _SUBTETS, ZERO_SHIFT_SCALE, _classify, _extract_polygons, _lattice_bary, _patches
 from savfem.quadrature import triangle_bary_rule
@@ -39,6 +43,8 @@ __all__ = [
     "circumdiameters",
     "tangential_grads",
     "cut_edge_points",
+    "patch_polygons",
+    "two_step_poly_bary",
 ]
 
 
@@ -57,7 +63,7 @@ def point_elem(active) -> np.ndarray:
 def point_coords(active) -> np.ndarray:
     """(Q, 3) physical surface points."""
     rule_bary, _ = triangle_bary_rule()
-    return np.matmul(rule_bary, polygon_points(active)[active.tri_index]).reshape(-1, 3)
+    return np.matmul(rule_bary, active.polygon_points[active.tri_index]).reshape(-1, 3)
 
 
 def point_weights(active) -> np.ndarray:
@@ -130,7 +136,7 @@ def cut_edge_points(active, levelset) -> np.ndarray:
     its vertex order."""
     sub_coords, sub_vals, sub_cut = _lattice_stage(active, levelset)
     coords, vals = sub_coords[sub_cut], sub_vals[sub_cut]  # (n_p, 4, 3), (n_p, 4)
-    sub_bary, poly_patch, _, _ = _extract_polygons(vals)
+    sub_bary, poly_patch, _, _ = patch_polygons(vals)
     pv, on_edge = vals[poly_patch], sub_bary > 0.0
     assert np.all(on_edge.sum(axis=1) == 2)
     a = np.argmax(on_edge & (pv < 0.0), axis=1)
@@ -139,3 +145,21 @@ def cut_edge_points(active, levelset) -> np.ndarray:
     t = pv[rows, a] / (pv[rows, a] - pv[rows, b])
     xa, xb = coords[poly_patch, a], coords[poly_patch, b]
     return xa + t[:, None] * (xb - xa)
+
+
+def patch_polygons(vals):
+    """The extraction of the patches with level-set values ``vals`` (n, 4),
+    with vertices by barycentric coordinates in their patch."""
+    return _extract_polygons(vals, np.broadcast_to(np.arange(4), vals.shape), np.eye(4))
+
+
+def two_step_poly_bary(active, levelset) -> np.ndarray:
+    """(P, 4) parent barycentric coordinates of the polygon vertices, as the
+    patch barycentric coordinates times the parent coordinates of the
+    patch's lattice points, one (P, 4, 4) gather."""
+    _, sub_vals, sub_cut = _lattice_stage(active, levelset)
+    patch_sub = np.nonzero(sub_cut)[1]
+    sub_bary, poly_patch, _, _ = patch_polygons(sub_vals[sub_cut])
+    divisions = active.geometry_divisions
+    sub_to_parent = _lattice_bary(divisions)[_SUBTETS[divisions]]  # (S, 4, 4)
+    return np.einsum("pk,pkf->pf", sub_bary, sub_to_parent[patch_sub[poly_patch]])

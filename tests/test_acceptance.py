@@ -164,7 +164,7 @@ def test_criterion_2_bdf1_energy_balance(sphere_l3_forms, capsys):
 
 
 @pytest.fixture(scope="module")
-def decay_runs():
+def decay_runs(tmp_path_factory):
     runs = {}
     for scheme in ("bdf1", "bdf2"):
         for a in (0.3, 0.5, 0.7):
@@ -177,8 +177,9 @@ def decay_runs():
                 t_end=1.0,  # 200 steps
                 ic_mean=a,
                 seed=1,
+                output_dir=str(tmp_path_factory.mktemp(f"decay_{scheme}_{a}")),
             )
-            runs[(scheme, a)] = (config, run_phase_separation(config, write_outputs=False))
+            runs[(scheme, a)] = (config, run_phase_separation(config))
     return runs
 
 

@@ -36,7 +36,6 @@ from savfem.assembly import (
     interpolate_at_surface_qp,
     l2_norm_gamma,
     on_pattern,
-    polygon_points,
 )
 from savfem.config import SPHERE_BOX
 from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
@@ -288,7 +287,7 @@ class TestOperatorsAgainstElementScatter:
         np.testing.assert_allclose(vals, _interp_oracle(sphere_l2, bernoulli), rtol=0.0, atol=1e-13)
 
     def test_interpolation_operator_shares_poly_bary(self, sphere_l2):
-        interp = _operators(sphere_l2).interp
+        interp = sphere_l2.poly_interp
         assert interp.shape == (len(sphere_l2.poly_bary), sphere_l2.n_dofs)
         assert np.shares_memory(interp.data, sphere_l2.poly_bary)
 
@@ -415,7 +414,7 @@ class TestSurfaceTablesAgainstPatchStage:
 
     def test_polygon_points(self, mesh_name, request):
         active = request.getfixturevalue(mesh_name)
-        self.assert_close(polygon_points(active), cut_edge_points(active, _LEVELSETS[mesh_name]))
+        self.assert_close(active.polygon_points, cut_edge_points(active, _LEVELSETS[mesh_name]))
 
     def test_coefficient_stiffness(self, mesh_name, request):
         active = request.getfixturevalue(mesh_name)

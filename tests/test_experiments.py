@@ -159,12 +159,6 @@ class TestPhaseSeparation:
         assert first.energy_csv.read_bytes() == second.energy_csv.read_bytes()
         np.testing.assert_array_equal(first.state.c, second.state.c)
 
-    def test_write_outputs_false(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
-        result = run_phase_separation(quick_config(run_name="dry"), write_outputs=False)
-        assert result.energy_csv is None
-        assert list(tmp_path.iterdir()) == []
-
     def test_non_multiple_t_end_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
         with pytest.raises(ValueError, match="multiple"):

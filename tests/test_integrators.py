@@ -272,11 +272,6 @@ class TestEnergyReport:
         terms = energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics)
         assert report.balance_residual == abs(terms.sum())
 
-    def test_bdf2_report_needs_prev(self, sphere_l2_forms, physics, seeded_state):
-        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
-        with pytest.raises(ValueError, match="previous"):
-            make_energy_report(None, None, nxt, sphere_l2_forms, physics, "bdf2")
-
     def test_scheme_picks_energy_and_balance(self, sphere_l2_forms, physics, seeded_state):
         forms = sphere_l2_forms
         prev = seeded_state

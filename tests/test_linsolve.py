@@ -270,7 +270,7 @@ def test_marginal_pivot_free_lu_is_refined(rng, caplog):
     # at cc = 1e-8 the pivot-free LU's own solve misses the 1e-10 residual
     # gate; GMRES on that LU meets it without a fallback
     system, pattern = interleaved_trap(rng, cc=1e-8)
-    lu = linsolve._pivot_free_solver(pattern.matrix(system, np.float32), pattern.order)
+    lu = linsolve._lu_solver(pattern.matrix(system, np.float32), pattern.order)
     unrefined = linsolve._sherman_morrison(system, lu)[0](system.rhs)
     assert linsolve._residual(system, unrefined)[1] > 1e-10
     solver = BlockSolver()

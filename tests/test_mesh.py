@@ -12,22 +12,26 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutcells import extract_cut_polygon
 from pointwise import (
     circumdiameters,
+    cut_edge_points,
     lapack_geometry,
+    patch_polygons,
     patch_stage,
     point_bary,
     point_coords,
     point_elem,
     point_offsets,
     point_weights,
+    two_step_poly_bary,
 )
-from savfem.assembly import _operators, assemble_load, polygon_points
+from savfem.assembly import assemble_load
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import idealized_cell, interpolate_p1, sphere
-from savfem.mesh import MeshError, _extract_polygons, build_active_mesh, build_mesh
+from savfem.mesh import MeshError, build_active_mesh, build_mesh
 from savfem.quadrature import triangle_bary_rule
 
 
@@ -124,16 +128,16 @@ def test_active_mesh_grouping_invariants(sphere_l2):
 
 def test_quadrature_points_against_einsum_formulas(sphere_l2, sphere_l2_flat):
     """A load of a callable integrand evaluates it at the einsum formula's
-    points, built for the call: the mesh caches no per-point array."""
+    points, built for the call: the mesh caches nothing for it."""
     rule_bary, _ = triangle_bary_rule()
     for active in (sphere_l2, sphere_l2_flat):
         fresh = dataclasses.replace(active, _cache={})
         seen = []
         assemble_load(fresh, lambda p: seen.append(p) or p[:, 0])
-        points = np.einsum("qi,tij->tqj", rule_bary, polygon_points(fresh)[fresh.tri_index])
+        points = np.einsum("qi,tij->tqj", rule_bary, fresh.polygon_points[fresh.tri_index])
         np.testing.assert_allclose(seen[0], points.reshape(-1, 3), rtol=0.0, atol=1e-15)
-        assert list(fresh._cache) == ["operators"]
-        assert _operators(fresh).interp.shape == (len(fresh.poly_bary), fresh.n_dofs)
+        assert fresh._cache == {}
+        assert fresh.poly_interp.shape == (len(fresh.poly_bary), fresh.n_dofs)
 
 
 def test_stab_metric_trace_is_volume(sphere_l2, sphere_l2_flat):
@@ -166,6 +170,38 @@ def test_closed_form_geometry_matches_lapack_oracle(mesh_name, request):
     np.testing.assert_allclose(active.stab_metric, metric, rtol=0.0, atol=1e-12 * np.abs(metric).max())
 
 
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
+def test_polygon_vertices_match_the_two_step_map(mesh_name, request):
+    """Vertices read from the two lattice points of their edge equal, bit
+    for bit, the patch barycentrics mapped through the patch's lattice."""
+    active = request.getfixturevalue(mesh_name)
+    oracle = two_step_poly_bary(active, _LEVELSETS[mesh_name])
+    np.testing.assert_array_equal(active.poly_bary, oracle)
+    assert active.poly_bary.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
+def test_polygon_interp_is_the_vertex_operator(mesh_name, request):
+    """``poly_interp`` is B_P on a view of ``poly_bary`` with the parent's
+    dofs as int32 columns, and ``polygon_points`` are the vertices on the
+    patch edges."""
+    active = request.getfixturevalue(mesh_name)
+    n_v = len(active.poly_bary)
+    cols = active.elem_dofs[active.poly_elem].reshape(-1)
+    oracle = sp.csr_matrix(
+        (active.poly_bary.reshape(-1), cols, np.arange(0, 4 * n_v + 1, 4)), shape=(n_v, active.n_dofs)
+    )
+    b = active.poly_interp
+    assert b.format == "csr" and b.shape == oracle.shape and b.indices.dtype == np.int32
+    np.testing.assert_array_equal(b.indptr, oracle.indptr)
+    np.testing.assert_array_equal(b.indices, oracle.indices)
+    assert np.shares_memory(b.data, active.poly_bary)
+    points = active.polygon_points
+    np.testing.assert_array_equal(points, oracle @ active.dof_coords)
+    oracle_points = cut_edge_points(active, _LEVELSETS[mesh_name])
+    np.testing.assert_allclose(points, oracle_points, rtol=0.0, atol=1e-14 * np.abs(oracle_points).max())
+
+
 @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
 def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     """Consecutive vertices of a cut quadrilateral lie on edges that share
@@ -173,7 +209,7 @@ def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     face the same way: no bow-tie."""
     active = request.getfixturevalue(mesh_name)
     vals = patch_stage(active, _LEVELSETS[mesh_name])[4]
-    sub_bary, poly_patch, tri_index, tri_offsets = _extract_polygons(vals)
+    sub_bary, poly_patch, tri_index, tri_offsets = patch_polygons(vals)
     np.testing.assert_array_equal(tri_index, active.tri_index)
     quads = np.flatnonzero(np.bincount(poly_patch) == 4)
     assert len(quads) > 0
@@ -185,7 +221,7 @@ def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     first = tri_offsets[quads]
     np.testing.assert_array_equal(tri_index[first], slots[:, [0, 1, 2]])
     np.testing.assert_array_equal(tri_index[first + 1], slots[:, [0, 2, 3]])
-    p = polygon_points(active)[slots]
+    p = active.polygon_points[slots]
     n1 = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     n2 = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
     cos = np.einsum("qx,qx->q", n1, n2) / (np.linalg.norm(n1, axis=1) * np.linalg.norm(n2, axis=1))
@@ -218,7 +254,7 @@ def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
         poly = extract_cut_polygon(coords[e], vals[e])
         assert poly is not None
         sel = active.poly_elem == e
-        assert np.allclose(np.sort(polygon_points(active)[sel], axis=0),
+        assert np.allclose(np.sort(active.polygon_points[sel], axis=0),
                            np.sort(poly.vertices, axis=0), atol=1e-12)
 
 

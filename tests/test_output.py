@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from savfem.assembly import polygon_points
 from savfem.experiments import ConvergenceRow
 from savfem.integrators import EnergyReport
 from savfem.output import (
@@ -114,9 +113,12 @@ class TestVtkSurface:
 
     @staticmethod
     def line_by_line(active, c):
-        """The writer's earlier formatter, one f-string per value: the oracle."""
-        values = np.einsum("pi,pi->p", active.poly_bary, c[active.elem_dofs[active.poly_elem]])
-        points = polygon_points(active)
+        """The writer's earlier formatter, one f-string per value: the oracle.
+        The values sum the four products of each vertex in column order, the
+        order of B_P's row sums, so that exact cancellations round alike."""
+        dofs = active.elem_dofs[active.poly_elem]
+        values = sum(active.poly_bary[:, k] * c[dofs[:, k]] for k in range(4))
+        points = active.polygon_points
         lines = [
             "# vtk DataFile Version 3.0",
             "trace surface",

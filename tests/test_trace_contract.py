@@ -111,7 +111,7 @@ def test_traced_run_reports_every_layer(savbench, overrides, tmp_path, monkeypat
     assert metrics["assembly.energy_calls"] == 1 + 2 * result.accepted
 
 
-def test_setup_clock_stops_both_run_paths(savbench):
+def test_setup_clock_stops_both_run_paths(savbench, tmp_path):
     _, workloads = savbench
     before = bindings()
     clock = workloads.SetupClock(experiments, stop=True)
@@ -119,7 +119,7 @@ def test_setup_clock_stops_both_run_paths(savbench):
         # the clock is opened by the probed build_mesh and closed by the
         # probed initial_state, which stops the run before its time loop
         with pytest.raises(workloads.StopAfterSetup):
-            experiments.run_phase_separation(run_config(), write_outputs=False)
+            experiments.run_phase_separation(run_config(output_dir=str(tmp_path)))
         first = clock.total
         with pytest.raises(workloads.StopAfterSetup):
             experiments.run_convergence([2], epsilon=1.0, scheme="bdf2", t_end=0.08)
