@@ -27,7 +27,7 @@ from .integrators import (
     make_energy_report,
 )
 from .levelset import sphere
-from .linsolve import BlockSolver, SolverConfig, SolverTotals
+from .linsolve import BlockSolver, SolverConfig
 from .manufactured import manufactured_solution
 from .mesh import ActiveMesh, build_active_mesh, build_mesh
 from .output import EnergyCsvSink, write_vtk_surface
@@ -91,18 +91,8 @@ def _advance(scheme, prev, state, dt, forms, physics, solver, forcing=None, cont
         return bdf1_step(state, dt, forms, physics, solver, forcing), 0
     if scheme == "bdf2":
         return bdf2_step(prev, state, dt, forms, physics, solver, forcing), 0
-    nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver, forcing)
+    nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver)
     return nxt, sum(1 for a in attempts if not a.accepted)
-
-
-def _log_totals(name: str, totals: SolverTotals) -> None:
-    """One INFO line with the totals of a time loop's BlockSolver."""
-    log.info(
-        "%s: %d solves, %d factorizations, %d reused, %d abandoned reuses, %d refreshed, "
-        "%d GMRES iterations, %d refined, %d promoted to float64, %d fallbacks",
-        name, totals.solves, totals.factorizations, totals.reused, totals.abandoned,
-        totals.refreshed, totals.iterations, totals.refined, totals.promoted, totals.fallbacks,
-    )
 
 
 @dataclass(frozen=True)
@@ -161,13 +151,13 @@ def _convergence_level(level, prev_error, ms, physics, scheme, t_end, solver_con
     state = initial_state(forms, physics, c_star)
 
     dt = REFERENCE_DT * 2.0 ** (3 - level)
-    solver = BlockSolver(solver_config)
+    solver = BlockSolver(active.dof_coords, solver_config)
     prev = None
     for _ in range(_step_count(t_end, dt)):
         nxt, _ = _advance(scheme, prev, state, dt, forms, physics, solver, forcing)
         prev, state = state, nxt
     solver.release()
-    _log_totals(f"level {level}", solver.totals)
+    log.info("level %d: %s", level, solver.totals)
 
     error = l2_norm_gamma(active, state.c - c_star)
     return ConvergenceRow(
@@ -213,7 +203,7 @@ def run_phase_separation(config: RunConfig) -> RunResult:
     n_steps = None if adaptive else _step_count(config.t_end, config.dt)
     _, active, forms = build_problem(config)
     physics = config.physics()
-    solver = BlockSolver(config.solver_config())
+    solver = BlockSolver(active.dof_coords, config.solver_config())
     controller = config.controller() if adaptive else None
     state = initial_state(forms, physics, bernoulli_ic(active, config.ic_mean, config.seed))
 
@@ -253,7 +243,7 @@ def run_phase_separation(config: RunConfig) -> RunResult:
     finally:
         solver.release()
         sink.close()
-    _log_totals(config.run_name, solver.totals)
+    log.info("%s: %s", config.run_name, solver.totals)
 
     return RunResult(
         state=state,

@@ -36,13 +36,7 @@ from .assembly import (
     compute_mass,
     on_pattern,
 )
-from .linsolve import (
-    BlockPattern,
-    BlockSolver,
-    BlockSystem,
-    LinearSolveError,
-    solve_rank_one_system,
-)
+from .linsolve import BlockSolver, BlockSystem, solve_rank_one_system
 from .physics import PhysicsParams, guarded_shifted_energy
 
 __all__ = [
@@ -113,22 +107,6 @@ class SchemeCoefficients:
 BDF1 = SchemeCoefficients(alpha=1.0, beta=1.0, gamma=0.0)
 
 
-def _block_pattern(forms: AssembledForms) -> BlockPattern:
-    """The fixed block pattern of the forms' mesh, built at its first solve."""
-    pattern = forms.active._cache.get("block_pattern")
-    if pattern is None:
-        mass = forms.mass
-        for form in (forms.stiffness, forms.stab):
-            if not (
-                np.array_equal(form.indptr, mass.indptr)
-                and np.array_equal(form.indices, mass.indices)
-            ):
-                raise LinearSolveError("the static forms do not share one CSR pattern")
-        pattern = BlockPattern.build(forms.active.dof_coords, mass)
-        forms.active._cache["block_pattern"] = pattern
-    return pattern
-
-
 def _sav_step(
     prev2: StateSnapshot,
     prev1: StateSnapshot,
@@ -142,8 +120,9 @@ def _sav_step(
 ) -> StateSnapshot:
     """The step with difference ``coef`` and reference field ``c_ref``.
 
-    ``solver`` is the time loop's BlockSolver, whose stored LU may serve the
-    solve; without one the step solves on a fresh LU.  ``forcing`` is an
+    ``solver`` is the time loop's BlockSolver, whose pattern and stored LU
+    may serve the solve; without one the step solves with a BlockSolver of
+    its own, which orders the pattern and factors afresh.  ``forcing`` is an
     optional pre-assembled load vector (f, psi_j) added to the concentration
     equation.
     """
@@ -173,7 +152,7 @@ def _sav_step(
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, _block_pattern(forms), solver)
+    c, mu, _ = solve_rank_one_system(system, solver or BlockSolver(forms.active.dof_coords))
     r = (be * prev1.r - ga * prev2.r + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)) / al
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(r)):
         raise TimeStepError("time step produced non-finite values")
@@ -227,14 +206,13 @@ def bdf2_variable_step(
     forms: AssembledForms,
     physics: PhysicsParams,
     solver: BlockSolver | None = None,
-    forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
     """Variable-step BDF2 with ratio q = dt / dt_prev; bdf2_step at q = 1."""
     if dt <= 0 or dt_prev <= 0:
         raise ValueError("dt and dt_prev must be positive")
     coef = SchemeCoefficients.from_ratio(dt / dt_prev)
     c_ref = 2.0 * prev1.c - prev2.c
-    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver, forcing)
+    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver, None)
 
 
 def _quad_form(mat, v) -> float:
@@ -351,7 +329,6 @@ def adapt_step(
     forms: AssembledForms,
     physics: PhysicsParams,
     solver: BlockSolver | None = None,
-    forcing: np.ndarray | None = None,
 ):
     """One adaptive step: BDF1/BDF2 comparison with retry-and-shrink.
 
@@ -371,10 +348,8 @@ def adapt_step(
                 f"trial step {dt:.3e} fell below dt_min {controller.dt_min:.3e} "
                 f"after {len(attempts)} attempts"
             )
-        c1 = bdf1_step(prev1, dt, forms, physics, solver, forcing)
-        c2 = bdf2_variable_step(
-            prev2, prev1, dt, prev1.dt_used, forms, physics, solver, forcing
-        )
+        c1 = bdf1_step(prev1, dt, forms, physics, solver)
+        c2 = bdf2_variable_step(prev2, prev1, dt, prev1.dt_used, forms, physics, solver)
         denom = np.sqrt(_quad_form(forms.mass, c2.c))
         error = float(np.sqrt(_quad_form(forms.mass, c1.c - c2.c)) / denom) if denom > 0 else float("inf")
         factor = proposed_factor(error, controller.tol, controller.zeta)

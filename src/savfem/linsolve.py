@@ -66,17 +66,18 @@ reduction factor, kept for the remaining iterations, would not reach the
 target.  Then the full-operator residual is checked against
 ``SolverConfig.rel_tolerance``.
 
-LU reuse.  A ``BlockSolver``, owned by a time loop, keeps its last LU and
-serves every later solve on the same ``BlockPattern`` object with it
-(lagged preconditioners: Knoll and Keyes, JCP 193, 2004; the Jacobian reuse
-of CVODE, Hindmarsh et al., ACM TOMS 31, 2005), although B_cc = alpha rho /
-dt M changes with dt and the scheme, at every solve of an adaptive run.  A
-reuse that fails refactors, dropping the old LU first.  The solver also
-keeps the previous solve's B_cc data: after a reuse of more than
-REFRESH_ITER iterations whose B_cc equals it (a steady, fixed-step run whose
-LU has gone stale) the LU is dropped and the next solve factors; alternating
-B_cc never refreshes.  The policy counts iterations and reads no clock, so
-a run is deterministic.  A solve without a ``BlockSolver`` factors afresh.
+LU reuse.  A ``BlockSolver``, owned by a time loop, is built on the dof
+coordinates of one mesh and builds its ``BlockPattern`` at its first solve,
+from that system's B_mumu, and keeps it for life.  It keeps its last LU and
+serves every later solve with it (lagged preconditioners: Knoll and Keyes,
+JCP 193, 2004; the Jacobian reuse of CVODE, Hindmarsh et al., ACM TOMS 31,
+2005), although B_cc = alpha rho / dt M changes with dt and the scheme, at
+every solve of an adaptive run.  A reuse that fails refactors, dropping the
+old LU first.  The solver also keeps the previous solve's B_cc data: after
+a reuse of more than REFRESH_ITER iterations whose B_cc equals it (a
+steady, fixed-step run whose LU has gone stale) the LU is dropped and the
+next solve factors; alternating B_cc never refreshes.  The policy counts
+iterations and reads no clock, so a run is deterministic.
 """
 
 from __future__ import annotations
@@ -184,6 +185,14 @@ class SolverTotals:
     refined: int = 0
     promoted: int = 0
     fallbacks: int = 0
+
+    def __str__(self) -> str:
+        return (
+            f"{self.solves} solves, {self.factorizations} factorizations, {self.reused} reused, "
+            f"{self.abandoned} abandoned reuses, {self.refreshed} refreshed, "
+            f"{self.iterations} GMRES iterations, {self.refined} refined, "
+            f"{self.promoted} promoted to float64, {self.fallbacks} fallbacks"
+        )
 
 
 def _nested_dissection_order(coords: np.ndarray, graph: sp.csr_matrix) -> np.ndarray:
@@ -400,31 +409,37 @@ def gmres(matvec, precond, rhs, x0, target: float, max_iter: int):
 
 
 class BlockSolver:
-    """Block solves of one time loop, reusing the last LU on its pattern.
+    """Block solves of one time loop on the dofs at ``coords``, reusing the
+    last LU.
 
-    Holds the pattern and the solve of its last LU (pivot-free, or the
-    COLAMD fallback), the previous solve's B_cc data and the precision of
-    its pivot-free LUs (float32 until one fails); see the module docstring
-    for the reuse policy and the fallback ladder.  ``totals`` counts the
-    solves.  Call ``release`` to drop the stored LU when the loop ends.
+    Builds its pattern at the first solve and keeps it for life; holds the
+    solve of its last LU (pivot-free, or the COLAMD fallback), the previous
+    solve's B_cc data and the precision of its pivot-free LUs (float32
+    until one fails); see the module docstring for the reuse policy and the
+    fallback ladder.  ``totals`` counts the solves.  Call ``release`` to
+    drop the stored LU when the loop ends.
     """
 
-    def __init__(self, config: SolverConfig | None = None):
+    def __init__(self, coords: np.ndarray, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
         self.totals = SolverTotals()
+        self._coords = coords
+        self._pattern = None
         self._dtype = np.float32
         self.release()
 
     def release(self) -> None:
-        self._pattern = self._solve = self._prev_b_cc = None
+        self._solve = self._prev_b_cc = None
 
-    def solve(self, system: BlockSystem, pattern: BlockPattern):
+    def solve(self, system: BlockSystem):
         """(c, mu, stats) of ``system``; see ``solve_rank_one_system``."""
+        if self._pattern is None:
+            self._pattern = BlockPattern.build(self._coords, system.b_mumu)
+        self._pattern.check(system)  # a pattern mismatch raises here, before any fallback
         n, totals = system.n, self.totals
         totals.solves += 1
         stats = None
-        if self._solve is not None and pattern is self._pattern:
-            pattern.check(system)
+        if self._solve is not None:
             try:
                 x, stats = self._gmres(system, self._solve, GMRES_TOL)
             except LinearSolveError:
@@ -439,21 +454,20 @@ class BlockSolver:
                 self.release()  # the next solve factors
         else:
             self.release()  # drop the old LU before factoring a new one
-            x, stats = self._factor(system, pattern)
+            x, stats = self._factor(system)
             totals.refined += stats.iterations > 0
         self._prev_b_cc = system.b_cc.data.copy()
         return x[:n], x[n:], stats
 
-    def _factor(self, system: BlockSystem, pattern: BlockPattern):
+    def _factor(self, system: BlockSystem):
         """(x, stats) on a fresh LU, which is kept for reuse: the first rung
         of the fallback ladder, from the solver's precision on, that passes."""
-        pattern.check(system)  # a pattern mismatch raises here, before any fallback
-        totals = self.totals
+        pattern, totals = self._pattern, self.totals
         for dtype in [np.float32, np.float64] if self._dtype == np.float32 else [np.float64]:
             totals.factorizations += 1
             try:
                 a = pattern.matrix(system, dtype)
-                return self._keep(system, pattern, _lu_solver(a, pattern.order))
+                return self._keep(system, _lu_solver(a, pattern.order))
             except RuntimeError as exc:  # LinearSolveError, or SuperLU's exactly singular factor
                 if dtype == np.float32:
                     log.info(
@@ -469,14 +483,14 @@ class BlockSolver:
         totals.factorizations += 1
         totals.fallbacks += 1
         a = pattern.matrix(system, np.float64)
-        x, stats = self._keep(system, pattern, _lu_solver(a, pattern.order, pivoting=True))
+        x, stats = self._keep(system, _lu_solver(a, pattern.order, pivoting=True))
         stats.fallback = True
         return x, stats
 
-    def _keep(self, system: BlockSystem, pattern: BlockPattern, solve):
+    def _keep(self, system: BlockSystem, solve):
         """(x, stats) refined on the fresh LU ``solve``, which is kept."""
         x, stats = self._gmres(system, solve, FRESH_TOL)
-        self._pattern, self._solve = pattern, solve
+        self._solve = solve
         return x, stats
 
     def _gmres(self, system: BlockSystem, solve, tol: float):
@@ -500,20 +514,16 @@ class BlockSolver:
         return x, SolveStats(residual, rel, denom, iterations=iterations)
 
 
-def solve_rank_one_system(
-    system: BlockSystem, pattern: BlockPattern, solver: BlockSolver | None = None
-):
-    """Solve the block system on its fixed ``pattern``; returns (c, mu, stats).
+def solve_rank_one_system(system: BlockSystem, solver: BlockSolver):
+    """Solve the block system with ``solver``; returns (c, mu, stats).
 
-    ``solver`` is the BlockSolver whose stored LU may serve the solve;
-    without one the system is solved on a fresh LU with the default
-    SolverConfig.  The base operator is factorized pivot-free in the
-    pattern's nested-dissection order, in float32, and refined by GMRES,
-    falling back to float64 and then to COLAMD with partial pivoting
-    (``stats.fallback``) when that solve fails its checks; a block off the
-    fixed pattern raises LinearSolveError.  A fresh solve raises
-    SingularUpdateError when the Sherman-Morrison denominator is below 1e-14
-    in magnitude, and LinearSolveError when the full-operator residual
-    exceeds rel_tolerance * ||rhs||.
+    The solver's stored LU may serve the solve.  A fresh LU is factorized
+    pivot-free in the nested-dissection order of the solver's pattern, in
+    float32, and refined by GMRES, falling back to float64 and then to
+    COLAMD with partial pivoting (``stats.fallback``) when that solve fails
+    its checks; a block off the solver's pattern raises LinearSolveError.
+    A fresh solve raises SingularUpdateError when the Sherman-Morrison
+    denominator is below 1e-14 in magnitude, and LinearSolveError when the
+    full-operator residual exceeds rel_tolerance * ||rhs||.
     """
-    return (solver or BlockSolver()).solve(system, pattern)
+    return solver.solve(system)

@@ -267,7 +267,7 @@ def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: 
     """Level-set samples at the lattice points of every band tetrahedron.
 
     Midpoint samples come from the level set itself, one evaluation per
-    mesh edge.  Exact zeros are shifted like the nodal ones.
+    mesh edge.
     """
     vertex_vals = phi[mesh.tets]  # (m, 4)
     if divisions == 1:
@@ -280,23 +280,25 @@ def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: 
     if not np.all(np.isfinite(edge_vals)):
         raise MeshError("level set is not finite at lattice midpoints")
     mid_vals = edge_vals[edge_of.reshape(len(mesh.tets), 6)]
-    mid_vals[mid_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
     return np.concatenate([vertex_vals, mid_vals], axis=1)  # (m, 10)
 
 
 def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
     """Cut tetrahedra, and the lattice values and cut flags of their
-    sub-tetrahedra, (n_e, S, 4) and (n_e, S)."""
+    sub-tetrahedra, (n_e, S, 4) and (n_e, S), from the nodal values ``phi``.
+    Exact zeros of the lattice values are shifted to +ZERO_SHIFT_SCALE * h."""
     subtets = _SUBTETS[divisions]
     lat_vals = _lattice_values(mesh, phi, levelset, divisions)  # (m, L)
-    # The values carry no exact zeros, so a sub-tetrahedron is cut when one
-    # to three of its vertex values are negative.
+    # A sub-tetrahedron is cut when one to three of its vertex values are
+    # negative; an exact zero counts as positive here, as it does shifted.
     n_neg = (lat_vals < 0.0)[:, subtets].sum(axis=2)  # (m, S)
     sub_cut = (n_neg > 0) & (n_neg < 4)
     cut_tets = np.flatnonzero(sub_cut.any(axis=1))
     if len(cut_tets) == 0:
         raise MeshError("no cut tetrahedra: the surface misses the mesh band")
-    return cut_tets, lat_vals[cut_tets][:, subtets], sub_cut[cut_tets]
+    sub_vals = lat_vals[cut_tets][:, subtets]
+    sub_vals[sub_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
+    return cut_tets, sub_vals, sub_cut[cut_tets]
 
 
 def _element_geometry(coords: np.ndarray):
@@ -365,8 +367,6 @@ def build_active_mesh(
     if geometry_divisions not in _SUBTETS:
         raise ValueError("geometry_divisions must be 1 or 2")
     phi = interpolate_p1(levelset, mesh)
-    phi[phi == 0.0] = ZERO_SHIFT_SCALE * mesh.h
-
     cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, geometry_divisions)
     elem_nodes = mesh.tets[cut_tets]
     active_nodes, elem_dofs = np.unique(elem_nodes, return_inverse=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from savfem import linsolve
 from savfem.assembly import assemble_forms
 from savfem.levelset import idealized_cell, sphere
 from savfem.mesh import build_active_mesh, build_mesh
@@ -54,3 +55,17 @@ def physics_eps005():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def pattern_builds(monkeypatch):
+    """The dof counts of the BlockPatterns built while the test runs."""
+    builds = []
+    build = linsolve.BlockPattern.build
+
+    def counted(coords, block):
+        builds.append(len(coords))
+        return build(coords, block)
+
+    monkeypatch.setattr(linsolve.BlockPattern, "build", staticmethod(counted))
+    return builds

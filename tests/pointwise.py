@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from savfem.levelset import interpolate_p1
-from savfem.mesh import _SUBTETS, ZERO_SHIFT_SCALE, _classify, _extract_polygons, _lattice_bary, _patches
+from savfem.mesh import _SUBTETS, _classify, _extract_polygons, _lattice_bary, _patches
 from savfem.quadrature import triangle_bary_rule
 
 __all__ = [
@@ -81,9 +81,7 @@ def _lattice_stage(active, levelset):
     ``levelset``: the vertex coordinates (n_e, S, 4, 3) and level-set
     values (n_e, S, 4) of every lattice sub-tetrahedron, and its cut flags."""
     mesh, divisions = active.mesh, active.geometry_divisions
-    phi = interpolate_p1(levelset, mesh)
-    phi[phi == 0.0] = ZERO_SHIFT_SCALE * mesh.h
-    cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, divisions)
+    cut_tets, sub_vals, sub_cut = _classify(mesh, interpolate_p1(levelset, mesh), levelset, divisions)
     lat_coords = np.matmul(_lattice_bary(divisions), mesh.nodes[mesh.tets[cut_tets]])  # (n_e, L, 3)
     return lat_coords[:, _SUBTETS[divisions], :], sub_vals, sub_cut
 

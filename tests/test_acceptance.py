@@ -39,7 +39,7 @@ from savfem.integrators import (
     energy_balance_terms,
 )
 from savfem.levelset import sphere
-from savfem.linsolve import BlockPattern, BlockSystem, solve_rank_one_system
+from savfem.linsolve import BlockSolver, BlockSystem, solve_rank_one_system
 from savfem.mesh import build_active_mesh, build_mesh
 from savfem.physics import PhysicsParams
 
@@ -256,8 +256,8 @@ def test_criterion_5_woodbury_vs_dense(capsys):
             rank_one_right=rng.standard_normal(n),
             rhs=rng.standard_normal(2 * n),
         )
-        pattern = BlockPattern.build(np.random.default_rng(n).random((n, 3)), union)
-        c, mu, _ = solve_rank_one_system(system, pattern)
+        solver = BlockSolver(np.random.default_rng(n).random((n, 3)))
+        c, mu, _ = solve_rank_one_system(system, solver)
         dense = np.zeros((2 * n, 2 * n))
         dense[:n, :n] = system.b_cc.toarray()
         dense[:n, n:] = system.b_cmu.toarray()

@@ -1,5 +1,7 @@
 """Experiment drivers: initial data, convergence harness, phase-separation runs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,10 +69,12 @@ class TestConvergenceHarness:
         assert rows[0].rate is None
         assert 0.0 < rows[0].error < 0.5
 
-    def test_two_levels_report_rate(self):
+    def test_two_levels_report_rate(self, pattern_builds):
         rows = run_convergence([2, 3], epsilon=1.0, scheme="bdf2", t_end=0.08)
         assert rows[1].rate is not None
         assert rows[1].error < rows[0].error
+        # one BlockSolver per level, which orders its pattern once
+        assert pattern_builds == [row.n_dofs for row in rows]
 
     def test_non_multiple_t_end_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -111,17 +115,29 @@ class TestPhaseSeparation:
         energies = [float(row.split(",")[2]) for row in lines[1:]]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
 
-    def test_bdf2_bootstraps_with_bdf1(self, tmp_path, monkeypatch):
+    def test_bdf2_bootstraps_with_bdf1(self, tmp_path, monkeypatch, caplog, pattern_builds):
         monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
-        result = run_phase_separation(quick_config(scheme="bdf2", run_name="quick2"))
+        with caplog.at_level("INFO", logger="savfem.experiments"):
+            result = run_phase_separation(quick_config(scheme="bdf2", run_name="quick2"))
         assert result.accepted == 5
         assert result.state.t == pytest.approx(0.025)
         assert all(np.isfinite(r.balance_residual) for r in result.reports)
+        assert pattern_builds == [result.active.n_dofs]
+        # the solver totals line: one solve per step, each factored or reused
+        [line] = [r.getMessage() for r in caplog.records if r.name == "savfem.experiments"]
+        match = re.fullmatch(
+            r"quick2: 5 solves, (\d+) factorizations, (\d+) reused, \d+ abandoned reuses, "
+            r"\d+ refreshed, \d+ GMRES iterations, \d+ refined, 0 promoted to float64, "
+            r"0 fallbacks",
+            line,
+        )
+        assert match and int(match[1]) + int(match[2]) == 5
 
-    def test_adaptive_run(self, tmp_path, monkeypatch):
+    def test_adaptive_run(self, tmp_path, monkeypatch, pattern_builds):
         monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
         config = quick_config(scheme="adaptive", t_end=0.05, dt=0.002, run_name="ad")
         result = run_phase_separation(config)
+        assert pattern_builds == [result.active.n_dofs]
         assert result.state.t >= 0.05
         assert result.accepted == len(result.reports)
         dts = [r.dt for r in result.reports]

@@ -33,7 +33,7 @@ from savfem.integrators import (
     modified_energy,
     proposed_factor,
 )
-from savfem.linsolve import BlockPattern, BlockSystem, solve_rank_one_system
+from savfem.linsolve import BlockSolver, BlockSystem, solve_rank_one_system
 from savfem.physics import EnergyFloorError, PhysicsParams, guarded_shifted_energy, mobility
 
 
@@ -347,7 +347,6 @@ class _OracleForms(NamedTuple):
     stiffness: sp.csr_matrix
     stab_h: sp.csr_matrix
     stab_invh: sp.csr_matrix
-    pattern: BlockPattern
 
 
 def _oracle_forms(forms, weighted: bool) -> _OracleForms:
@@ -370,8 +369,7 @@ def _oracle_forms(forms, weighted: bool) -> _OracleForms:
         stab_h, stab_invh = scaled(d), scaled(1.0 / d)
     else:
         stab_h, stab_invh = _on(stab, h * stab.data), _on(stab, stab.data / h)
-    pattern = BlockPattern.build(a.dof_coords, forms.mass)
-    return _OracleForms(a, forms.mass, forms.stiffness, stab_h, stab_invh, pattern)
+    return _OracleForms(a, forms.mass, forms.stiffness, stab_h, stab_invh)
 
 
 def _on(form, data):
@@ -401,7 +399,7 @@ def _oracle_solve(forms, physics, mobility, cc_scale, rhs_c, rhs_mu, w, s):
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, forms.pattern)
+    c, mu, _ = solve_rank_one_system(system, BlockSolver(forms.active.dof_coords))
     return c, mu
 
 

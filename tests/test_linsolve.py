@@ -27,8 +27,8 @@ from savfem.physics import PhysicsParams
 
 
 def random_system(rng, n, sigma=None, density=0.4):
-    """Well-conditioned random block system with a genuine rank-one term, and
-    the BlockPattern of its blocks on arbitrary dof coordinates."""
+    """Well-conditioned random block system with a genuine rank-one term, on
+    its blocks' union pattern, and arbitrary coordinates of its dofs."""
 
     def spd_block(scale):
         a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
@@ -50,12 +50,12 @@ def random_system(rng, n, sigma=None, density=0.4):
         rank_one_right=v,
         rhs=rng.standard_normal(2 * n),
     )
-    return system, common_pattern(system)
+    return system, to_common_pattern(system)
 
 
-def common_pattern(system):
+def to_common_pattern(system):
     """Move the system's blocks onto their union CSR pattern (explicit zeros
-    kept) and return the BlockPattern of it, on random dof coordinates."""
+    kept) and return random coordinates of its dofs."""
     n = system.n
     union = sp.csr_matrix(
         abs(system.b_cc) + abs(system.b_cmu) + abs(system.b_muc) + abs(system.b_mumu)
@@ -66,7 +66,7 @@ def common_pattern(system):
     for name in ("b_cc", "b_cmu", "b_muc", "b_mumu"):
         dense = getattr(system, name).toarray()
         setattr(system, name, on_pattern(union, dense[rows, union.indices]))
-    return BlockPattern.build(np.random.default_rng(n).random((n, 3)), union)
+    return np.random.default_rng(n).random((n, 3))
 
 
 def dense_matrix(system):
@@ -100,8 +100,8 @@ def refined_dense_solve(system, sweeps=3):
 def test_matches_dense_oracle_batch(rng):
     for k in range(20):
         n = int(rng.integers(3, 40))
-        system, pattern = random_system(rng, n)
-        c, mu, stats = solve_rank_one_system(system, pattern)
+        system, coords = random_system(rng, n)
+        c, mu, stats = solve_rank_one_system(system, BlockSolver(coords))
         exact = dense_solve(system)
         err = np.linalg.norm(np.concatenate([c, mu]) - exact) / np.linalg.norm(exact)
         assert err < 1e-10, f"system {k}: rel error {err:.2e}"
@@ -113,16 +113,16 @@ def test_matches_dense_oracle_batch(rng):
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 25))
 def test_matches_dense_oracle_property(seed, n):
     rng = np.random.default_rng(seed)
-    system, pattern = random_system(rng, n)
-    c, mu, _ = solve_rank_one_system(system, pattern)
+    system, coords = random_system(rng, n)
+    c, mu, _ = solve_rank_one_system(system, BlockSolver(coords))
     exact = dense_solve(system)
     err = np.linalg.norm(np.concatenate([c, mu]) - exact) / np.linalg.norm(exact)
     assert err < 1e-10
 
 
 def test_zero_scale_skips_update(rng):
-    system, pattern = random_system(rng, 12, sigma=0.0)
-    c, mu, stats = solve_rank_one_system(system, pattern)
+    system, coords = random_system(rng, 12, sigma=0.0)
+    c, mu, stats = solve_rank_one_system(system, BlockSolver(coords))
     exact = dense_solve(system)
     np.testing.assert_allclose(np.concatenate([c, mu]), exact, rtol=1e-10)
     assert stats.woodbury_denominator == 1.0
@@ -153,9 +153,9 @@ def test_singular_update_detected():
         rank_one_right=v,
         rhs=np.ones(2 * n),
     )
-    pattern = BlockPattern.build(np.random.default_rng(0).random((n, 3)), eye)
+    solver = BlockSolver(np.random.default_rng(0).random((n, 3)))
     with pytest.raises(SingularUpdateError, match="singular"):
-        solve_rank_one_system(system, pattern)
+        solve_rank_one_system(system, solver)
 
 
 def on_pattern(pattern, data):
@@ -192,7 +192,7 @@ def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
     assert np.array_equal(pattern.order[1::2], pattern.order[0::2] + n)  # (c_i, mu_i) pairs
     assert pattern.indptr[-1] == 4 * forms.mass.nnz
 
-    c_p, mu_p, stats = solve_rank_one_system(system, pattern)
+    c_p, mu_p, stats = solve_rank_one_system(system, BlockSolver(forms.active.dof_coords))
     exact = dense_solve(system)
     err = np.linalg.norm(np.concatenate([c_p, mu_p]) - exact) / np.linalg.norm(exact)
     assert err < 1e-10
@@ -206,7 +206,8 @@ def interleaved_trap(rng, n=50, cc=1e-30):
     cc = 1e-30 the pivot-free LU in interleaved order is useless even with
     GMRES refinement, in float32 and in float64, so pivoting is needed.  At
     1e-15 only the float32 LU is (GMRES leaves a residual above 1e-8), and at
-    1e-20 two iterations still repair the float64 one."""
+    1e-20 two iterations still repair the float64 one.  Returns the system
+    and random coordinates of its dofs."""
     r = sp.random(n, n, density=0.1, random_state=np.random.RandomState(7), format="csr")
     r = (r + r.T).tocsr()
     pattern = (sp.identity(n, format="csr") + r).tocsr()
@@ -224,14 +225,14 @@ def interleaved_trap(rng, n=50, cc=1e-30):
         rank_one_right=rng.standard_normal(n),
         rhs=rng.standard_normal(2 * n),
     )
-    return system, BlockPattern.build(rng.random((n, 3)), pattern)
+    return system, rng.random((n, 3))
 
 
 def test_pivot_free_failure_falls_back_to_pivoting(rng, caplog):
-    system, pattern = interleaved_trap(rng)
-    solver = BlockSolver()
+    system, coords = interleaved_trap(rng)
+    solver = BlockSolver(coords)
     with caplog.at_level("WARNING", logger="savfem.linsolve"):
-        c, mu, stats = solve_rank_one_system(system, pattern, solver)
+        c, mu, stats = solve_rank_one_system(system, solver)
     assert stats.fallback is True
     assert stats.rel_residual <= 1e-10
     assert "exceeds tolerance" in caplog.text and "COLAMD" in caplog.text
@@ -246,11 +247,11 @@ def test_pivot_free_failure_falls_back_to_pivoting(rng, caplog):
 def test_float32_failure_refactors_in_float64(rng, caplog, monkeypatch):
     # at cc = 1e-15 the float32 LU misses the gate even after GMRES, and the
     # float64 pivot-free LU meets it: one INFO line, no COLAMD
-    system, pattern = interleaved_trap(rng, cc=1e-15)
+    system, coords = interleaved_trap(rng, cc=1e-15)
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
+    solver = BlockSolver(coords)
     with caplog.at_level("INFO", logger="savfem.linsolve"):
-        c, mu, stats = solver.solve(system, pattern)
+        c, mu, stats = solver.solve(system)
     assert stats.refactored and stats.fallback is False
     assert_solves(system, c, mu, stats)
     assert calls == [np.float32, np.float64]
@@ -258,7 +259,7 @@ def test_float32_failure_refactors_in_float64(rng, caplog, monkeypatch):
     assert "exceeds tolerance" in caplog.text and "COLAMD" not in caplog.text
     # the solver stays in float64: its next fresh LU is one factorization
     solver.release()
-    c, mu, stats = solver.solve(system, pattern)
+    c, mu, stats = solver.solve(system)
     assert stats.refactored and stats.fallback is False
     assert_solves(system, c, mu, stats)
     assert calls == [np.float32, np.float64, np.float64]
@@ -269,13 +270,14 @@ def test_float32_failure_refactors_in_float64(rng, caplog, monkeypatch):
 def test_marginal_pivot_free_lu_is_refined(rng, caplog):
     # at cc = 1e-8 the pivot-free LU's own solve misses the 1e-10 residual
     # gate; GMRES on that LU meets it without a fallback
-    system, pattern = interleaved_trap(rng, cc=1e-8)
+    system, coords = interleaved_trap(rng, cc=1e-8)
+    pattern = BlockPattern.build(coords, system.b_mumu)
     lu = linsolve._lu_solver(pattern.matrix(system, np.float32), pattern.order)
     unrefined = linsolve._sherman_morrison(system, lu)[0](system.rhs)
     assert linsolve._residual(system, unrefined)[1] > 1e-10
-    solver = BlockSolver()
+    solver = BlockSolver(coords)
     with caplog.at_level("WARNING", logger="savfem.linsolve"):
-        c, mu, stats = solver.solve(system, pattern)
+        c, mu, stats = solver.solve(system)
     assert stats.refactored and not stats.fallback and stats.iterations >= 1
     assert_solves(system, c, mu, stats)
     totals = solver.totals
@@ -284,10 +286,17 @@ def test_marginal_pivot_free_lu_is_refined(rng, caplog):
 
 
 def test_block_off_the_fixed_pattern_raises(rng):
-    system, pattern = interleaved_trap(rng)
+    # the solver's pattern is that of its first system's B_mumu; a block off
+    # it raises, at the first solve and at a later one alike
+    system, coords = interleaved_trap(rng, cc=1e-8)
+    solver = BlockSolver(coords)
+    solve_rank_one_system(system, solver)
     system.b_cc = sp.csr_matrix(system.b_cc.toarray())  # drops the explicit zeros
     with pytest.raises(LinearSolveError, match="block cc"):
-        solve_rank_one_system(system, pattern)
+        solve_rank_one_system(system, solver)
+    assert solver.totals.solves == 1
+    with pytest.raises(LinearSolveError, match="block cc"):
+        solve_rank_one_system(system, BlockSolver(coords))
 
 
 def test_gmres_matches_dense_solve(rng):
@@ -324,8 +333,8 @@ def test_block_solver_reuses_the_lu_along_a_bdf2_sequence(sphere_l3_forms, monke
     solve = solve_rank_one_system
     seen = []
 
-    def compared(system, pattern, solver):
-        c, mu, stats = solve(system, pattern, solver)
+    def compared(system, solver):
+        c, mu, stats = solve(system, solver)
         exact = refined_dense_solve(system)
         c_ref, mu_ref = exact[: system.n], exact[system.n :]
         seen.append(stats)
@@ -338,7 +347,7 @@ def test_block_solver_reuses_the_lu_along_a_bdf2_sequence(sphere_l3_forms, monke
         return c, mu, stats
 
     monkeypatch.setattr(integrators, "solve_rank_one_system", compared)
-    solver = BlockSolver()
+    solver = BlockSolver(forms.active.dof_coords)
     prev, state = None, initial_state(forms, physics, bernoulli_ic(forms.active, 0.5, 1))
     state, prev = integrators.bdf1_step(state, 0.005, forms, physics, solver), state
     for _ in range(8):
@@ -383,45 +392,43 @@ def assert_solves(system, c, mu, stats):
 
 def test_changed_b_cc_reuses_the_lu(sphere_l3_forms, monkeypatch):
     forms = sphere_l3_forms
-    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
-    _, _, first = solver.solve(sphere_system(forms), pattern)
-    _, _, same = solver.solve(sphere_system(forms), pattern)
+    solver = BlockSolver(forms.active.dof_coords)
+    _, _, first = solver.solve(sphere_system(forms))
+    _, _, same = solver.solve(sphere_system(forms))
     assert first.refactored and not same.refactored
     # the fresh float32 LU is refined in two iterations; reused for the same
     # system, it meets GMRES_TOL in one
     assert (first.iterations, same.iterations) == (2, 1)
     # a new dt (BDF2 -> BDF1 coefficient) keeps the LU
     system = sphere_system(forms, cc_scale=1.0 / 0.005)
-    c, mu, changed = solver.solve(system, pattern)
+    c, mu, changed = solver.solve(system)
     assert len(calls) == 1
     assert not changed.refactored and changed.iterations > REFRESH_ITER
     assert_solves(system, c, mu, changed)
     # B_cc differs from the previous solve's, so the slow reuse keeps the LU
     assert solver.totals.refreshed == 0
-    solver.solve(sphere_system(forms), pattern)
+    solver.solve(sphere_system(forms))
     assert len(calls) == 1
 
 
 def test_steady_b_cc_after_a_slow_reuse_refreshes(sphere_l3_forms, monkeypatch):
     forms = sphere_l3_forms
-    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
-    solver.solve(sphere_system(forms), pattern)
+    solver = BlockSolver(forms.active.dof_coords)
+    solver.solve(sphere_system(forms))
     # a drifted mobility at the same B_cc: reused, but slowly
     system = sphere_system(forms, cmu_scale=1.5)
-    c, mu, slow = solver.solve(system, pattern)
+    c, mu, slow = solver.solve(system)
     assert not slow.refactored and slow.iterations > REFRESH_ITER
     assert_solves(system, c, mu, slow)
     assert len(calls) == 1 and solver.totals.refreshed == 1
     # the next solve factors afresh, although its system is the same
-    _, _, next_ = solver.solve(sphere_system(forms, cmu_scale=1.5), pattern)
+    _, _, next_ = solver.solve(sphere_system(forms, cmu_scale=1.5))
     assert next_.refactored and next_.iterations == 2
     assert len(calls) == 2
     # a fast reuse at the same B_cc keeps the new LU
-    _, _, fast = solver.solve(sphere_system(forms, cmu_scale=1.5), pattern)
+    _, _, fast = solver.solve(sphere_system(forms, cmu_scale=1.5))
     assert not fast.refactored and fast.iterations <= REFRESH_ITER
     assert len(calls) == 2 and solver.totals.refreshed == 1
     assert solver.totals.abandoned == 0
@@ -431,41 +438,40 @@ def test_alternating_b_cc_never_refreshes(sphere_l3_forms, monkeypatch):
     # BDF1 and BDF2 systems in turn, as an adaptive run solves them: every
     # reuse is slow, but no two consecutive solves share B_cc
     forms = sphere_l3_forms
-    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
-    solver.solve(sphere_system(forms), pattern)
+    solver = BlockSolver(forms.active.dof_coords)
+    solver.solve(sphere_system(forms))
     for k in range(6):
         cc_scale = (1.0 if k % 2 == 0 else 1.5) / 0.005
         system = sphere_system(forms, cc_scale=cc_scale, cmu_scale=1.0 + 0.05 * k)
-        c, mu, stats = solver.solve(system, pattern)
+        c, mu, stats = solver.solve(system)
         assert not stats.refactored and stats.iterations > REFRESH_ITER
         assert_solves(system, c, mu, stats)
     assert len(calls) == 1
     assert solver.totals.refreshed == 0 and solver.totals.reused == 6
 
 
-def test_new_pattern_object_factors(sphere_l3_forms, monkeypatch):
-    # a new pattern object (a new mesh) is never served by the stored LU
+def test_release_keeps_the_pattern(sphere_l3_forms, monkeypatch, pattern_builds):
+    # the pattern is built at the first solve, not with the solver, and a
+    # release drops the LU but not the nested-dissection order
     forms = sphere_l3_forms
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
-    for _ in range(2):
-        pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
-        _, _, stats = solver.solve(sphere_system(forms), pattern)
-        assert stats.refactored
-    assert len(calls) == 2
-    assert solver.totals.factorizations == 2 and solver.totals.abandoned == 0
+    solver = BlockSolver(forms.active.dof_coords)
+    assert pattern_builds == []
+    solver.solve(sphere_system(forms))
+    solver.release()
+    _, _, stats = solver.solve(sphere_system(forms))
+    assert stats.refactored and len(calls) == 2
+    assert pattern_builds == [forms.active.n_dofs]
 
 
 def test_stale_lu_is_abandoned_and_refactored(sphere_l3_forms, monkeypatch):
     forms = sphere_l3_forms
-    pattern = BlockPattern.build(forms.active.dof_coords, forms.mass)
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
-    solver.solve(sphere_system(forms), pattern)
+    solver = BlockSolver(forms.active.dof_coords)
+    solver.solve(sphere_system(forms))
     system = sphere_system(forms, cmu_scale=10.0)
-    c, mu, stats = solver.solve(system, pattern)
+    c, mu, stats = solver.solve(system)
     assert len(calls) == 2
     assert stats.refactored and stats.iterations == 2 and not stats.fallback
     assert stats.rel_residual <= 1e-10
@@ -497,12 +503,11 @@ def test_singular_preconditioner_denominator_refactors(monkeypatch):
             rhs=np.ones(2 * n),
         )
 
-    pattern = BlockPattern.build(np.random.default_rng(0).random((n, 3)), eye)
     calls = count_splu(monkeypatch)
-    solver = BlockSolver()
-    solver.solve(system(1.0, 0.5 / np.dot(u, v)), pattern)
+    solver = BlockSolver(np.random.default_rng(0).random((n, 3)))
+    solver.solve(system(1.0, 0.5 / np.dot(u, v)))
     stale = system(2.0, 1.0 / np.dot(u, v))
-    c, mu, stats = solver.solve(stale, pattern)
+    c, mu, stats = solver.solve(stale)
     assert len(calls) == 2
     assert stats.refactored and stats.woodbury_denominator == pytest.approx(-1.0)
     assert solver.totals.abandoned == 1 and solver.totals.iterations == 0
