@@ -13,11 +13,11 @@ Two operators carry every form: the CSR pattern of the element scatter
 element entry (e, i, j) in its ``data``, and the mesh's B_P
 (``poly_interp``, P x N, ``data`` is ``poly_bary``): c_h at the cut-polygon
 vertices.  The mesh keeps each surface triangle's area |T| and nothing per
-point; the rule lives here.  A triangle's points are fixed combinations R
-of its vertices and its weights are the rule weights w times |T|, so c_h
-there is (B_P c)[tri_index] R^T, an integral is |T| w . f, a load
-(f, psi_j) is B_P^T of the vertex sums of |T| (w f) R, and int c_h = m . c,
-m_j = int psi_j.
+point; the rule lives here, rule-major: point k T + t is rule point k, a
+fixed combination R_k of the vertices, of triangle t, with weight w_k |T|.
+So c_h there is R V (6 x T) with V = (B_P c)[tri_index^T] (3 x T), an
+integral is |T| (w^T f), a load (f, psi_j) is B_P^T of the vertex sums of
+|T| (R^T diag(w) f), and int c_h = m . c, m_j = int psi_j.
 Every form is one ``bincount`` of element matrices over the positions.  The
 stiffness ones sum k_p = int_p k ds (the triangle integrals summed over the
 patch, or its area when k = 1) times the Gram table ``patch_gram`` over the
@@ -42,15 +42,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import ActiveMesh
-from .physics import f0, f0_prime, mobility
+from .physics import f0
 from .quadrature import triangle_bary_rule
 
-# (3, 6) R^T and (6,) w: a triangle's point values are its vertex values times
-# R^T, taken by single-threaded einsums (a threaded BLAS product stalls on busy
-# cores).  R^T w folds the weights into the vertex sums of a load.
+# (6, 3) R, (6,) w and R^T diag(w) for the vertex sums of a load.  Products with
+# them run in blocks of _COLUMNS triangles, 6 x 3 x 8192 multiply-adds, which
+# OpenBLAS keeps on one thread: a threaded one can wait 8 ms for a busy core.
 _RULE_BARY, _RULE_W = triangle_bary_rule()
-_RULE_T = np.ascontiguousarray(_RULE_BARY.T)
-_WEIGHTED_RULE_T = _RULE_T * _RULE_W
+_WEIGHTED_RULE_T = np.ascontiguousarray(_RULE_BARY.T * _RULE_W)
+_COLUMNS = 8192
 
 __all__ = [
     "AssembledForms",
@@ -78,16 +78,18 @@ class _Operators(NamedTuple):
     mass_vector: np.ndarray  # m_j = int psi_j ds
 
 
+def _rule_product(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """table @ values for a rule table (m, k) and rule-major values (k, T)."""
+    values = values.reshape(table.shape[1], -1)
+    out = np.empty((len(table), values.shape[1]))
+    for i in range(0, values.shape[1], _COLUMNS):
+        np.matmul(table, values[:, i : i + _COLUMNS], out=out[:, i : i + _COLUMNS])
+    return out
+
+
 def _triangle_integrals(active: ActiveMesh, values: np.ndarray) -> np.ndarray:
     """(T,) surface rule on each triangle of the point values f: |T| w . f."""
-    return active.tri_areas * np.einsum("tk,k->t", values.reshape(-1, len(_RULE_W)), _RULE_W)
-
-
-def _vertex_sums(active: ActiveMesh, values: np.ndarray) -> np.ndarray:
-    """(P,) vertex sums of the weighted point values |T| (w f), shared by R."""
-    tri_values = np.einsum("tk,jk->tj", values.reshape(-1, len(_RULE_W)), _WEIGHTED_RULE_T)  # (T, 3)
-    tri_values *= active.tri_areas[:, None]
-    return np.bincount(active.tri_index.reshape(-1), tri_values.reshape(-1), len(active.poly_bary))
+    return active.tri_areas * _rule_product(_RULE_W[None, :], values)[0]
 
 
 def _operators(active: ActiveMesh) -> _Operators:
@@ -123,9 +125,9 @@ def _scatter(active: ActiveMesh, elem_mats: np.ndarray) -> sp.csr_matrix:
 
 
 def interpolate_at_surface_qp(active: ActiveMesh, c: np.ndarray) -> np.ndarray:
-    """P1 values of the DOF vector c at all surface quadrature points."""
+    """P1 values of the DOF vector c at all surface quadrature points, rule-major."""
     vertex_values = active.poly_interp @ np.asarray(c, dtype=float)
-    return np.einsum("tj,jk->tk", vertex_values[active.tri_index], _RULE_T).reshape(-1)
+    return _rule_product(_RULE_BARY, vertex_values[active.tri_index.T]).reshape(-1)
 
 
 # The exact P1 mass of a triangle of unit area in its vertex values:
@@ -142,17 +144,16 @@ def assemble_surface_mass(active: ActiveMesh) -> sp.csr_matrix:
     bary = active.poly_bary[active.tri_index]  # (T, 3, 4)
     tri_mats = np.matmul(bary.transpose(0, 2, 1), np.matmul(_P1_TRIANGLE_MASS, bary))
     tri_mats *= active.tri_areas[:, None, None]
-    # triangles are sorted by element, and every element has one
-    tri_counts = np.bincount(active.poly_elem[active.tri_index[:, 0]], minlength=active.n_elements)
-    tri_starts = np.concatenate([[0], np.cumsum(tri_counts)[:-1]])
+    # an element's triangles are those of its patches, and every patch has one
+    tri_starts = active.tri_patch_offsets[_operators(active).patch_indptr[:-1]]
     return _scatter(active, np.add.reduceat(tri_mats.reshape(-1, 16), tri_starts))
 
 
 def assemble_surface_stiffness(active: ActiveMesh, coefficient=None) -> sp.csr_matrix:
     """(k grad_G u, grad_G v)_{Gamma_h}.
 
-    ``coefficient`` holds k at the surface quadrature points (e.g. the
-    mobility of an interpolated field); without it, k = 1.
+    ``coefficient`` holds k at the rule-major surface quadrature points
+    (e.g. the mobility of an interpolated field); without it, k = 1.
     """
     tri_k = active.tri_areas if coefficient is None else _triangle_integrals(active, coefficient)
     k_p = np.add.reduceat(tri_k, active.tri_patch_offsets[:-1])
@@ -167,39 +168,44 @@ def assemble_normal_stabilization(active: ActiveMesh) -> sp.csr_matrix:
     return _scatter(active, elem_mats)
 
 
-def assemble_f0prime_load(active: ActiveMesh, c_qp: np.ndarray) -> np.ndarray:
-    """Load vector w_j = (f0'(c_h), psi_j)_{Gamma_h} from c_h at the surface
-    quadrature points."""
-    return assemble_load(active, f0_prime(c_qp))
+def assemble_f0prime_load(active: ActiveMesh, f0prime_qp: np.ndarray) -> np.ndarray:
+    """SAV load w_j = (f0'(c_h), psi_j)_{Gamma_h} from f0'(c_h) at the surface points."""
+    return assemble_load(active, f0prime_qp)
 
 
 def assemble_coefficient_forms(active: ActiveMesh, c_ref: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """The mobility stiffness (M(c) grad u, grad v), the SAV load
     (f0'(c), psi_j) and E1(c) of one step, at its reference field ``c_ref``,
-    which is interpolated to the quadrature points once."""
-    vals = interpolate_at_surface_qp(active, c_ref)
-    return (
-        assemble_surface_stiffness(active, mobility(vals)),
-        assemble_f0prime_load(active, vals),
-        float(_triangle_integrals(active, f0(vals)).sum()),
-    )
+    which is interpolated to the quadrature points once.  One in-place pass
+    forms M, f0 and f0' there from s = c (1 - c), in the operation order of
+    ``physics``, so that each equals its function there bitwise."""
+    c = interpolate_at_surface_qp(active, c_ref)
+    s = (1.0 - c) * c  # numpy reuses the temporary 1 - c
+    mobility = assemble_surface_stiffness(active, np.maximum(s, 0.0))
+    e1 = float(_triangle_integrals(active, np.square(s) * 0.25).sum())
+    s *= 0.5
+    s *= np.add(np.multiply(c, -2.0, out=c), 1.0, out=c)
+    return mobility, assemble_f0prime_load(active, s), e1
 
 
 def assemble_load(active: ActiveMesh, values) -> np.ndarray:
     """Load vector (f, psi_j)_{Gamma_h}.
 
-    ``values`` is a callable evaluated at the (Q, 3) surface quadrature
-    points, built for the call, or a precomputed (Q,) array.
+    ``values`` is a precomputed rule-major (Q,) array, or a callable evaluated
+    on the (T, 3) surface points of one rule row at a time, built for the call.
     """
     if callable(values):
-        values = values(np.matmul(_RULE_BARY, active.polygon_points[active.tri_index]).reshape(-1, 3))
-    return active.poly_interp.T @ _vertex_sums(active, np.asarray(values, dtype=float))
+        corners = active.polygon_points[active.tri_index.T].reshape(3, -1)  # (3, T * 3)
+        values = np.stack([values((row @ corners).reshape(-1, 3)) for row in _RULE_BARY])
+    tri_values = _rule_product(_WEIGHTED_RULE_T, np.asarray(values, dtype=float))  # (3, T)
+    tri_values *= active.tri_areas
+    vertex_sums = np.bincount(active.tri_index.reshape(-1), tri_values.T.reshape(-1), len(active.poly_bary))
+    return active.poly_interp.T @ vertex_sums
 
 
 def compute_E1(active: ActiveMesh, c: np.ndarray) -> float:
     """E1(c) = int_{Gamma_h} f0(c_h) ds, exact for the degree-4 rule."""
-    vals = f0(interpolate_at_surface_qp(active, c))
-    return float(_triangle_integrals(active, vals).sum())
+    return float(_triangle_integrals(active, f0(interpolate_at_surface_qp(active, c))).sum())
 
 
 def compute_mass(active: ActiveMesh, c: np.ndarray) -> float:
@@ -209,8 +215,7 @@ def compute_mass(active: ActiveMesh, c: np.ndarray) -> float:
 
 def l2_norm_gamma(active: ActiveMesh, c: np.ndarray) -> float:
     """||c_h||_{L2(Gamma_h)}."""
-    vals = interpolate_at_surface_qp(active, c)
-    return float(np.sqrt(_triangle_integrals(active, vals**2).sum()))
+    return float(np.sqrt(_triangle_integrals(active, interpolate_at_surface_qp(active, c) ** 2).sum()))
 
 
 @dataclass(frozen=True)

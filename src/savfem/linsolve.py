@@ -56,7 +56,8 @@ the same order permutation; COLAMD then reorders its columns itself.
 One solve path.  Every solve, on a fresh or a kept LU, runs right-
 preconditioned GMRES (``gmres``) on the full operator from the
 preconditioner applied to the rhs; the preconditioner is the LU with the
-current rank-one term folded in by Sherman-Morrison.  GMRES stops at
+current rank-one term folded in by Sherman-Morrison; its A^{-1} [0; u] and
+A^{-1} rhs are one two-column LU sweep, then one per iteration.  GMRES stops at
 FRESH_TOL * ||rhs|| on a fresh LU, the residual a float64 direct solve
 reaches, so a fresh solve is as accurate as one, and at GMRES_TOL * ||rhs||
 on a reused LU.  It gives up after GMRES_MAX_ITER iterations (one
@@ -312,15 +313,16 @@ def apply_operator(system: BlockSystem, x: np.ndarray) -> np.ndarray:
 
 
 def _lu_solver(a: sp.csc_matrix, order: np.ndarray, pivoting: bool = False):
-    """Float64 solve by the LU of the permuted operator ``a``, in ``a``'s
-    precision: pivot-free in ``a``'s own order, or with ``pivoting``, in
-    SuperLU's default COLAMD column order with partial pivoting."""
+    """Float64 solve of a (2N,) or (2N, k) right side in one sweep by the LU
+    of the permuted operator ``a``, in ``a``'s precision: pivot-free in
+    ``a``'s own order, or with ``pivoting``, in SuperLU's default COLAMD
+    column order with partial pivoting."""
     options = {} if pivoting else {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
     lu = spla.splu(a, **options)
     dtype = a.dtype
 
     def solve(b):
-        x = np.empty(len(b))
+        x = np.empty(b.shape, order="F")  # a block's columns are contiguous
         x[order] = lu.solve(b[order].astype(dtype, copy=False))
         return x
 
@@ -328,13 +330,13 @@ def _lu_solver(a: sp.csc_matrix, order: np.ndarray, pivoting: bool = False):
 
 
 def _sherman_morrison(system: BlockSystem, solve):
-    """(apply, denominator): ``apply`` inverts the operator whose base LU is
-    ``solve`` plus the system's rank-one term.  Raises SingularUpdateError
-    when the denominator is below SINGULAR_TOL in magnitude."""
-    n, sigma = system.n, system.rank_one_scale
-    if sigma == 0.0 or not np.any(system.rank_one_left != 0.0):
-        return solve, 1.0
-    x1 = solve(np.concatenate([np.zeros(n), system.rank_one_left]))
+    """(apply, start, denominator): ``apply`` inverts the operator whose base LU is
+    ``solve`` plus the rank-one term; ``start`` = apply(rhs), swept with A^-1 [0; u]
+    as one block.  Raises SingularUpdateError when |denominator| < SINGULAR_TOL."""
+    n, sigma, u = system.n, system.rank_one_scale, system.rank_one_left
+    if sigma == 0.0 or not np.any(u != 0.0):
+        return solve, solve(system.rhs), 1.0
+    x1, x0 = solve(np.column_stack([np.concatenate([np.zeros(n), u]), system.rhs])).T
     v = system.rank_one_right
     denom = 1.0 + sigma * np.dot(v, x1[:n])
     if not abs(denom) >= SINGULAR_TOL:
@@ -342,11 +344,10 @@ def _sherman_morrison(system: BlockSystem, solve):
             f"rank-one update is singular: |1 + sigma v^T A^-1 u| = {abs(denom):.3e}"
         )
 
-    def apply(b):
-        x0 = solve(b)
-        return x0 - x1 * (sigma * np.dot(v, x0[:n]) / denom)
+    def update(x):
+        return x - x1 * (sigma * np.dot(v, x[:n]) / denom)
 
-    return apply, float(denom)
+    return lambda b: update(solve(b)), update(x0), float(denom)
 
 
 def _residual(system: BlockSystem, x: np.ndarray) -> tuple[float, float]:
@@ -498,9 +499,9 @@ class BlockSolver:
         SingularUpdateError when the Sherman-Morrison denominator vanishes
         and LinearSolveError when GMRES gives up or the true residual
         exceeds the gate."""
-        precond, denom = _sherman_morrison(system, solve)
+        precond, start, denom = _sherman_morrison(system, solve)
         x, iterations = gmres(
-            lambda y: apply_operator(system, y), precond, system.rhs, precond(system.rhs),
+            lambda y: apply_operator(system, y), precond, system.rhs, start,
             tol * float(np.linalg.norm(system.rhs)), GMRES_MAX_ITER,
         )
         self.totals.iterations += iterations

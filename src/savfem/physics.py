@@ -1,9 +1,11 @@
 """Free energy, mobility, and auxiliary-variable bookkeeping.
 
-Double-well density f0(c) = c^2 (1-c)^2 / 4 and degenerate mobility
-M(c) = c(1-c), clamped at zero so interpolation over/undershoots cannot
-produce negative diffusion.  The scalar auxiliary variable is
-r = sqrt(E1 + C) with E1 = int_Gamma f0(c) ds and a configurable shift C.
+Double-well density f0(c) = c^2 (1-c)^2 / 4, its derivative and degenerate
+mobility M(c) = c(1-c), clamped at zero so interpolation over/undershoots
+cannot produce negative diffusion, all formed from s = c(1-c) in the
+operation order of ``assembly.assemble_coefficient_forms``, which they
+equal bitwise.  The scalar auxiliary variable is r = sqrt(E1 + C) with
+E1 = int_Gamma f0(c) ds and a configurable shift C.
 """
 
 from __future__ import annotations
@@ -53,21 +55,21 @@ class PhysicsParams:
 
 
 def f0(c):
-    """Double-well density 0.25 c^2 (1-c)^2, minima at c = 0 and c = 1."""
+    """Double-well density 0.25 s^2, s = c(1-c), minima at c = 0 and c = 1."""
     c = np.asarray(c, dtype=float)
-    return 0.25 * c**2 * (1.0 - c) ** 2
+    return np.square((1.0 - c) * c) * 0.25
 
 
 def f0_prime(c):
-    """Derivative 0.5 c (1-c)(1-2c) of the double-well density."""
+    """Derivative 0.5 s (1-2c), s = c(1-c), of the double-well density."""
     c = np.asarray(c, dtype=float)
-    return 0.5 * c * (1.0 - c) * (1.0 - 2.0 * c)
+    return ((1.0 - c) * c * 0.5) * (1.0 + c * -2.0)
 
 
 def mobility(c):
-    """Pointwise degenerate mobility max(c(1-c), 0); vectorized over arrays."""
+    """Pointwise degenerate mobility max(s, 0), s = c(1-c); vectorized over arrays."""
     c = np.asarray(c, dtype=float)
-    return np.maximum(c * (1.0 - c), 0.0)
+    return np.maximum((1.0 - c) * c, 0.0)
 
 
 def guarded_shifted_energy(e1: float, c_shift: float) -> float:

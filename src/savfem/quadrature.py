@@ -13,19 +13,11 @@ import numpy as np
 
 __all__ = ["triangle_bary_rule"]
 
-# Six-point Dunavant rule, exact for quartics.
+# Six-point Dunavant rule, exact for quartics: two orbits of three points,
+# each (a, a, 1 - 2a) and its rotations, of one weight each.
 _A1, _W1 = 0.445948490915965, 0.223381589678011
 _A2, _W2 = 0.091576213509771, 0.109951743655322
-_TRI_DEG4_BARY = np.array(
-    [
-        [_A1, _A1, 1.0 - 2.0 * _A1],
-        [_A1, 1.0 - 2.0 * _A1, _A1],
-        [1.0 - 2.0 * _A1, _A1, _A1],
-        [_A2, _A2, 1.0 - 2.0 * _A2],
-        [_A2, 1.0 - 2.0 * _A2, _A2],
-        [1.0 - 2.0 * _A2, _A2, _A2],
-    ]
-)
+_TRI_DEG4_BARY = np.array([np.roll([a, a, 1.0 - 2.0 * a], -k) for a in (_A1, _A2) for k in range(3)])
 _TRI_DEG4_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 

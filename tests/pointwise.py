@@ -4,12 +4,14 @@ the per-patch Gram tables, for the closed-form cut geometry and for the
 polygon vertices read straight from the lattice.
 
 The mesh stores the surface triangles and their areas; ``savfem.assembly``
-applies the surface rule to them, so that point 6 t + k is rule point k of
-triangle t, at the rule's barycentric combination of the triangle's polygon
-vertices ``tri_index[t]``, with the rule weight times the triangle's area.
-These helpers form, point by point, the parent barycentric coordinates,
-parent elements, physical coordinates and weights of the surface quadrature
-points, and each patch's offsets into them, the tables the mesh once stored.
+applies the surface rule to them in the rule-major order: of T triangles,
+point k T + t is rule point k of triangle t, at the rule's barycentric
+combination of the triangle's polygon vertices ``tri_index[t]``, with the
+rule weight times the triangle's area.  These helpers form, point by point
+in that order, the parent barycentric coordinates, parent elements,
+physical coordinates and weights of the surface quadrature points, and the
+patch of each point: the tables the mesh once stored, there in triangle-
+major order, with each patch's points contiguous.
 
 The classification stage of ``build_active_mesh``, re-run on an active
 mesh's background mesh, gives the level-set values of every lattice
@@ -37,7 +39,7 @@ __all__ = [
     "point_elem",
     "point_coords",
     "point_weights",
-    "point_offsets",
+    "point_patch",
     "patch_stage",
     "lapack_geometry",
     "circumdiameters",
@@ -48,32 +50,45 @@ __all__ = [
 ]
 
 
+def _rule_major(per_triangle) -> np.ndarray:
+    """(T, 6, ...) values per triangle and rule point as (Q, ...) values in
+    the rule-major order."""
+    return np.swapaxes(per_triangle, 0, 1).reshape(-1, *per_triangle.shape[2:])
+
+
+def _per_point(per_triangle) -> np.ndarray:
+    """(T,) values per triangle repeated for each of its points."""
+    return np.tile(per_triangle, len(triangle_bary_rule()[1]))
+
+
 def point_bary(active) -> np.ndarray:
     """(Q, 4) parent barycentric coordinates of the surface points."""
     rule_bary, _ = triangle_bary_rule()
-    return np.matmul(rule_bary, active.poly_bary[active.tri_index]).reshape(-1, 4)
+    return _rule_major(np.matmul(rule_bary, active.poly_bary[active.tri_index]))
 
 
 def point_elem(active) -> np.ndarray:
     """(Q,) parent element of each surface point; the three vertices of a
     triangle share one element."""
-    return np.repeat(active.poly_elem[active.tri_index[:, 0]], len(triangle_bary_rule()[1]))
+    return _per_point(active.poly_elem[active.tri_index[:, 0]])
 
 
 def point_coords(active) -> np.ndarray:
     """(Q, 3) physical surface points."""
     rule_bary, _ = triangle_bary_rule()
-    return np.matmul(rule_bary, active.polygon_points[active.tri_index]).reshape(-1, 3)
+    return _rule_major(np.matmul(rule_bary, active.polygon_points[active.tri_index]))
 
 
 def point_weights(active) -> np.ndarray:
     """(Q,) surface point weights: the rule weight times the triangle area."""
-    return (triangle_bary_rule()[1][None, :] * active.tri_areas[:, None]).reshape(-1)
+    return (triangle_bary_rule()[1][:, None] * active.tri_areas[None, :]).reshape(-1)
 
 
-def point_offsets(active) -> np.ndarray:
-    """(n_p + 1,) each patch's offsets into the surface points."""
-    return len(triangle_bary_rule()[1]) * active.tri_patch_offsets
+def point_patch(active) -> np.ndarray:
+    """(Q,) patch of each surface point; a patch's triangles are contiguous
+    (``tri_patch_offsets``)."""
+    offsets = active.tri_patch_offsets
+    return _per_point(np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)))
 
 
 def _lattice_stage(active, levelset):

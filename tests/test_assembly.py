@@ -17,7 +17,7 @@ from pointwise import (
     point_bary,
     point_coords,
     point_elem,
-    point_offsets,
+    point_patch,
     point_weights,
     tangential_grads,
 )
@@ -119,7 +119,7 @@ class TestPlaneOracle:
         assert abs(mob - 0.25 * stiff).max() < 1e-14
 
     def test_f0prime_load_vanishes_at_half(self, plane_active):
-        w = assemble_f0prime_load(plane_active, np.full(len(point_weights(plane_active)), 0.5))
+        w = assemble_f0prime_load(plane_active, f0_prime(np.full(len(point_weights(plane_active)), 0.5)))
         assert np.abs(w).max() < 1e-15
 
     def test_E1_of_constant_half(self, plane_active):
@@ -152,6 +152,21 @@ class TestPlaneOracle:
         w1 = assemble_load(plane_active, vals)
         w2 = assemble_load(plane_active, lambda p: p[:, 0])
         np.testing.assert_allclose(w1, w2, atol=1e-15)
+
+    def test_callable_load_by_rule_rows(self, sphere_l2):
+        # the callable is evaluated on the (T, 3) points of one rule row at a
+        # time; the load equals that of its values on all (Q, 3) points
+        seen = []
+
+        def integrand(p):
+            seen.append(p.shape)
+            return np.sin(3.0 * p[:, 0]) * p[:, 2] + p[:, 1] ** 2
+
+        w = assemble_load(sphere_l2, integrand)
+        n_tri = len(sphere_l2.tri_index)
+        assert seen == [(n_tri, 3)] * 6
+        oracle = assemble_load(sphere_l2, integrand(point_coords(sphere_l2)))
+        assert np.linalg.norm(w - oracle) <= 1e-15 * np.linalg.norm(oracle)
 
 
 class TestSphere:
@@ -249,21 +264,24 @@ def _load_oracle(active, vals):
     return out
 
 
-def _sq_offsets(active):
-    """Each element's offsets into the surface quadrature points."""
-    return np.concatenate([[0], np.cumsum(np.bincount(point_elem(active), minlength=active.n_elements))])
+def _element_sums(active, values):
+    """Sums of the (Q, ...) point values over the points of each element."""
+    elem = point_elem(active)
+    points = np.arange(len(elem))
+    summing = sp.csr_matrix((np.ones(len(elem)), (elem, points)), shape=(active.n_elements, len(elem)))
+    return summing @ values
 
 
 def _mass_oracle(active):
     """The degree-4 rule applied to the (Q, 4, 4) products of the basis values."""
     sq_bary = point_bary(active)
     contrib = point_weights(active)[:, None, None] * (sq_bary[:, :, None] * sq_bary[:, None, :])
-    flat = np.add.reduceat(contrib.reshape(len(contrib), -1), _sq_offsets(active)[:-1])
+    flat = _element_sums(active, contrib.reshape(len(contrib), -1))
     return _coo_oracle(active, flat.reshape(-1, 4, 4))
 
 
 def _stiffness_oracle(active, weight):
-    k_p = np.add.reduceat(weight, point_offsets(active)[:-1])
+    k_p = np.bincount(point_patch(active), weight, active.n_patches)
     patch_mats = k_p[:, None, None] * active.patch_gram.reshape(-1, 4, 4)
     patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
     return _coo_oracle(active, np.add.reduceat(patch_mats, patch_offsets[:-1], axis=0))
@@ -310,7 +328,7 @@ class TestOperatorsAgainstElementScatter:
             )
         oracle = _load_oracle(sphere_l2, f0_prime(_interp_oracle(sphere_l2, bernoulli)))
         np.testing.assert_allclose(
-            assemble_f0prime_load(sphere_l2, interpolate_at_surface_qp(sphere_l2, bernoulli)),
+            assemble_f0prime_load(sphere_l2, f0_prime(interpolate_at_surface_qp(sphere_l2, bernoulli))),
             oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max(),
         )
 
@@ -361,7 +379,7 @@ class TestOperatorsAgainstElementScatter:
             self.assert_same_matrix(mob, _stiffness_oracle(active, weight))
             # entries whose elements all have M(c_h) = 0 are exact zeros, still stored
             vals = mobility(interpolate_at_surface_qp(active, bernoulli))
-            alive = np.add.reduceat(vals, _sq_offsets(active)[:-1]) > 0.0
+            alive = _element_sums(active, vals) > 0.0
             counts = _coo_oracle(active, np.broadcast_to(alive[:, None, None], (len(alive), 4, 4)) * 1.0)
             dead = counts.data == 0.0
             assert dead.sum() > 0
@@ -420,7 +438,7 @@ class TestSurfaceTablesAgainstPatchStage:
         active = request.getfixturevalue(mesh_name)
         g = _patch_to_pattern(active, tangential_grads(active, _LEVELSETS[mesh_name]))
         k = 0.5 + 0.4 * np.sin(5.0 * point_coords(active)[:, 0])
-        k_p = np.add.reduceat(point_weights(active) * k, point_offsets(active)[:-1])
+        k_p = np.bincount(point_patch(active), point_weights(active) * k, active.n_patches)
         mat, oracle = assemble_surface_stiffness(active, k), on_pattern(active, g @ k_p)
         np.testing.assert_array_equal(mat.indices, oracle.indices)
         self.assert_close(mat.data, oracle.data)

@@ -34,7 +34,7 @@ from savfem.integrators import (
     proposed_factor,
 )
 from savfem.linsolve import BlockSolver, BlockSystem, solve_rank_one_system
-from savfem.physics import EnergyFloorError, PhysicsParams, guarded_shifted_energy, mobility
+from savfem.physics import EnergyFloorError, PhysicsParams, f0_prime, guarded_shifted_energy, mobility
 
 
 @pytest.fixture()
@@ -382,7 +382,7 @@ def _oracle_mobility(active, c):
 
 def _oracle_reference(forms, c_ref, physics):
     mob = _oracle_mobility(forms.active, c_ref)
-    w = assemble_f0prime_load(forms.active, interpolate_at_surface_qp(forms.active, c_ref))
+    w = assemble_f0prime_load(forms.active, f0_prime(interpolate_at_surface_qp(forms.active, c_ref)))
     s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
     return mob, w, s
 

@@ -390,6 +390,50 @@ def assert_solves(system, c, mu, stats):
     assert err < 1e-10
 
 
+def lu_sweeps(monkeypatch, one_column=False):
+    """The column count of every sweep of the LUs that ``_lu_solver`` makes;
+    with ``one_column``, a block is swept one column at a time."""
+    widths = []
+    lu_solver = linsolve._lu_solver
+
+    def counted(*args, **kwargs):
+        solve = lu_solver(*args, **kwargs)
+
+        def sweep(b):
+            widths.append(1 if b.ndim == 1 else b.shape[1])
+            if one_column and b.ndim == 2:
+                return np.column_stack([solve(column) for column in b.T])
+            return solve(b)
+
+        return sweep
+
+    monkeypatch.setattr(linsolve, "_lu_solver", counted)
+    return widths
+
+
+def test_solve_sweeps_two_columns_once(sphere_l3_forms, monkeypatch):
+    # A^-1 [0; u] of the Sherman-Morrison term and the first preconditioner
+    # application A^-1 rhs share one sweep; each GMRES iteration sweeps once
+    widths = lu_sweeps(monkeypatch)
+    solver = BlockSolver(sphere_l3_forms.active.dof_coords)
+    _, _, fresh = solver.solve(sphere_system(sphere_l3_forms))
+    assert fresh.refactored and fresh.iterations >= 1
+    assert widths == [2] + [1] * fresh.iterations
+    _, _, reused = solver.solve(sphere_system(sphere_l3_forms, cc_scale=1.0 / 0.005))
+    assert not reused.refactored
+    assert widths == [2] + [1] * fresh.iterations + [2] + [1] * reused.iterations
+
+
+def test_two_column_sweep_matches_one_column_sweeps(sphere_l3_forms, monkeypatch):
+    system = sphere_system(sphere_l3_forms)
+    coords = sphere_l3_forms.active.dof_coords
+    c2, mu2, _ = BlockSolver(coords).solve(system)
+    lu_sweeps(monkeypatch, one_column=True)
+    c1, mu1, _ = BlockSolver(coords).solve(system)
+    for two, one in ((c2, c1), (mu2, mu1)):
+        assert np.linalg.norm(two - one) <= 1e-12 * np.linalg.norm(one)
+
+
 def test_changed_b_cc_reuses_the_lu(sphere_l3_forms, monkeypatch):
     forms = sphere_l3_forms
     calls = count_splu(monkeypatch)

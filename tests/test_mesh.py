@@ -24,7 +24,7 @@ from pointwise import (
     point_bary,
     point_coords,
     point_elem,
-    point_offsets,
+    point_patch,
     point_weights,
     two_step_poly_bary,
 )
@@ -98,22 +98,24 @@ def test_active_mesh_dof_numbering(sphere_l2):
 def test_active_mesh_grouping_invariants(sphere_l2):
     active = sphere_l2
     sq_elem, sq_bary, sq_weights = point_elem(active), point_bary(active), point_weights(active)
-    sq_patch_offsets = point_offsets(active)
+    sq_patch = point_patch(active)
+    nq = len(triangle_bary_rule()[1])
     assert np.all(np.diff(active.patch_elem) >= 0)
-    assert np.all(np.diff(sq_elem) >= 0)
-    assert np.all(np.diff(sq_patch_offsets) > 0)
+    # in each rule row the points follow the triangles, which are sorted by
+    # patch and so by element
+    assert np.all(np.diff(sq_elem.reshape(nq, -1), axis=1) >= 0)
+    assert np.all(np.diff(sq_patch.reshape(nq, -1), axis=1) >= 0)
     patch_offsets = np.concatenate([[0], np.cumsum(np.bincount(active.patch_elem))])
     assert len(patch_offsets) == active.n_elements + 1
     assert patch_offsets[-1] == active.n_patches
-    assert sq_patch_offsets[-1] == len(sq_weights)
-    # the points of a patch belong to the patch's element, and every
-    # element has points
-    sq_patch = np.repeat(np.arange(active.n_patches), np.diff(sq_patch_offsets))
+    assert len(sq_patch) == len(sq_weights)
+    # the points of a patch belong to the patch's element, and every patch
+    # and every element has points
     assert np.array_equal(sq_elem, active.patch_elem[sq_patch])
+    assert np.bincount(sq_patch, minlength=active.n_patches).min() > 0
     assert np.bincount(sq_elem, minlength=active.n_elements).min() > 0
     # each surface triangle carries the same number of points, and its
     # three vertices lie in one element
-    nq = len(triangle_bary_rule()[1])
     assert len(sq_weights) == nq * len(active.tri_index)
     tri_elem = active.poly_elem[active.tri_index]
     assert np.all(tri_elem == tri_elem[:, :1])
@@ -127,15 +129,16 @@ def test_active_mesh_grouping_invariants(sphere_l2):
 
 
 def test_quadrature_points_against_einsum_formulas(sphere_l2, sphere_l2_flat):
-    """A load of a callable integrand evaluates it at the einsum formula's
-    points, built for the call: the mesh caches nothing for it."""
+    """A load of a callable integrand evaluates it, one rule row at a time,
+    at the einsum formula's points, built for the call: the mesh caches
+    nothing for it."""
     rule_bary, _ = triangle_bary_rule()
     for active in (sphere_l2, sphere_l2_flat):
         fresh = dataclasses.replace(active, _cache={})
         seen = []
         assemble_load(fresh, lambda p: seen.append(p) or p[:, 0])
-        points = np.einsum("qi,tij->tqj", rule_bary, fresh.polygon_points[fresh.tri_index])
-        np.testing.assert_allclose(seen[0], points.reshape(-1, 3), rtol=0.0, atol=1e-15)
+        points = np.einsum("qi,tij->qtj", rule_bary, fresh.polygon_points[fresh.tri_index])
+        np.testing.assert_allclose(np.stack(seen), points, rtol=0.0, atol=1e-15)
         assert fresh._cache == {}
         assert fresh.poly_interp.shape == (len(fresh.poly_bary), fresh.n_dofs)
 
