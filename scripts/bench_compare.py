@@ -13,7 +13,10 @@ its own savbench.
 
 Writes BENCH_<TAG>.json at the root of this checkout after every pair: the
 end-to-end metrics of each pair, each side's median and quartiles, and per
-metric the number of pairs in which this checkout is better than the base.
+metric the number of pairs in which this checkout is better than the base,
+whether a gain holds and a no-regression verdict against the metric's
+``bound`` in BENCHMARK.json: "worse", "unresolved" (the base's own spread
+is wider than the bound) or "ok".
 A pair in which either side is not correct or has failed operations is kept
 in the pairs but left out of the medians and win counts, and counted as
 ``failed_pairs``; a gain never holds while any pair failed.
@@ -80,13 +83,31 @@ def pair_failed(pair: dict) -> bool:
     )
 
 
-def summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' quartiles and the head's wins over the pairs
-    that did not fail."""
+def no_regression(base: list[float], head: list[float], sign: float, bound: float) -> str:
+    """"worse" when the head's median is worse than the base's by more than
+    ``bound`` (relative to the base median); else "unresolved" when the base's
+    interquartile range exceeds ``bound`` times its median, unless every
+    head run beats every base run; else "ok".  ``sign`` is 1 when lower is
+    better and -1 when higher is."""
+    base_q, head_q = quartiles(base), quartiles(head)
+    allowed = bound * abs(base_q["median"])
+    if sign * (head_q["median"] - base_q["median"]) > allowed:
+        return "worse"
+    beats_all = max(sign * h for h in head) < min(sign * b for b in base)
+    if base_q["q3"] - base_q["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric of ``metrics`` (name -> its BENCHMARK.json entry, with
+    ``better`` and ``bound``): both sides' quartiles, the head's wins over
+    the pairs that did not fail and the no-regression verdict."""
     any_failed = any(pair_failed(p) for p in pairs)
     ok = [p for p in pairs if not pair_failed(p)]
     out = {}
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
+        direction = spec["better"]
         done = [p for p in ok if metric in p["base"] and metric in p["head"]]
         if not done:
             continue
@@ -108,6 +129,7 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
             "gain_holds": not any_failed
             and wins >= 0.9 * len(done)
             and gain > base_q["q3"] - base_q["q1"],
+            "no_regression": no_regression(base, head, sign, spec["bound"]),
         }
     return out
 
@@ -131,19 +153,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((HEAD / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     if args.workdir is not None and (args.workdir / "base").exists():
         parser.error(f"{args.workdir / 'base'} already exists; remove it or pick another --workdir")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_compare_"))
     try:
-        return compare(args, workdir, better, workloads)
+        return compare(args, workdir, metrics, workloads)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
 
 
-def compare(args, workdir: Path, better: dict[str, str], workloads: list[str]) -> int:
+def compare(args, workdir: Path, metrics: dict[str, dict], workloads: list[str]) -> int:
     sides = {"base": export_base(args.base, workdir), "head": HEAD}
 
     report = {
@@ -166,7 +188,7 @@ def compare(args, workdir: Path, better: dict[str, str], workloads: list[str]) -
             entry = report["workloads"][workload]
             entry["pairs"].append(pair)
             entry["failed_pairs"] = sum(1 for p in entry["pairs"] if pair_failed(p))
-            entry["summary"] = summary(entry["pairs"], better)
+            entry["summary"] = summary(entry["pairs"], metrics)
             wall = {s: pair[s].get("wall_s") for s in ("base", "head")}
             print(f"pair {i + 1}/{args.pairs} {workload}: wall_s {wall}", file=sys.stderr)
             out.write_text(json.dumps(report, indent=1) + "\n")

@@ -59,13 +59,13 @@ class RunConfig:
     t_end: float = 1.0
     ic_mean: float = 0.5
     seed: int = 0
-    tol: float = 1e-3
-    zeta: float = 0.9
-    dt_min: float = 1e-7
-    dt_max: float = 10.0
-    ratio_max: float = 3.5
-    max_retries: int = 10
-    solver_rel_tolerance: float = 1e-10
+    tol: float = TimeController.tol
+    zeta: float = TimeController.zeta
+    dt_min: float = TimeController.dt_min
+    dt_max: float = TimeController.dt_max
+    ratio_max: float = TimeController.ratio_max
+    max_retries: int = TimeController.max_retries
+    solver_rel_tolerance: float = SolverConfig.rel_tolerance
     output_dir: str = "out"
     run_name: str = "run"
     vtk_interval: int = 0

@@ -115,16 +115,14 @@ def _sav_step(
     c_ref: np.ndarray,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver: BlockSolver | None,
+    solver: BlockSolver,
     forcing: np.ndarray | None,
 ) -> StateSnapshot:
     """The step with difference ``coef`` and reference field ``c_ref``.
 
     ``solver`` is the time loop's BlockSolver, whose pattern and stored LU
-    may serve the solve; without one the step solves with a BlockSolver of
-    its own, which orders the pattern and factors afresh.  ``forcing`` is an
-    optional pre-assembled load vector (f, psi_j) added to the concentration
-    equation.
+    may serve the solve.  ``forcing`` is an optional pre-assembled load
+    vector (f, psi_j) added to the concentration equation.
     """
     mobility, w, e1 = assemble_coefficient_forms(forms.active, c_ref)
     s = guarded_shifted_energy(e1, physics.c_shift)
@@ -152,7 +150,7 @@ def _sav_step(
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, solver or BlockSolver(forms.active.dof_coords))
+    c, mu, _ = solve_rank_one_system(system, solver)
     r = (be * prev1.r - ga * prev2.r + np.dot(w, al * c - be * prev1.c + ga * prev2.c) / (2.0 * sq)) / al
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(r)):
         raise TimeStepError("time step produced non-finite values")
@@ -164,7 +162,7 @@ def bdf1_step(
     dt: float,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver: BlockSolver | None = None,
+    solver: BlockSolver,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
     """One first-order SAV step from ``prev``."""
@@ -179,7 +177,7 @@ def bdf2_step(
     dt: float,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver: BlockSolver | None = None,
+    solver: BlockSolver,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
     """One uniform-step second-order SAV step; prev1 is the newer state.
@@ -205,7 +203,7 @@ def bdf2_variable_step(
     dt_prev: float,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver: BlockSolver | None = None,
+    solver: BlockSolver,
 ) -> StateSnapshot:
     """Variable-step BDF2 with ratio q = dt / dt_prev; bdf2_step at q = 1."""
     if dt <= 0 or dt_prev <= 0:
@@ -328,7 +326,7 @@ def adapt_step(
     prev1: StateSnapshot,
     forms: AssembledForms,
     physics: PhysicsParams,
-    solver: BlockSolver | None = None,
+    solver: BlockSolver,
 ):
     """One adaptive step: BDF1/BDF2 comparison with retry-and-shrink.
 

@@ -160,7 +160,6 @@ class BlockSystem:
 
 @dataclass
 class SolveStats:
-    residual: float
     rel_residual: float
     woodbury_denominator: float  # of the solve's LU: the fresh one, or the reused one
     fallback: bool = False  # the pivot-free LUs failed and COLAMD solved the system
@@ -334,8 +333,6 @@ def _sherman_morrison(system: BlockSystem, solve):
     ``solve`` plus the rank-one term; ``start`` = apply(rhs), swept with A^-1 [0; u]
     as one block.  Raises SingularUpdateError when |denominator| < SINGULAR_TOL."""
     n, sigma, u = system.n, system.rank_one_scale, system.rank_one_left
-    if sigma == 0.0 or not np.any(u != 0.0):
-        return solve, solve(system.rhs), 1.0
     x1, x0 = solve(np.column_stack([np.concatenate([np.zeros(n), u]), system.rhs])).T
     v = system.rank_one_right
     denom = 1.0 + sigma * np.dot(v, x1[:n])
@@ -350,11 +347,11 @@ def _sherman_morrison(system: BlockSystem, solve):
     return lambda b: update(solve(b)), update(x0), float(denom)
 
 
-def _residual(system: BlockSystem, x: np.ndarray) -> tuple[float, float]:
-    """Absolute and relative full-operator residual of x."""
+def _residual(system: BlockSystem, x: np.ndarray) -> float:
+    """Relative full-operator residual of x (absolute for a zero rhs)."""
     res_norm = float(np.linalg.norm(apply_operator(system, x) - system.rhs))
     rhs_norm = float(np.linalg.norm(system.rhs))
-    return res_norm, res_norm / rhs_norm if rhs_norm > 0 else res_norm
+    return res_norm / rhs_norm if rhs_norm > 0 else res_norm
 
 
 def gmres(matvec, precond, rhs, x0, target: float, max_iter: int):
@@ -507,24 +504,16 @@ class BlockSolver:
         self.totals.iterations += iterations
         if x is None:
             raise LinearSolveError(f"GMRES gave up after {iterations} iterations")
-        residual, rel = _residual(system, x)
+        rel = _residual(system, x)
         if not rel <= self.config.rel_tolerance:
             raise LinearSolveError(
                 f"block solve residual {rel:.3e} exceeds tolerance {self.config.rel_tolerance:.1e}"
             )
-        return x, SolveStats(residual, rel, denom, iterations=iterations)
+        return x, SolveStats(rel, denom, iterations=iterations)
 
 
 def solve_rank_one_system(system: BlockSystem, solver: BlockSolver):
-    """Solve the block system with ``solver``; returns (c, mu, stats).
-
-    The solver's stored LU may serve the solve.  A fresh LU is factorized
-    pivot-free in the nested-dissection order of the solver's pattern, in
-    float32, and refined by GMRES, falling back to float64 and then to
-    COLAMD with partial pivoting (``stats.fallback``) when that solve fails
-    its checks; a block off the solver's pattern raises LinearSolveError.
-    A fresh solve raises SingularUpdateError when the Sherman-Morrison
-    denominator is below 1e-14 in magnitude, and LinearSolveError when the
-    full-operator residual exceeds rel_tolerance * ||rhs||.
-    """
+    """``solver.solve(system)``: (c, mu, stats), by the policy of the module
+    docstring.  It is the module-level entry of every block solve, which
+    savbench wraps by name."""
     return solver.solve(system)

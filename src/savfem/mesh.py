@@ -208,8 +208,9 @@ class ActiveMesh:
 
     DOFs are the vertices of cut tetrahedra, numbered 0..n_dofs-1 in
     ascending background-node order.  Patches (cut sub-tetrahedra of the
-    geometry lattice) are sorted by parent element and surface triangles by
-    patch; ``tri_patch_offsets`` delimit each patch's one or two triangles.
+    geometry lattice) are sorted by parent element, and polygon vertices and
+    surface triangles by patch; ``tri_patch_offsets`` delimit each patch's
+    one or two triangles, and a patch of k triangles has k + 2 vertices.
     ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
     normal-gradient volume stabilization.  Every element has circumscribed
@@ -226,7 +227,6 @@ class ActiveMesh:
     patch_elem: np.ndarray  # (n_p,) parent element of each patch
     patch_gram: np.ndarray  # (n_p, 16) row-major grad_G psi_i . grad_G psi_j, constant per patch
     poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates of the cut-polygon vertices
-    poly_elem: np.ndarray  # (P,)
     poly_interp: sp.csr_matrix  # B_P (P, n_dofs): data a view of poly_bary, int32 columns
     tri_index: np.ndarray  # (T, 3) into the polygon vertices
     tri_areas: np.ndarray  # (T,)
@@ -379,7 +379,7 @@ def build_active_mesh(
     poly_bary, poly_patch, tri_index, tri_patch_offsets = _extract_polygons(
         patch_vals, patch_ids, _lattice_bary(geometry_divisions)
     )
-    poly_elem = patch_elem[poly_patch]
+    poly_elem = patch_elem[poly_patch]  # kept to the return: freed here, it raised the convergence study's peak RSS by 6 MiB
     cols = elem_dofs.astype(np.int32)[poly_elem].reshape(-1)  # int32: kept by the CSR constructor
     ptr = np.arange(0, len(cols) + 1, 4, dtype=np.int32)
     poly_interp = sp.csr_matrix((poly_bary.reshape(-1), cols, ptr), shape=(len(poly_bary), len(active_nodes)))
@@ -397,7 +397,6 @@ def build_active_mesh(
         patch_elem=patch_elem.astype(np.int32),  # int32: read at set-up only
         patch_gram=patch_gram,
         poly_bary=poly_bary,
-        poly_elem=poly_elem.astype(np.int32),  # int32: read at set-up only
         poly_interp=poly_interp,
         tri_index=tri_index,
         tri_areas=tri_areas,

@@ -1,5 +1,6 @@
 """Tables the mesh no longer stores or never forms, rebuilt for the tests:
-the oracles for the polygon-vertex operators of ``savfem.assembly``, for
+the parent element of each polygon vertex, the oracles for the
+polygon-vertex operators of ``savfem.assembly``, for
 the per-patch Gram tables, for the closed-form cut geometry and for the
 polygon vertices read straight from the lattice.
 
@@ -35,6 +36,7 @@ from savfem.mesh import _SUBTETS, _classify, _extract_polygons, _lattice_bary, _
 from savfem.quadrature import triangle_bary_rule
 
 __all__ = [
+    "poly_elem",
     "point_bary",
     "point_elem",
     "point_coords",
@@ -61,6 +63,12 @@ def _per_point(per_triangle) -> np.ndarray:
     return np.tile(per_triangle, len(triangle_bary_rule()[1]))
 
 
+def poly_elem(active) -> np.ndarray:
+    """(P,) parent element of each polygon vertex.  The vertices are ordered
+    by patch, and a patch with k triangles has k + 2 vertices."""
+    return np.repeat(active.patch_elem, np.diff(active.tri_patch_offsets) + 2)
+
+
 def point_bary(active) -> np.ndarray:
     """(Q, 4) parent barycentric coordinates of the surface points."""
     rule_bary, _ = triangle_bary_rule()
@@ -70,7 +78,7 @@ def point_bary(active) -> np.ndarray:
 def point_elem(active) -> np.ndarray:
     """(Q,) parent element of each surface point; the three vertices of a
     triangle share one element."""
-    return _per_point(active.poly_elem[active.tri_index[:, 0]])
+    return _per_point(poly_elem(active)[active.tri_index[:, 0]])
 
 
 def point_coords(active) -> np.ndarray:

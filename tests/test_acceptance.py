@@ -145,9 +145,10 @@ def test_criterion_2_bdf1_energy_balance(sphere_l3_forms, capsys):
     state = initial_state(
         sphere_l3_forms, physics, bernoulli_ic(sphere_l3_forms.active, 0.5, seed=1)
     )
+    solver = BlockSolver(sphere_l3_forms.active.dof_coords)
     worst = 0.0
     for _ in range(50):
-        nxt = bdf1_step(state, dt, sphere_l3_forms, physics)
+        nxt = bdf1_step(state, dt, sphere_l3_forms, physics, solver)
         terms = energy_balance_terms(None, state, nxt, sphere_l3_forms, physics)
         worst = max(worst, abs(terms.sum()) / np.abs(terms).max())
         state = nxt
@@ -293,11 +294,14 @@ def test_criterion_6_variable_step_reduction(sphere_l2_forms, capsys):
     prev = initial_state(
         sphere_l2_forms, physics, bernoulli_ic(sphere_l2_forms.active, 0.5, seed=1)
     )
-    state = bdf1_step(prev, dt, sphere_l2_forms, physics)
+    # one solver per path after the shared first step: both see the same solves
+    coords = sphere_l2_forms.active.dof_coords
+    state = bdf1_step(prev, dt, sphere_l2_forms, physics, BlockSolver(coords))
+    uniform_solver, variable_solver = BlockSolver(coords), BlockSolver(coords)
     worst = 0.0
     for _ in range(20):
-        uniform = bdf2_step(prev, state, dt, sphere_l2_forms, physics)
-        variable = bdf2_variable_step(prev, state, dt, dt, sphere_l2_forms, physics)
+        uniform = bdf2_step(prev, state, dt, sphere_l2_forms, physics, uniform_solver)
+        variable = bdf2_variable_step(prev, state, dt, dt, sphere_l2_forms, physics, variable_solver)
         scale = float(np.abs(uniform.c).max())
         dev = max(
             float(np.abs(variable.c - uniform.c).max()) / scale,
@@ -332,13 +336,14 @@ def test_criterion_7_adaptive_controller(capsys):
     _, active, forms = build_problem(config)
     physics = config.physics()
     controller = config.controller()
+    solver = BlockSolver(active.dof_coords, config.solver_config())
     state0 = initial_state(forms, physics, bernoulli_ic(active, config.ic_mean, config.seed))
     prev = state0
-    state = bdf1_step(prev, controller.dt, forms, physics)
+    state = bdf1_step(prev, controller.dt, forms, physics, solver)
     rejection_monotone = True
     rejections = 0
     while state.t < config.t_end:
-        nxt, attempts = adapt_step(controller, prev, state, forms, physics)
+        nxt, attempts = adapt_step(controller, prev, state, forms, physics, solver)
         dts = [a.dt for a in attempts]
         for i, attempt in enumerate(attempts[:-1]):
             rejections += 1

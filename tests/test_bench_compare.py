@@ -1,4 +1,5 @@
-"""scripts/bench_compare.py: medians, wins and failed pairs of a series."""
+"""scripts/bench_compare.py: medians, wins, no-regression verdicts and
+failed pairs of a series."""
 
 import importlib.util
 from pathlib import Path
@@ -10,7 +11,10 @@ spec = importlib.util.spec_from_file_location("bench_compare", SCRIPT)
 bench_compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_compare)
 
-BETTER = {"wall_s": "lower", "steps_per_s": "higher"}
+METRICS = {
+    "wall_s": {"better": "lower", "bound": 0.24},
+    "steps_per_s": {"better": "higher", "bound": 0.24},
+}
 
 
 def side(wall, correct=True, failed=0):
@@ -24,7 +28,7 @@ def pair(base, head, **head_kw):
 
 def test_clear_gain_holds():
     pairs = [pair(10.0 + 0.1 * i, 5.0 + 0.1 * i) for i in range(10)]
-    out = bench_compare.summary(pairs, BETTER)
+    out = bench_compare.summary(pairs, METRICS)
     assert out["wall_s"]["head_wins"] == 10
     assert out["wall_s"]["pairs"] == 10
     assert out["wall_s"]["base"]["median"] == pytest.approx(10.45)
@@ -35,9 +39,30 @@ def test_clear_gain_holds():
 
 def test_gain_within_base_spread_does_not_hold():
     pairs = [pair(10.0 + i, 10.0 + i - 0.5) for i in range(10)]
-    out = bench_compare.summary(pairs, BETTER)
+    out = bench_compare.summary(pairs, METRICS)
     assert out["wall_s"]["head_wins"] == 10
     assert not out["wall_s"]["gain_holds"]  # gap 0.5 s against a base IQR of 4.5 s
+    # that IQR is above the bound, 0.24 x the median 14.5 s
+    assert out["wall_s"]["no_regression"] == "unresolved"
+
+
+@pytest.mark.parametrize(
+    "base,head,verdict",
+    [
+        ([10.0 + 0.01 * i for i in range(10)], [10.5 + 0.01 * i for i in range(10)], "ok"),
+        ([10.0 + 0.01 * i for i in range(10)], [14.0 + 0.01 * i for i in range(10)], "worse"),
+        ([10.0 + i for i in range(10)], [10.2 + i for i in range(10)], "unresolved"),
+        ([10.0 + 2 * i for i in range(10)], [5.0 + 0.1 * i for i in range(10)], "ok"),
+        ([10.0 + 2 * i for i in range(10)], [40.0 + 0.1 * i for i in range(10)], "worse"),
+    ],
+    ids=["within-bound", "beyond-bound", "base-spread", "beats-every-run", "worse-despite-spread"],
+)
+def test_no_regression_verdict(base, head, verdict):
+    # wall_s is lower-better and steps_per_s = 100 / wall_s higher-better:
+    # the verdicts agree in both directions
+    out = bench_compare.summary([pair(b, h) for b, h in zip(base, head)], METRICS)
+    assert out["wall_s"]["no_regression"] == verdict
+    assert out["steps_per_s"]["no_regression"] == verdict
 
 
 @pytest.mark.parametrize(
@@ -52,7 +77,7 @@ def test_failed_pairs_are_left_out_and_void_the_gain(bad):
     pairs = [pair(10.0, 5.0) for _ in range(9)] + [pair(10.0, 0.001, **bad)]
     assert bench_compare.pair_failed(pairs[-1])
     assert sum(bench_compare.pair_failed(p) for p in pairs) == 1
-    out = bench_compare.summary(pairs, BETTER)
+    out = bench_compare.summary(pairs, METRICS)
     assert out["wall_s"]["pairs"] == 9
     assert out["wall_s"]["head_wins"] == 9
     assert out["wall_s"]["head"]["median"] == 5.0  # the failed head's 0.001 s is not counted
@@ -62,7 +87,7 @@ def test_failed_pairs_are_left_out_and_void_the_gain(bad):
 def test_failed_base_side_counts_too():
     bad = {"first": "base", "base": {"correct": False, "error": ["Traceback"]}, "head": side(5.0)}
     assert bench_compare.pair_failed(bad)
-    out = bench_compare.summary([bad], BETTER)
+    out = bench_compare.summary([bad], METRICS)
     assert out == {}
 
 

@@ -11,6 +11,8 @@ from savfem.config import (
     load_config,
     parse_overrides,
 )
+from savfem.integrators import TimeController
+from savfem.linsolve import SolverConfig
 
 
 class TestDefaults:
@@ -45,6 +47,11 @@ class TestDefaults:
         assert config.physics().rho == 2.0
         assert config.solver_config().rel_tolerance == 1e-9
         assert config.controller().tol == 5e-4
+
+    def test_defaults_are_the_controller_and_solver_defaults(self):
+        config = RunConfig()
+        assert config.controller() == TimeController(dt=config.dt)
+        assert config.solver_config() == SolverConfig()
 
 
 class TestValidation:

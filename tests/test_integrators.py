@@ -42,6 +42,18 @@ def physics():
     return PhysicsParams(epsilon=0.05, c_shift=1.0)
 
 
+def fresh(forms):
+    """A new BlockSolver on the mesh of ``forms``, which orders its pattern
+    and factors at its first solve."""
+    return BlockSolver(forms.active.dof_coords)
+
+
+@pytest.fixture()
+def solver(sphere_l2_forms):
+    """The one BlockSolver of a test's time loop."""
+    return fresh(sphere_l2_forms)
+
+
 @pytest.fixture()
 def seeded_state(sphere_l2_forms, physics, rng):
     c0 = (rng.random(sphere_l2_forms.active.n_dofs) < 0.5).astype(float)
@@ -77,54 +89,54 @@ class TestCoefficients:
 
 
 class TestEquilibrium:
-    def test_constant_half_is_steady(self, sphere_l2_forms, physics):
+    def test_constant_half_is_steady(self, sphere_l2_forms, physics, solver):
         # f0'(1/2) = 0: the flow starts at an equilibrium and stays there
         state = initial_state(sphere_l2_forms, physics, np.full(sphere_l2_forms.active.n_dofs, 0.5))
-        nxt = bdf1_step(state, 0.01, sphere_l2_forms, physics)
+        nxt = bdf1_step(state, 0.01, sphere_l2_forms, physics, solver)
         np.testing.assert_allclose(nxt.c, state.c, atol=1e-12)
         assert nxt.r == pytest.approx(state.r, abs=1e-12)
-        nxt2 = bdf2_step(state, nxt, 0.01, sphere_l2_forms, physics)
+        nxt2 = bdf2_step(state, nxt, 0.01, sphere_l2_forms, physics, solver)
         np.testing.assert_allclose(nxt2.c, state.c, atol=1e-11)
 
-    def test_time_bookkeeping(self, sphere_l2_forms, physics, seeded_state):
-        nxt = bdf1_step(seeded_state, 0.01, sphere_l2_forms, physics)
+    def test_time_bookkeeping(self, sphere_l2_forms, physics, seeded_state, solver):
+        nxt = bdf1_step(seeded_state, 0.01, sphere_l2_forms, physics, solver)
         assert nxt.t == pytest.approx(0.01)
         assert nxt.dt_used == 0.01
         assert seeded_state.t == 0.0  # history is immutable
 
 
 class TestBalanceIdentities:
-    def test_bdf1_residual_machine_zero(self, sphere_l2_forms, physics, seeded_state):
+    def test_bdf1_residual_machine_zero(self, sphere_l2_forms, physics, seeded_state, solver):
         state = seeded_state
         for _ in range(3):
-            nxt = bdf1_step(state, 0.005, sphere_l2_forms, physics)
+            nxt = bdf1_step(state, 0.005, sphere_l2_forms, physics, solver)
             terms = energy_balance_terms(None, state, nxt, sphere_l2_forms, physics)
             rel = abs(terms.sum()) / np.abs(terms).max()
             assert rel < 1e-9
             state = nxt
 
-    def test_bdf2_residual_machine_zero(self, sphere_l2_forms, physics, seeded_state):
+    def test_bdf2_residual_machine_zero(self, sphere_l2_forms, physics, seeded_state, solver):
         prev = seeded_state
-        state = bdf1_step(prev, 0.005, sphere_l2_forms, physics)
+        state = bdf1_step(prev, 0.005, sphere_l2_forms, physics, solver)
         for _ in range(3):
-            nxt = bdf2_step(prev, state, 0.005, sphere_l2_forms, physics)
+            nxt = bdf2_step(prev, state, 0.005, sphere_l2_forms, physics, solver)
             terms = energy_balance_terms(prev, state, nxt, sphere_l2_forms, physics)
             rel = abs(terms.sum()) / np.abs(terms).max()
             assert rel < 1e-9
             prev, state = state, nxt
 
-    def test_residual_detects_corruption(self, sphere_l2_forms, physics, seeded_state):
+    def test_residual_detects_corruption(self, sphere_l2_forms, physics, seeded_state, solver):
         # the identity must be sensitive: a 1e-6 perturbation of c breaks it
         # (non-constant, since constants lie in the kernel of the gradient forms)
-        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
+        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics, solver)
         clean = abs(energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics).sum())
         bump = 1e-6 * sphere_l2_forms.active.dof_coords[:, 0]
         corrupted = dataclasses.replace(nxt, c=nxt.c + bump)
         dirty = abs(energy_balance_terms(None, seeded_state, corrupted, sphere_l2_forms, physics).sum())
         assert dirty > 1e3 * max(clean, 1e-300)
 
-    def test_dissipation_terms_nonnegative(self, sphere_l2_forms, physics, seeded_state):
-        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
+    def test_dissipation_terms_nonnegative(self, sphere_l2_forms, physics, seeded_state, solver):
+        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics, solver)
         terms = energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics)
         # terms[0] is the energy increment, the rest are dissipation
         assert np.all(terms[1:] >= -1e-14)
@@ -133,35 +145,41 @@ class TestBalanceIdentities:
 
 class TestVariableStep:
     def test_reduces_to_uniform_bdf2(self, sphere_l2_forms, physics, seeded_state):
+        # each path has its own solver, so both see the same sequence of solves
         dt = 0.005
         prev = seeded_state
-        state = bdf1_step(prev, dt, sphere_l2_forms, physics)
+        state = bdf1_step(prev, dt, sphere_l2_forms, physics, fresh(sphere_l2_forms))
+        uniform_solver, variable_solver = fresh(sphere_l2_forms), fresh(sphere_l2_forms)
         for _ in range(20):
-            uniform = bdf2_step(prev, state, dt, sphere_l2_forms, physics)
-            variable = bdf2_variable_step(prev, state, dt, dt, sphere_l2_forms, physics)
+            uniform = bdf2_step(prev, state, dt, sphere_l2_forms, physics, uniform_solver)
+            variable = bdf2_variable_step(
+                prev, state, dt, dt, sphere_l2_forms, physics, variable_solver
+            )
             scale = np.abs(uniform.c).max()
             assert np.abs(variable.c - uniform.c).max() < 1e-12 * scale
             assert abs(variable.r - uniform.r) < 1e-12 * abs(uniform.r)
             prev, state = state, uniform
 
-    def test_accepts_step_ratio_change(self, sphere_l2_forms, physics, seeded_state):
+    def test_accepts_step_ratio_change(self, sphere_l2_forms, physics, seeded_state, solver):
         prev = seeded_state
-        state = bdf1_step(prev, 0.004, sphere_l2_forms, physics)
-        nxt = bdf2_variable_step(prev, state, 0.008, 0.004, sphere_l2_forms, physics)
+        state = bdf1_step(prev, 0.004, sphere_l2_forms, physics, solver)
+        nxt = bdf2_variable_step(prev, state, 0.008, 0.004, sphere_l2_forms, physics, solver)
         assert nxt.t == pytest.approx(0.012)
         assert np.all(np.isfinite(nxt.c))
 
-    def test_uniform_bdf2_rejects_mismatched_history(self, sphere_l2_forms, physics, seeded_state):
-        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics)
+    def test_uniform_bdf2_rejects_mismatched_history(
+        self, sphere_l2_forms, physics, seeded_state, solver
+    ):
+        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics, solver)
         with pytest.raises(HistoryError, match="equal steps"):
-            bdf2_step(seeded_state, state, 0.008, sphere_l2_forms, physics)
+            bdf2_step(seeded_state, state, 0.008, sphere_l2_forms, physics, solver)
 
-    def test_nonpositive_dt_rejected(self, sphere_l2_forms, physics, seeded_state):
+    def test_nonpositive_dt_rejected(self, sphere_l2_forms, physics, seeded_state, solver):
         with pytest.raises(ValueError, match="positive"):
-            bdf1_step(seeded_state, 0.0, sphere_l2_forms, physics)
-        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics)
+            bdf1_step(seeded_state, 0.0, sphere_l2_forms, physics, solver)
+        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics, solver)
         with pytest.raises(ValueError, match="positive"):
-            bdf2_variable_step(seeded_state, state, 0.004, 0.0, sphere_l2_forms, physics)
+            bdf2_variable_step(seeded_state, state, 0.004, 0.0, sphere_l2_forms, physics, solver)
 
 
 class TestModifiedEnergies:
@@ -181,11 +199,11 @@ class TestModifiedEnergies:
         # with state == prev the pair energy doubles the r^2 and gradient parts
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
-    def test_monotone_decay_short_run(self, sphere_l2_forms, physics, seeded_state):
+    def test_monotone_decay_short_run(self, sphere_l2_forms, physics, seeded_state, solver):
         state = seeded_state
         energies = [modified_energy(state, sphere_l2_forms, physics)]
         for _ in range(10):
-            state = bdf1_step(state, 0.005, sphere_l2_forms, physics)
+            state = bdf1_step(state, 0.005, sphere_l2_forms, physics, solver)
             energies.append(modified_energy(state, sphere_l2_forms, physics))
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * np.abs(energies[0]))
@@ -208,38 +226,38 @@ class TestController:
     def test_proposed_factor_zero_error(self):
         assert proposed_factor(0.0, 1e-3, 0.9) == float("inf")
 
-    def test_adapt_accepts_easy_step(self, sphere_l2_forms, physics, seeded_state):
+    def test_adapt_accepts_easy_step(self, sphere_l2_forms, physics, seeded_state, solver):
         controller = TimeController(dt=1e-4, tol=1e-3)
         prev = seeded_state
-        state = bdf1_step(prev, controller.dt, sphere_l2_forms, physics)
-        nxt, attempts = adapt_step(controller, prev, state, sphere_l2_forms, physics)
+        state = bdf1_step(prev, controller.dt, sphere_l2_forms, physics, solver)
+        nxt, attempts = adapt_step(controller, prev, state, sphere_l2_forms, physics, solver)
         assert attempts[-1].accepted
         assert nxt.t > state.t
         # growth is capped by ratio_max
         assert controller.dt <= 3.5 * attempts[-1].dt + 1e-15
 
-    def test_adapt_rejects_shrink_strictly(self, sphere_l2_forms, physics, seeded_state):
+    def test_adapt_rejects_shrink_strictly(self, sphere_l2_forms, physics, seeded_state, solver):
         # a huge first step forces rejections; each retry must shrink dt.
         # the scheme gap decays slowly while dt_prev stays at 5, so give the
         # shrink iteration a generous retry budget
         controller = TimeController(dt=5.0, dt_max=10.0, tol=1e-7, max_retries=40, dt_min=1e-12)
         prev = seeded_state
-        state = bdf1_step(prev, 5.0, sphere_l2_forms, physics)
-        _, attempts = adapt_step(controller, prev, state, sphere_l2_forms, physics)
+        state = bdf1_step(prev, 5.0, sphere_l2_forms, physics, solver)
+        _, attempts = adapt_step(controller, prev, state, sphere_l2_forms, physics, solver)
         rejected = [a.dt for a in attempts if not a.accepted]
         assert rejected, "expected at least one rejection at tol = 1e-7"
         assert all(b < a for a, b in zip(rejected, [*rejected[1:], attempts[-1].dt]))
 
-    def test_adapt_retry_cap_raises(self, sphere_l2_forms, physics, seeded_state):
+    def test_adapt_retry_cap_raises(self, sphere_l2_forms, physics, seeded_state, solver):
         controller = TimeController(dt=5.0, dt_max=10.0, tol=1e-14, max_retries=2, dt_min=1e-16)
         prev = seeded_state
-        state = bdf1_step(prev, 5.0, sphere_l2_forms, physics)
+        state = bdf1_step(prev, 5.0, sphere_l2_forms, physics, solver)
         with pytest.raises(TimeStepError):
-            adapt_step(controller, prev, state, sphere_l2_forms, physics)
+            adapt_step(controller, prev, state, sphere_l2_forms, physics, solver)
 
 
 class TestGuards:
-    def test_energy_floor_error_on_zero_field(self, sphere_l2_forms):
+    def test_energy_floor_error_on_zero_field(self, sphere_l2_forms, solver):
         # c = 0 has E1 = 0; with no shift the SAV denominator is invalid
         physics = PhysicsParams(epsilon=0.05, c_shift=0.0)
         zero = StateSnapshot(
@@ -250,7 +268,7 @@ class TestGuards:
             dt_used=0.0,
         )
         with pytest.raises(EnergyFloorError):
-            bdf1_step(zero, 0.01, sphere_l2_forms, physics)
+            bdf1_step(zero, 0.01, sphere_l2_forms, physics, solver)
 
     def test_initial_state_fails_without_shift_at_zero(self, sphere_l2_forms):
         physics = PhysicsParams(epsilon=0.05, c_shift=0.0)
@@ -259,8 +277,8 @@ class TestGuards:
 
 
 class TestEnergyReport:
-    def test_fields(self, sphere_l2_forms, physics, seeded_state):
-        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics)
+    def test_fields(self, sphere_l2_forms, physics, seeded_state, solver):
+        nxt = bdf1_step(seeded_state, 0.005, sphere_l2_forms, physics, solver)
         report = make_energy_report(None, seeded_state, nxt, sphere_l2_forms, physics, "bdf1")
         assert report.t == pytest.approx(0.005)
         assert report.dt == pytest.approx(0.005)
@@ -272,11 +290,11 @@ class TestEnergyReport:
         terms = energy_balance_terms(None, seeded_state, nxt, sphere_l2_forms, physics)
         assert report.balance_residual == abs(terms.sum())
 
-    def test_scheme_picks_energy_and_balance(self, sphere_l2_forms, physics, seeded_state):
+    def test_scheme_picks_energy_and_balance(self, sphere_l2_forms, physics, seeded_state, solver):
         forms = sphere_l2_forms
         prev = seeded_state
-        state = bdf1_step(prev, 0.005, forms, physics)
-        nxt = bdf2_step(prev, state, 0.005, forms, physics)
+        state = bdf1_step(prev, 0.005, forms, physics, solver)
+        nxt = bdf2_step(prev, state, 0.005, forms, physics, solver)
         first = abs(energy_balance_terms(None, state, nxt, forms, physics).sum())
         second = abs(energy_balance_terms(prev, state, nxt, forms, physics).sum())
         bdf1 = make_energy_report(prev, state, nxt, forms, physics, "bdf1")
@@ -291,7 +309,7 @@ class TestEnergyReport:
 
     @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "adaptive"])
     def test_previous_row_energy_is_reused(
-        self, scheme, sphere_l2_forms, physics, seeded_state, monkeypatch
+        self, scheme, sphere_l2_forms, physics, seeded_state, solver, monkeypatch
     ):
         # with the previous row's energy the rows are bitwise the same, and
         # after the first row the modified energy is evaluated once per row
@@ -308,9 +326,9 @@ class TestEnergyReport:
         prev, state, rows = None, seeded_state, []
         for _ in range(4):
             if scheme == "bdf1" or prev is None:
-                nxt = bdf1_step(state, 0.005, forms, physics)
+                nxt = bdf1_step(state, 0.005, forms, physics, solver)
             else:
-                nxt = bdf2_variable_step(prev, state, 0.005, state.dt_used, forms, physics)
+                nxt = bdf2_variable_step(prev, state, 0.005, state.dt_used, forms, physics, solver)
             fresh = make_energy_report(prev, state, nxt, forms, physics, scheme)
             monkeypatch.setattr(integrators, "modified_energy", counted)
             calls.append(0)
@@ -323,13 +341,15 @@ class TestEnergyReport:
 
 
 class TestStepMobility:
-    def test_snapshot_carries_the_step_mobility(self, sphere_l2_forms, physics, seeded_state):
+    def test_snapshot_carries_the_step_mobility(
+        self, sphere_l2_forms, physics, seeded_state, solver
+    ):
         active = sphere_l2_forms.active
         assert seeded_state.mobility is None
-        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics)
+        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics, solver)
         expected = _oracle_mobility(active, seeded_state.c)
         np.testing.assert_array_equal(state.mobility.data, expected.data)
-        nxt = bdf2_variable_step(seeded_state, state, 0.008, 0.004, sphere_l2_forms, physics)
+        nxt = bdf2_variable_step(seeded_state, state, 0.008, 0.004, sphere_l2_forms, physics, solver)
         c_ref = 2.0 * state.c - seeded_state.c
         expected = _oracle_mobility(active, c_ref)
         np.testing.assert_array_equal(nxt.mobility.data, expected.data)
@@ -399,7 +419,7 @@ def _oracle_solve(forms, physics, mobility, cc_scale, rhs_c, rhs_mu, w, s):
         rank_one_right=w,
         rhs=np.concatenate([rhs_c, rhs_mu]),
     )
-    c, mu, _ = solve_rank_one_system(system, BlockSolver(forms.active.dof_coords))
+    c, mu, _ = solve_rank_one_system(system, fresh(forms))
     return c, mu
 
 
@@ -531,17 +551,17 @@ class TestFoldedSchemeAgainstOracles:
     def test_steps(self, scheme, sphere_l2_forms, oracle, physics, seeded_state):
         (kind, oracle_forms), forms, dt = oracle, sphere_l2_forms, 0.004
         prev = seeded_state
-        state = bdf1_step(prev, dt, forms, physics)
+        state = bdf1_step(prev, dt, forms, physics, fresh(forms))
         for _ in range(3):
             if scheme == "bdf1":
-                new = bdf1_step(state, dt, forms, physics)
+                new = bdf1_step(state, dt, forms, physics, fresh(forms))
                 old = _oracle_bdf1(state, dt, oracle_forms, physics)
             elif scheme == "bdf2":
-                new = bdf2_step(prev, state, dt, forms, physics)
+                new = bdf2_step(prev, state, dt, forms, physics, fresh(forms))
                 old = _oracle_bdf2(prev, state, dt, oracle_forms, physics)
             else:
                 dt = float(scheme[1:]) * state.dt_used
-                new = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics)
+                new = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics, fresh(forms))
                 old = _oracle_bdf2_variable(prev, state, dt, state.dt_used, oracle_forms, physics)
             for a, b in ((new.c, old.c), (new.mu, old.mu), (new.r, old.r)):
                 assert _rel_dev(a, b) <= self.TOL[kind]
@@ -549,18 +569,18 @@ class TestFoldedSchemeAgainstOracles:
             prev, state = state, new
 
     @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "q2", "q0.5"])
-    def test_balance_terms(self, scheme, sphere_l2_forms, oracle, physics, seeded_state):
+    def test_balance_terms(self, scheme, sphere_l2_forms, oracle, physics, seeded_state, solver):
         (kind, oracle_forms), forms, dt = oracle, sphere_l2_forms, 0.004
         prev = seeded_state
-        state = bdf1_step(prev, dt, forms, physics)
+        state = bdf1_step(prev, dt, forms, physics, solver)
         for _ in range(3):
             if scheme == "bdf1":
-                nxt = bdf1_step(state, dt, forms, physics)
+                nxt = bdf1_step(state, dt, forms, physics, solver)
                 new = energy_balance_terms(None, state, nxt, forms, physics)
                 old = _oracle_balance_bdf1(state, nxt, dt, oracle_forms, physics)
             else:
                 dt = (1.0 if scheme == "bdf2" else float(scheme[1:])) * state.dt_used
-                nxt = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics)
+                nxt = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics, solver)
                 new = energy_balance_terms(prev, state, nxt, forms, physics)
                 old = _oracle_balance_bdf2(prev, state, nxt, dt, oracle_forms, physics)
             scale = modified_energy(state, forms, physics, prev=prev)

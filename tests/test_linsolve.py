@@ -120,8 +120,13 @@ def test_matches_dense_oracle_property(seed, n):
     assert err < 1e-10
 
 
-def test_zero_scale_skips_update(rng):
-    system, coords = random_system(rng, 12, sigma=0.0)
+@pytest.mark.parametrize("zero", ["scale", "left"])
+def test_zero_rank_one_term(zero, rng):
+    # sigma = 0, or u = 0 with sigma != 0: the Sherman-Morrison path gives
+    # the denominator 1 and an update of exactly zero
+    system, coords = random_system(rng, 12, sigma=0.0 if zero == "scale" else 1.5)
+    if zero == "left":
+        system.rank_one_left = np.zeros(12)
     c, mu, stats = solve_rank_one_system(system, BlockSolver(coords))
     exact = dense_solve(system)
     np.testing.assert_allclose(np.concatenate([c, mu]), exact, rtol=1e-10)
@@ -274,7 +279,7 @@ def test_marginal_pivot_free_lu_is_refined(rng, caplog):
     pattern = BlockPattern.build(coords, system.b_mumu)
     lu = linsolve._lu_solver(pattern.matrix(system, np.float32), pattern.order)
     unrefined = linsolve._sherman_morrison(system, lu)[0](system.rhs)
-    assert linsolve._residual(system, unrefined)[1] > 1e-10
+    assert linsolve._residual(system, unrefined) > 1e-10
     solver = BlockSolver(coords)
     with caplog.at_level("WARNING", logger="savfem.linsolve"):
         c, mu, stats = solver.solve(system)

@@ -26,6 +26,7 @@ from pointwise import (
     point_elem,
     point_patch,
     point_weights,
+    poly_elem,
     two_step_poly_bary,
 )
 from savfem.assembly import assemble_load
@@ -117,7 +118,7 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     # each surface triangle carries the same number of points, and its
     # three vertices lie in one element
     assert len(sq_weights) == nq * len(active.tri_index)
-    tri_elem = active.poly_elem[active.tri_index]
+    tri_elem = poly_elem(active)[active.tri_index]
     assert np.all(tri_elem == tri_elem[:, :1])
     assert np.allclose(sq_bary.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(sq_weights >= 0)
@@ -190,7 +191,7 @@ def test_polygon_interp_is_the_vertex_operator(mesh_name, request):
     patch edges."""
     active = request.getfixturevalue(mesh_name)
     n_v = len(active.poly_bary)
-    cols = active.elem_dofs[active.poly_elem].reshape(-1)
+    cols = active.elem_dofs[poly_elem(active)].reshape(-1)
     oracle = sp.csr_matrix(
         (active.poly_bary.reshape(-1), cols, np.arange(0, 4 * n_v + 1, 4)), shape=(n_v, active.n_dofs)
     )
@@ -253,10 +254,11 @@ def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
     elem_nodes = active.active_nodes[active.elem_dofs]
     vals = interpolate_p1(sphere(1.0), active.mesh)[elem_nodes]
     coords = active.mesh.nodes[elem_nodes]
+    vertex_elem = poly_elem(active)
     for e in range(0, active.n_elements, 37):
         poly = extract_cut_polygon(coords[e], vals[e])
         assert poly is not None
-        sel = active.poly_elem == e
+        sel = vertex_elem == e
         assert np.allclose(np.sort(active.polygon_points[sel], axis=0),
                            np.sort(poly.vertices, axis=0), atol=1e-12)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pointwise import poly_elem
 from savfem.experiments import ConvergenceRow
 from savfem.integrators import EnergyReport
 from savfem.output import (
@@ -116,7 +117,7 @@ class TestVtkSurface:
         """The writer's earlier formatter, one f-string per value: the oracle.
         The values sum the four products of each vertex in column order, the
         order of B_P's row sums, so that exact cancellations round alike."""
-        dofs = active.elem_dofs[active.poly_elem]
+        dofs = active.elem_dofs[poly_elem(active)]
         values = sum(active.poly_bary[:, k] * c[dofs[:, k]] for k in range(4))
         points = active.polygon_points
         lines = [
