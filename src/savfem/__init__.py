@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .integrators import (
     EnergyReport,
-    HistoryError,
     SchemeCoefficients,
     StateSnapshot,
     TimeController,
@@ -36,7 +35,6 @@ from .integrators import (
     adapt_step,
     bdf1_step,
     bdf2_step,
-    bdf2_variable_step,
     energy_balance_terms,
     modified_energy,
 )

@@ -73,11 +73,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = load_config(args.config, args.override)
-    scheme = args.scheme or (config.scheme if config.scheme in ("bdf1", "bdf2") else "bdf1")
     rows = run_convergence(
         levels=args.levels,
         epsilon=config.epsilon if args.epsilon is None else args.epsilon,
-        scheme=scheme,
+        scheme=args.scheme or config.scheme,
         t_end=config.t_end if args.t_end is None else args.t_end,
         c_shift=config.c_shift,
         solver_config=config.solver_config(),

@@ -15,11 +15,11 @@ with w_j = (f0'(~c), psi_j), S = sqrt(E1(~c) + C) and ``stab`` the
 normal-gradient form scaled by the uniform element diameter h.
 
 The modified energy and the balance terms implement the summation-by-parts
-identities of BDF1 and uniform BDF2 exactly (the normal-gradient energy
-terms carry the h^{-1} eps^2 / 2 weight of the stabilized mu-equation), so
-after a converged solve the balance residual is at the solver tolerance.
-On variable steps the uniform identity does not hold: its residual is a
-diagnostic only.
+identities of BDF1 and BDF2 exactly (the normal-gradient energy terms carry
+the h^{-1} eps^2 / 2 weight of the stabilized mu-equation), so after a
+converged solve the balance residual is at the solver tolerance.  At a step
+ratio q != 1 the BDF2 balance adds one signed term, the remainder of the
+variable-step difference against the uniform one.
 """
 
 from __future__ import annotations
@@ -46,21 +46,15 @@ __all__ = [
     "TimeController",
     "StepAttempt",
     "EnergyReport",
-    "HistoryError",
     "TimeStepError",
     "bdf1_step",
     "bdf2_step",
-    "bdf2_variable_step",
     "modified_energy",
     "energy_balance_terms",
     "adapt_step",
     "proposed_factor",
     "make_energy_report",
 ]
-
-
-class HistoryError(RuntimeError):
-    pass
 
 
 class TimeStepError(RuntimeError):
@@ -180,37 +174,16 @@ def bdf2_step(
     solver: BlockSolver,
     forcing: np.ndarray | None = None,
 ) -> StateSnapshot:
-    """One uniform-step second-order SAV step; prev1 is the newer state.
+    """One second-order SAV step; prev1 is the newer state.
 
-    Requires prev1 to have been produced with the same dt (the first step of
-    a BDF2 run is bootstrapped by bdf1_step).
+    The step ratio is q = dt / prev1.dt_used, exactly 1 on fixed steps; the
+    first step of a BDF2 run is bootstrapped by bdf1_step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if abs(prev1.dt_used - dt) > 1e-12 * dt:
-        raise HistoryError(
-            f"uniform BDF2 needs equal steps: prev dt {prev1.dt_used!r} vs dt {dt!r}"
-        )
-    coef = SchemeCoefficients.from_ratio(1.0)
+    if dt <= 0 or prev1.dt_used <= 0:
+        raise ValueError("dt and the step of prev1 must be positive")
+    coef = SchemeCoefficients.from_ratio(dt / prev1.dt_used)
     c_ref = 2.0 * prev1.c - prev2.c
     return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver, forcing)
-
-
-def bdf2_variable_step(
-    prev2: StateSnapshot,
-    prev1: StateSnapshot,
-    dt: float,
-    dt_prev: float,
-    forms: AssembledForms,
-    physics: PhysicsParams,
-    solver: BlockSolver,
-) -> StateSnapshot:
-    """Variable-step BDF2 with ratio q = dt / dt_prev; bdf2_step at q = 1."""
-    if dt <= 0 or dt_prev <= 0:
-        raise ValueError("dt and dt_prev must be positive")
-    coef = SchemeCoefficients.from_ratio(dt / dt_prev)
-    c_ref = 2.0 * prev1.c - prev2.c
-    return _sav_step(prev2, prev1, dt, coef, c_ref, forms, physics, solver, None)
 
 
 def _quad_form(mat, v) -> float:
@@ -254,12 +227,18 @@ def energy_balance_terms(
     """Signed terms of the energy balance of the step prev1 -> nxt.
 
     Without ``prev2`` it is the BDF1 balance: BDF1 energies and first
-    differences.  With ``prev2`` it is the uniform BDF2 balance: pair
-    energies, second differences and a factor 2 on the dissipation.  The
-    terms sum to zero up to the solver tolerance; the dissipation uses the
-    mobility the step assembled (``nxt.mobility``) and the step ``nxt.dt_used``.
-    ``energies`` is the (new, previous) pair of these modified energies when
-    the caller has it already.
+    differences.  With ``prev2`` it is the BDF2 balance at the step ratio
+    q = nxt.dt_used / prev1.dt_used: pair energies, second differences, a
+    factor 2 on the dissipation and a seventh, signed term, the remainder
+    4[(c^{n+1}, dc)_E + r^{n+1} dr] of the ratio-q difference against the
+    uniform one.  Here dx = (alpha - 3/2) x^{n+1} - (beta - 2) x^n +
+    (gamma - 1/2) x^{n-1} and (u, v)_E = (eps^2/2)(K u, v) + (eps^2/2h)(S u, v)
+    is the inner product of the modified energy; the remainder is exactly 0.0
+    at q = 1.  The terms sum to zero up to the solver tolerance at every
+    ratio; the dissipation uses the mobility the step assembled
+    (``nxt.mobility``) and the step ``nxt.dt_used``.  ``energies`` is the
+    (new, previous) pair of these modified energies when the caller has it
+    already.
     """
     eps2, h = physics.epsilon**2, forms.h_stab
     if prev2 is None:
@@ -273,16 +252,24 @@ def energy_balance_terms(
             modified_energy(prev1, forms, physics, prev2),
         )
     tau = factor * nxt.dt_used / physics.rho
-    return np.array(
-        [
-            energies[0] - energies[1],
-            0.5 * eps2 * _quad_form(forms.stiffness, dc),
-            dr**2,
-            (0.5 * eps2 / h) * _quad_form(forms.stab, dc),
-            tau * _quad_form(nxt.mobility, nxt.mu),
-            tau * h * _quad_form(forms.stab, nxt.mu),
-        ]
-    )
+    terms = [
+        energies[0] - energies[1],
+        0.5 * eps2 * _quad_form(forms.stiffness, dc),
+        dr**2,
+        (0.5 * eps2 / h) * _quad_form(forms.stab, dc),
+        tau * _quad_form(nxt.mobility, nxt.mu),
+        tau * h * _quad_form(forms.stab, nxt.mu),
+    ]
+    if prev2 is not None:
+        coef = SchemeCoefficients.from_ratio(nxt.dt_used / prev1.dt_used)
+
+        def delta(new, cur, old):
+            return (coef.alpha - 1.5) * new - (coef.beta - 2.0) * cur + (coef.gamma - 0.5) * old
+
+        dc_q, dr_q = delta(nxt.c, prev1.c, prev2.c), delta(nxt.r, prev1.r, prev2.r)
+        energy_c = (0.5 * eps2) * (forms.stiffness @ nxt.c + (forms.stab @ nxt.c) / h)
+        terms.append(4.0 * (float(energy_c @ dc_q) + nxt.r * dr_q))
+    return np.array(terms)
 
 
 @dataclass
@@ -330,9 +317,9 @@ def adapt_step(
 ):
     """One adaptive step: BDF1/BDF2 comparison with retry-and-shrink.
 
-    At the trial dt both a BDF1 solution c1 and a variable-step BDF2
-    solution c2 are computed; their relative L2(Gamma_h) distance e, taken
-    with the exact P1 mass as sqrt(c^T M c), decides:
+    At the trial dt both a BDF1 solution c1 and a BDF2 solution c2 at the
+    ratio dt / prev1.dt_used are computed; their relative L2(Gamma_h)
+    distance e, taken with the exact P1 mass as sqrt(c^T M c), decides:
     e > tol shrinks dt by zeta*sqrt(tol/e) (< 1) and retries, otherwise c2
     is accepted (with its BDF2 r-update) and the next dt grows by the same
     factor, clamped by ratio_max and dt_max.  Returns (accepted snapshot,
@@ -347,7 +334,7 @@ def adapt_step(
                 f"after {len(attempts)} attempts"
             )
         c1 = bdf1_step(prev1, dt, forms, physics, solver)
-        c2 = bdf2_variable_step(prev2, prev1, dt, prev1.dt_used, forms, physics, solver)
+        c2 = bdf2_step(prev2, prev1, dt, forms, physics, solver)
         denom = np.sqrt(_quad_form(forms.mass, c2.c))
         error = float(np.sqrt(_quad_form(forms.mass, c1.c - c2.c)) / denom) if denom > 0 else float("inf")
         factor = proposed_factor(error, controller.tol, controller.zeta)
@@ -391,10 +378,10 @@ def make_energy_report(
     ``scheme`` picks the modified energy: "bdf1" the single-state energy,
     "bdf2" and "adaptive" the pair energy with ``prev1``.  The balance
     residual is that of the BDF1 identity for the steps of a "bdf1" run and
-    for a first step (``prev2`` None), and of the uniform BDF2 identity
-    otherwise.  On every row after a run's first, the balance's energies
-    are this row's modified energy and the previous row's, ``prev_energy``;
-    with it, the modified energy is evaluated once per row.
+    for a first step (``prev2`` None), and of the BDF2 identity at the
+    step's ratio otherwise.  On every row after a run's first, the balance's
+    energies are this row's modified energy and the previous row's,
+    ``prev_energy``; with it, the modified energy is evaluated once per row.
     """
     bdf1 = scheme == "bdf1"
     energy = modified_energy(state, forms, physics, None if bdf1 else prev1)

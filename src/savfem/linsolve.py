@@ -306,8 +306,7 @@ def apply_operator(system: BlockSystem, x: np.ndarray) -> np.ndarray:
     xc, xm = x[:n], x[n:]
     yc = system.b_cc @ xc + system.b_cmu @ xm
     ym = system.b_muc @ xc + system.b_mumu @ xm
-    if system.rank_one_scale != 0.0:
-        ym = ym + system.rank_one_scale * np.dot(system.rank_one_right, xc) * system.rank_one_left
+    ym = ym + system.rank_one_scale * np.dot(system.rank_one_right, xc) * system.rank_one_left
     return np.concatenate([yc, ym])
 
 

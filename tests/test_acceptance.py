@@ -1,4 +1,4 @@
-"""Acceptance gate: eight behavioral criteria of the solver.
+"""Acceptance gate: nine behavioral criteria of the solver.
 
 Each criterion ends with one `criterion N (...): PASS/FAIL` line printed
 straight to the terminal (bypassing capture), so the verdicts and measured
@@ -32,10 +32,10 @@ from savfem.experiments import (
 )
 from savfem.integrators import (
     SchemeCoefficients,
+    _sav_step,
     adapt_step,
     bdf1_step,
     bdf2_step,
-    bdf2_variable_step,
     energy_balance_terms,
 )
 from savfem.levelset import sphere
@@ -294,14 +294,20 @@ def test_criterion_6_variable_step_reduction(sphere_l2_forms, capsys):
     prev = initial_state(
         sphere_l2_forms, physics, bernoulli_ic(sphere_l2_forms.active, 0.5, seed=1)
     )
-    # one solver per path after the shared first step: both see the same solves
+    # bdf2_step on a uniform history against the step with the literal uniform
+    # coefficients; one solver per path after the shared first step: both see
+    # the same solves
     coords = sphere_l2_forms.active.dof_coords
     state = bdf1_step(prev, dt, sphere_l2_forms, physics, BlockSolver(coords))
     uniform_solver, variable_solver = BlockSolver(coords), BlockSolver(coords)
+    uniform_coef = SchemeCoefficients(alpha=1.5, beta=2.0, gamma=0.5)
     worst = 0.0
     for _ in range(20):
-        uniform = bdf2_step(prev, state, dt, sphere_l2_forms, physics, uniform_solver)
-        variable = bdf2_variable_step(prev, state, dt, dt, sphere_l2_forms, physics, variable_solver)
+        uniform = _sav_step(
+            prev, state, dt, uniform_coef, 2.0 * state.c - prev.c,
+            sphere_l2_forms, physics, uniform_solver, None,
+        )
+        variable = bdf2_step(prev, state, dt, sphere_l2_forms, physics, variable_solver)
         scale = float(np.abs(uniform.c).max())
         dev = max(
             float(np.abs(variable.c - uniform.c).max()) / scale,
@@ -392,3 +398,25 @@ def test_criterion_8_geometry_oracle(capsys):
     )
     assert area_ok, f"area convergence orders {orders} below 1.8"
     assert dofs_ok, f"cell dof count {dofs} outside 14298 +- 20%"
+
+
+# --- criterion 9: exact balance and energy decay on an adaptive run -------
+
+
+def test_criterion_9_adaptive_balance_identity(tmp_path, capsys):
+    config = load_config(CONFIG_DIR / "adaptive_a05.cfg", [f"output_dir={tmp_path}"])
+    result = run_phase_separation(config)
+    energy = np.array([r.modified_energy for r in result.reports])
+    balance = np.array([r.balance_residual for r in result.reports])
+    worst_balance = float((balance / np.abs(energy)).max())
+    worst_rise = float((np.diff(energy) / np.abs(energy[:-1])).max())
+    ok = worst_balance <= 1e-9 and worst_rise <= 1e-9
+    report(
+        capsys,
+        f"criterion 9 (adaptive balance identity): {'PASS' if ok else 'FAIL'}  "
+        f"[{len(energy)} rows, {result.rejected} rejections; worst balance_residual / "
+        f"|modified_energy| {worst_balance:.3e} (tolerance 1e-9); worst relative energy "
+        f"rise {worst_rise:.3e} (slack 1e-9)]",
+    )
+    assert worst_balance <= 1e-9, f"balance residual {worst_balance:.3e} of the energy > 1e-9"
+    assert worst_rise <= 1e-9, f"modified energy rises by {worst_rise:.3e} (relative) > 1e-9"

@@ -118,6 +118,16 @@ class TestConverge:
         assert main(["converge", "--config", str(sphere_cfg)]) == 0
         assert capsys.readouterr().out == self.TABLE
 
+    def test_adaptive_config_scheme_is_refused(self, sphere_cfg, capsys):
+        # the config's scheme reaches the study, which runs only fixed steps,
+        # instead of turning into a BDF1 table
+        args = ["--override", "scheme=adaptive", "--levels", "2", "--t-end", "0.04"]
+        code = main(["converge", "--config", str(sphere_cfg), *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: convergence runs support bdf1 or bdf2\n"
+
     def test_csv_output(self, sphere_cfg, tmp_path, capsys):
         out_csv = tmp_path / "conv.csv"
         code = main(

@@ -19,15 +19,14 @@ from savfem.assembly import (
 from savfem.experiments import initial_state
 from savfem.integrators import (
     BDF1,
-    HistoryError,
     SchemeCoefficients,
     StateSnapshot,
     TimeController,
     TimeStepError,
+    _sav_step,
     adapt_step,
     bdf1_step,
     bdf2_step,
-    bdf2_variable_step,
     energy_balance_terms,
     make_energy_report,
     modified_energy,
@@ -116,11 +115,14 @@ class TestBalanceIdentities:
             state = nxt
 
     def test_bdf2_residual_machine_zero(self, sphere_l2_forms, physics, seeded_state, solver):
+        # fixed steps, then step ratios 2 and 1/2, where the seventh term,
+        # zero on fixed steps, closes the balance
         prev = seeded_state
         state = bdf1_step(prev, 0.005, sphere_l2_forms, physics, solver)
-        for _ in range(3):
-            nxt = bdf2_step(prev, state, 0.005, sphere_l2_forms, physics, solver)
+        for q in (1.0, 1.0, 1.0, 2.0, 0.5, 2.0, 0.5):
+            nxt = bdf2_step(prev, state, q * state.dt_used, sphere_l2_forms, physics, solver)
             terms = energy_balance_terms(prev, state, nxt, sphere_l2_forms, physics)
+            assert (terms[6] == 0.0) == (q == 1.0)
             rel = abs(terms.sum()) / np.abs(terms).max()
             assert rel < 1e-9
             prev, state = state, nxt
@@ -145,15 +147,19 @@ class TestBalanceIdentities:
 
 class TestVariableStep:
     def test_reduces_to_uniform_bdf2(self, sphere_l2_forms, physics, seeded_state):
-        # each path has its own solver, so both see the same sequence of solves
+        # on a uniform history bdf2_step is the step with the literal uniform
+        # coefficients; each path has its own solver, so both see the same
+        # sequence of solves
         dt = 0.005
+        uniform_coef = SchemeCoefficients(alpha=1.5, beta=2.0, gamma=0.5)
         prev = seeded_state
         state = bdf1_step(prev, dt, sphere_l2_forms, physics, fresh(sphere_l2_forms))
         uniform_solver, variable_solver = fresh(sphere_l2_forms), fresh(sphere_l2_forms)
         for _ in range(20):
-            uniform = bdf2_step(prev, state, dt, sphere_l2_forms, physics, uniform_solver)
-            variable = bdf2_variable_step(
-                prev, state, dt, dt, sphere_l2_forms, physics, variable_solver
+            variable = bdf2_step(prev, state, dt, sphere_l2_forms, physics, variable_solver)
+            uniform = _sav_step(
+                prev, state, dt, uniform_coef, 2.0 * state.c - prev.c,
+                sphere_l2_forms, physics, uniform_solver, None,
             )
             scale = np.abs(uniform.c).max()
             assert np.abs(variable.c - uniform.c).max() < 1e-12 * scale
@@ -163,23 +169,23 @@ class TestVariableStep:
     def test_accepts_step_ratio_change(self, sphere_l2_forms, physics, seeded_state, solver):
         prev = seeded_state
         state = bdf1_step(prev, 0.004, sphere_l2_forms, physics, solver)
-        nxt = bdf2_variable_step(prev, state, 0.008, 0.004, sphere_l2_forms, physics, solver)
+        nxt = bdf2_step(prev, state, 0.008, sphere_l2_forms, physics, solver)
         assert nxt.t == pytest.approx(0.012)
         assert np.all(np.isfinite(nxt.c))
 
-    def test_uniform_bdf2_rejects_mismatched_history(
+    def test_rejects_initial_data_as_newer_state(
         self, sphere_l2_forms, physics, seeded_state, solver
     ):
-        state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics, solver)
-        with pytest.raises(HistoryError, match="equal steps"):
-            bdf2_step(seeded_state, state, 0.008, sphere_l2_forms, physics, solver)
+        # initial data has no step, so it has no step ratio
+        with pytest.raises(ValueError, match="positive"):
+            bdf2_step(seeded_state, seeded_state, 0.004, sphere_l2_forms, physics, solver)
 
     def test_nonpositive_dt_rejected(self, sphere_l2_forms, physics, seeded_state, solver):
         with pytest.raises(ValueError, match="positive"):
             bdf1_step(seeded_state, 0.0, sphere_l2_forms, physics, solver)
         state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics, solver)
         with pytest.raises(ValueError, match="positive"):
-            bdf2_variable_step(seeded_state, state, 0.004, 0.0, sphere_l2_forms, physics, solver)
+            bdf2_step(seeded_state, state, 0.0, sphere_l2_forms, physics, solver)
 
 
 class TestModifiedEnergies:
@@ -328,7 +334,7 @@ class TestEnergyReport:
             if scheme == "bdf1" or prev is None:
                 nxt = bdf1_step(state, 0.005, forms, physics, solver)
             else:
-                nxt = bdf2_variable_step(prev, state, 0.005, state.dt_used, forms, physics, solver)
+                nxt = bdf2_step(prev, state, 0.005, forms, physics, solver)
             fresh = make_energy_report(prev, state, nxt, forms, physics, scheme)
             monkeypatch.setattr(integrators, "modified_energy", counted)
             calls.append(0)
@@ -349,14 +355,15 @@ class TestStepMobility:
         state = bdf1_step(seeded_state, 0.004, sphere_l2_forms, physics, solver)
         expected = _oracle_mobility(active, seeded_state.c)
         np.testing.assert_array_equal(state.mobility.data, expected.data)
-        nxt = bdf2_variable_step(seeded_state, state, 0.008, 0.004, sphere_l2_forms, physics, solver)
+        nxt = bdf2_step(seeded_state, state, 0.008, sphere_l2_forms, physics, solver)
         c_ref = 2.0 * state.c - seeded_state.c
         expected = _oracle_mobility(active, c_ref)
         np.testing.assert_array_equal(nxt.mobility.data, expected.data)
 
 
 # Oracles: the three step routines and the two balance-term routines of the
-# integrators before BDF1, BDF2 and variable-step BDF2 became one step.  They
+# integrators before BDF1, BDF2 and variable-step BDF2 became one step, and a
+# test-side formula of the variable-step remainder of the BDF2 balance.  They
 # use per-element weighted copies of the stabilization (stab_h, stab_invh)
 # and reassemble the mobility for the balance.
 
@@ -527,6 +534,24 @@ def _oracle_balance_bdf2(prev2, prev1, nxt, dt, forms, physics):
     )
 
 
+def _oracle_balance_remainder(prev2, prev1, nxt, forms, physics):
+    """The seventh BDF2 balance term: 4[(c, d c)_E + r d r] at the new state,
+    d the ratio-q difference less the uniform one and
+    (u, v)_E = (eps^2/2)(K u, v) + (eps^2/2)(stab/h u, v)."""
+    coef = SchemeCoefficients.from_ratio(nxt.dt_used / prev1.dt_used)
+
+    def d(new, cur, old):
+        ratio_q = coef.alpha * new - coef.beta * cur + coef.gamma * old
+        return ratio_q - (1.5 * new - 2.0 * cur + 0.5 * old)
+
+    dc, dr = d(nxt.c, prev1.c, prev2.c), d(nxt.r, prev1.r, prev2.r)
+    half_eps2 = 0.5 * physics.epsilon**2
+    energy = half_eps2 * (nxt.c @ (forms.stiffness @ dc)) + half_eps2 * (
+        nxt.c @ (forms.stab_invh @ dc)
+    )
+    return 4.0 * (float(energy) + nxt.r * dr)
+
+
 def _rel_dev(new, old) -> float:
     return float(np.abs(np.asarray(new) - old).max() / np.abs(old).max())
 
@@ -561,7 +586,7 @@ class TestFoldedSchemeAgainstOracles:
                 old = _oracle_bdf2(prev, state, dt, oracle_forms, physics)
             else:
                 dt = float(scheme[1:]) * state.dt_used
-                new = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics, fresh(forms))
+                new = bdf2_step(prev, state, dt, forms, physics, fresh(forms))
                 old = _oracle_bdf2_variable(prev, state, dt, state.dt_used, oracle_forms, physics)
             for a, b in ((new.c, old.c), (new.mu, old.mu), (new.r, old.r)):
                 assert _rel_dev(a, b) <= self.TOL[kind]
@@ -580,9 +605,15 @@ class TestFoldedSchemeAgainstOracles:
                 old = _oracle_balance_bdf1(state, nxt, dt, oracle_forms, physics)
             else:
                 dt = (1.0 if scheme == "bdf2" else float(scheme[1:])) * state.dt_used
-                nxt = bdf2_variable_step(prev, state, dt, state.dt_used, forms, physics, solver)
+                nxt = bdf2_step(prev, state, dt, forms, physics, solver)
                 new = energy_balance_terms(prev, state, nxt, forms, physics)
-                old = _oracle_balance_bdf2(prev, state, nxt, dt, oracle_forms, physics)
+                old = np.append(
+                    _oracle_balance_bdf2(prev, state, nxt, dt, oracle_forms, physics),
+                    _oracle_balance_remainder(prev, state, nxt, oracle_forms, physics),
+                )
+                if scheme == "bdf2":
+                    assert new[6] == 0.0
             scale = modified_energy(state, forms, physics, prev=prev)
+            assert new.shape == old.shape
             assert np.abs(new - old).max() <= 1e-14 * scale
             prev, state = state, nxt

@@ -21,12 +21,17 @@ SAVBENCH = Path(__file__).resolve().parents[1] / "savbench"
 SAVFEM_MODULES = ("assembly", "experiments", "integrators", "linsolve")
 
 # TARGETS entries whose savfem names are gone: their spans are provided by
-# other entries, so no metric depends on them alone.
+# other entries, so no metric depends on them alone.  The test asserts the
+# missing set equals this one, so an allowance outlives no name.
 NOT_TRACED = {
     "savfem.integrators:assemble_surface_stiffness",
     "savfem.integrators:l2_norm_gamma",
     "savfem.experiments:energy_balance_residual_bdf1",
     "savfem.experiments:energy_balance_residual_bdf2",
+    # adapt_step's BDF2 trials call bdf2_step: their time counts in the
+    # integrators.adapt span, and their solves and assembly calls are counted
+    # by the spans nested in it
+    "savfem.integrators:bdf2_variable_step",
 }
 
 
@@ -87,7 +92,7 @@ def test_traced_run_reports_every_layer(savbench, overrides, tmp_path, monkeypat
     monkeypatch.setenv("SAVFEM_OUTPUT_DIR", str(tmp_path))
     result, missing, metrics, factorizations = traced_run(tracing, run_config(**overrides))
 
-    assert set(missing) <= NOT_TRACED
+    assert set(missing) == NOT_TRACED
     assert sorted(set(tracing.LAYER_METRICS) - set(metrics)) == []
     # one mobility matrix and one f0' load per solve: the energy balance
     # reuses the mobility of the step it checks
