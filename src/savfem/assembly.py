@@ -27,8 +27,9 @@ zeros kept, so no form needs a sparse add or a duplicate summation, and
 blocks combine by adding ``data``.
 
 The mass comes from the exact P1 triangle mass |T|/12 (1 + delta_ab) on each
-surface triangle, which the degree-4 rule would reproduce to round-off with
-a 4 x 4 product per quadrature point.  The degree-4 surface rule integrates
+surface triangle, in the B_P rows of its vertices read at its element's
+dofs, which the degree-4 rule would reproduce to round-off with a 4 x 4
+product per quadrature point.  The degree-4 surface rule integrates
 every nonlinear P1 integrand used here exactly: f0(c_h) and f0'(c_h) psi_j
 are quartic per element, the mobility weight is quadratic.
 """
@@ -139,14 +140,20 @@ def assemble_surface_mass(active: ActiveMesh) -> sp.csr_matrix:
     """(u, v)_{Gamma_h} in CSR form.
 
     The parent basis is linear on each surface triangle, so the mass is the
-    exact P1 triangle mass in the basis values at the triangle's vertices.
+    exact P1 triangle mass in the basis values at the triangle's vertices:
+    their B_P rows, each in the frame of the patch that computed the vertex,
+    read at the dofs of the triangle's element, which hold all their nonzeros.
     """
-    bary = active.poly_bary[active.tri_index]  # (T, 3, 4)
+    tri_dofs = active.elem_dofs[np.repeat(active.patch_elem, np.diff(active.tri_patch_offsets))]  # (T, 4)
+    bary = np.empty((len(tri_dofs), 3, 4))
+    for k, corner in enumerate(active.tri_index.T):  # a corner at a time: the lookup's index arrays are (4 T,)
+        bary[:, k] = active.poly_interp[np.repeat(corner, 4), tri_dofs.reshape(-1)].reshape(-1, 4)
     tri_mats = np.matmul(bary.transpose(0, 2, 1), np.matmul(_P1_TRIANGLE_MASS, bary))
     tri_mats *= active.tri_areas[:, None, None]
     # an element's triangles are those of its patches, and every patch has one
-    tri_starts = active.tri_patch_offsets[_operators(active).patch_indptr[:-1]]
-    return _scatter(active, np.add.reduceat(tri_mats.reshape(-1, 16), tri_starts))
+    tri_ptr, n_tri = active.tri_patch_offsets[_operators(active).patch_indptr], len(tri_mats)
+    per_elem = sp.csr_matrix((np.ones(n_tri), np.arange(n_tri), tri_ptr), shape=(active.n_elements, n_tri))
+    return _scatter(active, per_elem @ tri_mats.reshape(-1, 16))
 
 
 def assemble_surface_stiffness(active: ActiveMesh, coefficient=None) -> sp.csr_matrix:

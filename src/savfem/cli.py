@@ -6,6 +6,8 @@ import argparse
 import logging
 import sys
 
+import numpy as np
+
 from .config import ConfigError, load_config
 from .experiments import build_problem, run_convergence, run_phase_separation
 from .output import format_convergence_table, write_convergence_csv, write_vtk_surface
@@ -104,6 +106,11 @@ def _cmd_mesh_info(args) -> int:
     print(f"geometry divisions: {active.geometry_divisions}")
     print(f"geometry patches: {active.n_patches}")
     print(f"dofs: {active.n_dofs}")
+    n_vertices, tri = len(active.poly_bary), active.tri_index
+    edges = np.unique(np.sort(tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) @ [n_vertices, 1])
+    print(f"surface vertices: {n_vertices}")
+    print(f"surface triangles: {len(tri)}")
+    print(f"euler characteristic: {n_vertices - len(edges) + len(tri)}")
     print(f"surface area: {active.area:.8g}")
     print(f"band volume: {active.band_volume:.8g}")
     print(f"element diameter: {forms.h_stab:.8g}")

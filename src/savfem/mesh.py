@@ -18,11 +18,14 @@ samples on the common face.
 
 Each cut sub-tetrahedron is a "patch": it carries the Gram table of the
 parent basis gradients projected onto its plane and its cut polygon, one
-or two planar surface triangles whose vertices are stored by parent
-barycentric coordinates only.  Of each triangle the mesh keeps its area;
-the quadrature rule on it is applied by ``savfem.assembly``.  Triangles
-are sorted patch-major and patches parent-major, so per-parent and
-per-patch segmented reductions both work on contiguous slices.
+or two planar surface triangles.  Their vertices, one per crossed lattice
+edge and shared by every patch on that edge, are stored once, by parent
+barycentric coordinates only, so the triangles form one closed surface
+(Olshanskii, Reusken and Grande, SIAM J. Numer. Anal. 47, 2009).  Of each
+triangle the mesh keeps its area; the quadrature rule on it is applied by
+``savfem.assembly``.  Triangles are sorted patch-major and patches
+parent-major, so per-parent and per-patch segmented reductions both work
+on contiguous slices.
 
 The cut geometry is a function of the lattice level-set values and the
 parent geometry: a sub-tetrahedron's gradient follows from its four values
@@ -208,9 +211,11 @@ class ActiveMesh:
 
     DOFs are the vertices of cut tetrahedra, numbered 0..n_dofs-1 in
     ascending background-node order.  Patches (cut sub-tetrahedra of the
-    geometry lattice) are sorted by parent element, and polygon vertices and
-    surface triangles by patch; ``tri_patch_offsets`` delimit each patch's
-    one or two triangles, and a patch of k triangles has k + 2 vertices.
+    geometry lattice) are sorted by parent element, and surface triangles by
+    patch; ``tri_patch_offsets`` delimit each patch's one or two triangles.
+    Every polygon vertex is held once, in the parent coordinates of the
+    patch that computed it, and B_P's row is nonzero only on the dofs of
+    every parent that shares it.
     ``stab_metric`` is sum_s |T_s| n_s n_s^T over all lattice
     sub-tetrahedra of an element, so grad_i . M . grad_j is the elementwise
     normal-gradient volume stabilization.  Every element has circumscribed
@@ -226,7 +231,7 @@ class ActiveMesh:
     stab_metric: np.ndarray  # (n_e, 3, 3)
     patch_elem: np.ndarray  # (n_p,) parent element of each patch
     patch_gram: np.ndarray  # (n_p, 16) row-major grad_G psi_i . grad_G psi_j, constant per patch
-    poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates of the cut-polygon vertices
+    poly_bary: np.ndarray  # (P, 4) parent barycentric coordinates of the distinct cut-polygon vertices
     poly_interp: sp.csr_matrix  # B_P (P, n_dofs): data a view of poly_bary, int32 columns
     tri_index: np.ndarray  # (T, 3) into the polygon vertices
     tri_areas: np.ndarray  # (T,)
@@ -263,15 +268,14 @@ class ActiveMesh:
         return float(self.volumes.sum())
 
 
-def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int) -> np.ndarray:
-    """Level-set samples at the lattice points of every band tetrahedron.
-
-    Midpoint samples come from the level set itself, one evaluation per
-    mesh edge.
+def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
+    """Level-set samples at the lattice points of every band tetrahedron,
+    (m, L), and the mesh-edge ids of its midpoints (m, L - 4).  Midpoint
+    samples come from the level set itself, one evaluation per mesh edge.
     """
     vertex_vals = phi[mesh.tets]  # (m, 4)
     if divisions == 1:
-        return vertex_vals
+        return vertex_vals, np.empty((len(mesh.tets), 0), dtype=np.int64)
     a, b = mesh.tets[:, _LATTICE_EDGES[:, 0]], mesh.tets[:, _LATTICE_EDGES[:, 1]]
     n = len(mesh.nodes)
     edges, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
@@ -279,16 +283,18 @@ def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: 
     edge_vals = levelset.evaluate(0.5 * (mesh.nodes[lo] + mesh.nodes[hi]))
     if not np.all(np.isfinite(edge_vals)):
         raise MeshError("level set is not finite at lattice midpoints")
-    mid_vals = edge_vals[edge_of.reshape(len(mesh.tets), 6)]
-    return np.concatenate([vertex_vals, mid_vals], axis=1)  # (m, 10)
+    mid = edge_of.reshape(len(mesh.tets), 6)
+    return np.concatenate([vertex_vals, edge_vals[mid]], axis=1), mid
 
 
 def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
-    """Cut tetrahedra, and the lattice values and cut flags of their
-    sub-tetrahedra, (n_e, S, 4) and (n_e, S), from the nodal values ``phi``.
-    Exact zeros of the lattice values are shifted to +ZERO_SHIFT_SCALE * h."""
+    """Cut tetrahedra, the lattice values and cut flags of their
+    sub-tetrahedra, (n_e, S, 4) and (n_e, S), from the nodal values ``phi``,
+    and the global ids of their lattice points (n_e, L): band node ids,
+    then n_nodes plus the mesh-edge id for the midpoints.  Exact zeros of
+    the lattice values are shifted to +ZERO_SHIFT_SCALE * h."""
     subtets = _SUBTETS[divisions]
-    lat_vals = _lattice_values(mesh, phi, levelset, divisions)  # (m, L)
+    lat_vals, mid_edges = _lattice_values(mesh, phi, levelset, divisions)  # (m, L), (m, L - 4)
     # A sub-tetrahedron is cut when one to three of its vertex values are
     # negative; an exact zero counts as positive here, as it does shifted.
     n_neg = (lat_vals < 0.0)[:, subtets].sum(axis=2)  # (m, S)
@@ -296,9 +302,10 @@ def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
     cut_tets = np.flatnonzero(sub_cut.any(axis=1))
     if len(cut_tets) == 0:
         raise MeshError("no cut tetrahedra: the surface misses the mesh band")
+    lat_ids = np.concatenate([mesh.tets[cut_tets], len(mesh.nodes) + mid_edges[cut_tets]], axis=1)
     sub_vals = lat_vals[cut_tets][:, subtets]
     sub_vals[sub_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
-    return cut_tets, sub_vals, sub_cut[cut_tets]
+    return cut_tets, sub_vals, sub_cut[cut_tets], lat_ids
 
 
 def _element_geometry(coords: np.ndarray):
@@ -367,7 +374,7 @@ def build_active_mesh(
     if geometry_divisions not in _SUBTETS:
         raise ValueError("geometry_divisions must be 1 or 2")
     phi = interpolate_p1(levelset, mesh)
-    cut_tets, sub_vals, sub_cut = _classify(mesh, phi, levelset, geometry_divisions)
+    cut_tets, sub_vals, sub_cut, lattice_ids = _classify(mesh, phi, levelset, geometry_divisions)
     elem_nodes = mesh.tets[cut_tets]
     active_nodes, elem_dofs = np.unique(elem_nodes, return_inverse=True)
     elem_dofs = elem_dofs.reshape(elem_nodes.shape)
@@ -377,7 +384,7 @@ def build_active_mesh(
         grads, volumes, sub_vals, sub_cut, geometry_divisions
     )
     poly_bary, poly_patch, tri_index, tri_patch_offsets = _extract_polygons(
-        patch_vals, patch_ids, _lattice_bary(geometry_divisions)
+        patch_vals, patch_ids, lattice_ids[patch_elem[:, None], patch_ids], _lattice_bary(geometry_divisions)
     )
     poly_elem = patch_elem[poly_patch]  # kept to the return: freed here, it raised the convergence study's peak RSS by 6 MiB
     cols = elem_dofs.astype(np.int32)[poly_elem].reshape(-1)  # int32: kept by the CSR constructor
@@ -407,34 +414,28 @@ def build_active_mesh(
 _OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)], dtype=np.int64)
 
 
-def _crossings(vals, ids, lattice, a, b):
-    """Parent barycentric coordinates (n, k, 4) of the zero of the linear
-    interpolant of ``vals`` (n, 4) on the edges a[:, j]-b[:, j]: (1 - t) L_a
-    + t L_b at t = v_a / (v_a - v_b), L the ``lattice`` rows of the ends' ids."""
-    va = np.take_along_axis(vals, a, axis=1)
-    vb = np.take_along_axis(vals, b, axis=1)
-    t = (va / (va - vb))[:, :, None]
-    ends_a = lattice[np.take_along_axis(ids, a, axis=1)]
-    ends_b = lattice[np.take_along_axis(ids, b, axis=1)]
-    return (1.0 - t) * ends_a + t * ends_b
-
-
-def _extract_polygons(vals, ids, lattice):
+def _extract_polygons(vals, ids, keys, lattice):
     """Vectorized cut-polygon extraction for all patches at once, from
     their (n, 4) level-set values, the lattice-point ids (n, 4) of their
-    vertices and the lattice points' parent coordinates ``lattice`` (L, 4);
-    ids 0..3 with the identity give coordinates in the patch itself.
+    vertices, the global ids ``keys`` (n, 4) of those points and the
+    lattice points' parent coordinates ``lattice`` (L, 4); ids 0..3 with
+    the identity give coordinates in the patch itself.
 
-    Returns the polygon vertices by parent barycentric coordinates, each
-    vertex's patch, and the triangles with each patch's offsets into
-    them, all ordered by patch.  A triangle's vertices follow the order of its crossing edges
-    around the lone vertex.  A quadrilateral with negative vertices
-    a0 < a1 and positive vertices b0 < b1 runs a0b0, a0b1, a1b1, a1b0, so
-    consecutive crossings share a face, and is split along a0b0-a1b1.  The
-    vertex sets equal those of extract_cut_polygon of tests/cutcells.py,
-    the single-tetrahedron oracle it is tested against.
+    Each crossed lattice edge gives one vertex, which every patch on the
+    edge shares: it is computed once, in the first of them, as (1 - t) L_lo
+    + t L_hi at t = v_lo / (v_lo - v_hi), lo and hi the ends by global id.
+    So a vertex on a parent face is zero off that face's vertices, and the
+    same there, whichever parent computes it.  Returns the vertices by
+    parent barycentric coordinates, the patch that computed each, and the
+    triangles with each patch's offsets into them, ordered by patch.
+
+    A triangle's vertices follow the order of its crossing edges around
+    the lone vertex.  A quadrilateral with negative vertices a0 < a1 and
+    positive vertices b0 < b1 runs a0b0, a0b1, a1b1, a1b0, so consecutive
+    crossings share a face, and is split along a0b0-a1b1.  The vertex sets
+    equal those of extract_cut_polygon of tests/cutcells.py, the
+    single-tetrahedron oracle it is tested against.
     """
-    n_p = len(vals)
     neg = vals < 0.0
     n_neg = neg.sum(axis=1)
 
@@ -443,25 +444,29 @@ def _extract_polygons(vals, ids, lattice):
     pv_off = np.concatenate([[0], np.cumsum(nv)])
     tri_off = np.concatenate([[0], np.cumsum(ntri)])
 
-    poly_bary = np.empty((pv_off[-1], 4))
+    a, b = np.empty((2, pv_off[-1]), dtype=np.intp)  # each patch's crossed edges a-b, by slot
     tri_index = np.empty((tri_off[-1], 3), dtype=np.intp)  # intp: gathered every step, no cast per call
 
     rows = np.flatnonzero(n_neg != 2)
     lone = np.where(n_neg[rows] == 1, np.argmax(neg[rows], axis=1), np.argmax(~neg[rows], axis=1))
     slot = pv_off[rows][:, None] + np.arange(3)[None, :]
-    poly_bary[slot] = _crossings(
-        vals[rows], ids[rows], lattice, np.repeat(lone[:, None], 3, axis=1), _OTHERS[lone]
-    )
+    a[slot], b[slot] = lone[:, None], _OTHERS[lone]
     tri_index[tri_off[rows]] = slot
 
     rows = np.flatnonzero(n_neg == 2)
     negs = np.argsort(~neg[rows], axis=1, kind="stable")[:, :2]
     poss = np.argsort(neg[rows], axis=1, kind="stable")[:, :2]
     slot = pv_off[rows][:, None] + np.arange(4)[None, :]
-    poly_bary[slot] = _crossings(
-        vals[rows], ids[rows], lattice, negs[:, [0, 0, 1, 1]], poss[:, [0, 1, 1, 0]]
-    )
+    a[slot], b[slot] = negs[:, [0, 0, 1, 1]], poss[:, [0, 1, 1, 0]]
     tri_index[tri_off[rows]] = slot[:, [0, 1, 2]]
     tri_index[tri_off[rows] + 1] = slot[:, [0, 2, 3]]
 
-    return poly_bary, np.repeat(np.arange(n_p), nv), tri_index, tri_off
+    # one vertex per crossed edge, keyed by its ends' global ids
+    patch = np.repeat(np.arange(len(vals)), nv)
+    key_a, key_b = keys[patch, a], keys[patch, b]
+    edge_keys = np.minimum(key_a, key_b) * (keys.max() + 1) + np.maximum(key_a, key_b)
+    _, first, vertex_of = np.unique(edge_keys, return_index=True, return_inverse=True)
+    patch, lo, hi = patch[first], np.where(key_a < key_b, a, b)[first], np.where(key_a < key_b, b, a)[first]
+    t = (vals[patch, lo] / (vals[patch, lo] - vals[patch, hi]))[:, None]
+    poly_bary = (1.0 - t) * lattice[ids[patch, lo]] + t * lattice[ids[patch, hi]]
+    return poly_bary, patch, vertex_of[tri_index], tri_off

@@ -95,12 +95,15 @@ def _plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.cross(normal, t1)
 
 
-def extract_cut_polygon(coords, values) -> CutPolygon | None:
+def extract_cut_polygon(coords, values, keys=None) -> CutPolygon | None:
     """Cut polygon of one tetrahedron, or None when the zero set misses it.
 
     Exact zero values are shifted by +1e-13*h (h = longest edge) before the
     sign split, matching the mesh pipeline; a tetrahedron that merely
-    touches the surface in a point or edge therefore yields None.
+    touches the surface in a point or edge therefore yields None.  With
+    ``keys``, ids of the four vertices that neighboring tetrahedra share,
+    each crossing is computed from the end with the smaller key, as the
+    mesh computes a crossing that several tetrahedra share.
     """
     x = np.asarray(coords, dtype=float)
     if x.shape != (4, 3):
@@ -119,6 +122,8 @@ def extract_cut_polygon(coords, values) -> CutPolygon | None:
     normal = grad_phi / norm
 
     def crossing(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        if keys is not None and keys[b] < keys[a]:
+            a, b = b, a
         t = v[a] / (v[a] - v[b])
         bary = np.zeros(4)
         bary[a] = 1.0 - t

@@ -188,6 +188,14 @@ class TestMeshInfo:
         # level-2 sphere area is already close to 4 pi
         assert float(entries["surface area"]) == pytest.approx(4.0 * np.pi, rel=0.02)
 
+    def test_reports_the_closed_surface(self, sphere_cfg, capsys, sphere_l2):
+        # the level-2 sphere: one vertex per crossed lattice edge, chi = 2
+        assert main(["mesh-info", "--config", str(sphere_cfg)]) == 0
+        entries = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if ": " in line)
+        assert int(entries["surface vertices"]) == len(sphere_l2.poly_bary)
+        assert int(entries["surface triangles"]) == len(sphere_l2.tri_index)
+        assert int(entries["euler characteristic"]) == 2
+
     def test_override_applies(self, sphere_cfg, capsys):
         code = main(["mesh-info", "--config", str(sphere_cfg), "--override", "level=1"])
         captured = capsys.readouterr()

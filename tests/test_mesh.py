@@ -4,8 +4,9 @@ Oracles: closed-form mesh sizes h_l = base_edge / 2^l, exact volume
 partition of cubes into six Kuhn tetrahedra, single-tet polygon extraction
 from tests/cutcells.py as the reference for the batched extraction, the
 per-point quadrature tables, the per-sub-tetrahedron LAPACK geometry and
-the circumscribed diameters of tests/pointwise.py, and the exact sphere
-area 4*pi as the limit of the discrete area.
+the circumscribed diameters of tests/pointwise.py, the exact sphere
+area 4*pi as the limit of the discrete area, and the topology of a closed
+surface of genus 0 (every edge in two triangles, V - E + F = 2).
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from pointwise import (
     circumdiameters,
     cut_edge_points,
     lapack_geometry,
+    lattice_stage,
     patch_polygons,
     patch_stage,
     point_bary,
@@ -27,12 +29,14 @@ from pointwise import (
     point_patch,
     point_weights,
     poly_elem,
+    tri_bary,
+    tri_elem,
     two_step_poly_bary,
 )
 from savfem.assembly import assemble_load
 from savfem.config import CELL_BOX, SPHERE_BOX
 from savfem.levelset import idealized_cell, interpolate_p1, sphere
-from savfem.mesh import MeshError, build_active_mesh, build_mesh
+from savfem.mesh import _SUBTETS, MeshError, _lattice_bary, build_active_mesh, build_mesh
 from savfem.quadrature import triangle_bary_rule
 
 
@@ -115,11 +119,13 @@ def test_active_mesh_grouping_invariants(sphere_l2):
     assert np.array_equal(sq_elem, active.patch_elem[sq_patch])
     assert np.bincount(sq_patch, minlength=active.n_patches).min() > 0
     assert np.bincount(sq_elem, minlength=active.n_elements).min() > 0
-    # each surface triangle carries the same number of points, and its
-    # three vertices lie in one element
+    # each surface triangle carries the same number of points, and the B_P
+    # rows of its three vertices are nonzero only on its element's dofs
     assert len(sq_weights) == nq * len(active.tri_index)
-    tri_elem = poly_elem(active)[active.tri_index]
-    assert np.all(tri_elem == tri_elem[:, :1])
+    nonzero = active.poly_interp.copy()
+    nonzero.eliminate_zeros()
+    row_nnz = np.diff(nonzero.indptr)
+    np.testing.assert_array_equal((tri_bary(active) != 0.0).sum(axis=2), row_nnz[active.tri_index])
     assert np.allclose(sq_bary.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(sq_weights >= 0)
     # Quadrature barycentrics reproduce the physical points through the
@@ -177,18 +183,20 @@ def test_closed_form_geometry_matches_lapack_oracle(mesh_name, request):
 @pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
 def test_polygon_vertices_match_the_two_step_map(mesh_name, request):
     """Vertices read from the two lattice points of their edge equal, bit
-    for bit, the patch barycentrics mapped through the patch's lattice."""
+    for bit and in every triangle's own element, the patch barycentrics
+    mapped through the patch's lattice."""
     active = request.getfixturevalue(mesh_name)
     oracle = two_step_poly_bary(active, _LEVELSETS[mesh_name])
-    np.testing.assert_array_equal(active.poly_bary, oracle)
-    assert active.poly_bary.tobytes() == oracle.tobytes()
+    bary = tri_bary(active)
+    np.testing.assert_array_equal(bary, oracle)
+    assert bary.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("mesh_name", ["sphere_l2", "sphere_l2_flat", "cell_l2"])
 def test_polygon_interp_is_the_vertex_operator(mesh_name, request):
-    """``poly_interp`` is B_P on a view of ``poly_bary`` with the parent's
-    dofs as int32 columns, and ``polygon_points`` are the vertices on the
-    patch edges."""
+    """``poly_interp`` is B_P on a view of ``poly_bary`` with the dofs of the
+    parent that computed each vertex as int32 columns, and
+    ``polygon_points`` are the vertices on the patch edges."""
     active = request.getfixturevalue(mesh_name)
     n_v = len(active.poly_bary)
     cols = active.elem_dofs[poly_elem(active)].reshape(-1)
@@ -203,7 +211,9 @@ def test_polygon_interp_is_the_vertex_operator(mesh_name, request):
     points = active.polygon_points
     np.testing.assert_array_equal(points, oracle @ active.dof_coords)
     oracle_points = cut_edge_points(active, _LEVELSETS[mesh_name])
-    np.testing.assert_allclose(points, oracle_points, rtol=0.0, atol=1e-14 * np.abs(oracle_points).max())
+    np.testing.assert_allclose(
+        points[active.tri_index], oracle_points, rtol=0.0, atol=1e-14 * np.abs(oracle_points).max()
+    )
 
 
 @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
@@ -214,18 +224,19 @@ def test_quadrilaterals_run_around_the_faces(mesh_name, request):
     active = request.getfixturevalue(mesh_name)
     vals = patch_stage(active, _LEVELSETS[mesh_name])[4]
     sub_bary, poly_patch, tri_index, tri_offsets = patch_polygons(vals)
-    np.testing.assert_array_equal(tri_index, active.tri_index)
+    np.testing.assert_array_equal(tri_offsets, active.tri_patch_offsets)
     quads = np.flatnonzero(np.bincount(poly_patch) == 4)
     assert len(quads) > 0
-    slots = np.searchsorted(poly_patch, quads)[:, None] + np.arange(4)
+    first = tri_offsets[quads]
+    # the fan of a quadrilateral a b c d is a b c, a c d
+    for tri in (tri_index, active.tri_index):
+        np.testing.assert_array_equal(tri[first + 1][:, :2], tri[first][:, [0, 2]])
+    slots = np.column_stack([tri_index[first], tri_index[first + 1, 2]])
     ends = sub_bary[slots] > 0.0  # (n_q, 4, 4) the two ends of each crossing edge
     assert np.all(ends.sum(axis=2) == 2)
     assert np.all((ends & np.roll(ends, -1, axis=1)).sum(axis=2) == 1)
 
-    first = tri_offsets[quads]
-    np.testing.assert_array_equal(tri_index[first], slots[:, [0, 1, 2]])
-    np.testing.assert_array_equal(tri_index[first + 1], slots[:, [0, 2, 3]])
-    p = active.polygon_points[slots]
+    p = active.polygon_points[np.column_stack([active.tri_index[first], active.tri_index[first + 1, 2]])]
     n1 = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     n2 = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
     cos = np.einsum("qx,qx->q", n1, n2) / (np.linalg.norm(n1, axis=1) * np.linalg.norm(n2, axis=1))
@@ -248,17 +259,42 @@ def test_surface_tables_are_per_triangle(mesh_name, request):
     assert len(triangle_bary_rule()[1]) * n_tri not in lengths
 
 
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+def test_surface_is_one_closed_triangulation(mesh_name, request):
+    """Gamma_h is one closed triangulation of genus 0: every edge lies in
+    two triangles, no triangle repeats a vertex, V - E + F = 2, and each
+    vertex's B_P row is, bit for bit, the crossing that the single-tet
+    oracle computes in every patch that holds the vertex."""
+    active, levelset = request.getfixturevalue(mesh_name), _LEVELSETS[mesh_name]
+    tri = active.tri_index
+    assert np.all((tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2]) & (tri[:, 2] != tri[:, 0]))
+    edges = np.sort(tri[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    _, per_edge = np.unique(edges, axis=0, return_counts=True)
+    assert np.all(per_edge == 2)
+    assert np.array_equal(np.unique(tri), np.arange(len(active.poly_bary)))
+    assert len(active.poly_bary) - len(per_edge) + len(tri) == 2
+
+    sub_coords, sub_vals, sub_cut, sub_ids = lattice_stage(active, levelset)
+    patch_sub = np.nonzero(sub_cut)[1]
+    lattice = _lattice_bary(active.geometry_divisions)[_SUBTETS[active.geometry_divisions]]
+    bary, offsets = tri_bary(active), active.tri_patch_offsets
+    for p, (coords, vals, ids) in enumerate(zip(sub_coords[sub_cut], sub_vals[sub_cut], sub_ids[sub_cut])):
+        oracle = extract_cut_polygon(coords, vals, keys=ids).bary @ lattice[patch_sub[p]]
+        rows = bary[offsets[p] : offsets[p + 1]].reshape(-1, 4)
+        np.testing.assert_array_equal(np.unique(rows, axis=0), np.unique(oracle, axis=0))
+
+
 def test_flat_geometry_matches_single_tet_extraction(sphere_l2_flat):
     """Batched extraction (divisions=1) equals the single-tet oracle."""
     active = sphere_l2_flat
     elem_nodes = active.active_nodes[active.elem_dofs]
     vals = interpolate_p1(sphere(1.0), active.mesh)[elem_nodes]
     coords = active.mesh.nodes[elem_nodes]
-    vertex_elem = poly_elem(active)
+    triangle_elem = tri_elem(active)
     for e in range(0, active.n_elements, 37):
         poly = extract_cut_polygon(coords[e], vals[e])
         assert poly is not None
-        sel = vertex_elem == e
+        sel = np.unique(active.tri_index[triangle_elem == e])
         assert np.allclose(np.sort(active.polygon_points[sel], axis=0),
                            np.sort(poly.vertices, axis=0), atol=1e-12)
 
