@@ -16,7 +16,9 @@ end-to-end metrics of each pair, each side's median and quartiles, and per
 metric the number of pairs in which this checkout is better than the base,
 whether a gain holds and a no-regression verdict against the metric's
 ``bound`` in BENCHMARK.json: "worse", "unresolved" (the base's own spread
-is wider than the bound) or "ok".
+is wider than the bound) or "ok".  At the end of the series it prints one
+line per workload and metric with both medians, the base's quartiles, the
+wins, ``gain_holds`` and ``no_regression``, then the path of the file.
 A pair in which either side is not correct or has failed operations is kept
 in the pairs but left out of the medians and win counts, and counted as
 ``failed_pairs``; a gain never holds while any pair failed.
@@ -134,6 +136,21 @@ def summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def summary_lines(report: dict) -> list[str]:
+    """One line per workload and metric of a series' ``report``."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for metric, m in entry["summary"].items():
+            base, head = m["base"], m["head"]
+            lines.append(
+                f"{workload} {metric} ({m['better']} is better): base {base['median']:.4g} "
+                f"[{base['q1']:.4g}, {base['q3']:.4g}] head {head['median']:.4g}; "
+                f"wins {m['head_wins']}/{m['pairs']}; gain_holds {m['gain_holds']}; "
+                f"no_regression {m['no_regression']}"
+            )
+    return lines
+
+
 def git_rev(rev: str) -> str:
     return subprocess.run(
         ["git", "rev-parse", rev], cwd=HEAD, capture_output=True, text=True, check=True
@@ -192,6 +209,7 @@ def compare(args, workdir: Path, metrics: dict[str, dict], workloads: list[str])
             wall = {s: pair[s].get("wall_s") for s in ("base", "head")}
             print(f"pair {i + 1}/{args.pairs} {workload}: wall_s {wall}", file=sys.stderr)
             out.write_text(json.dumps(report, indent=1) + "\n")
+    print("\n".join(summary_lines(report)))
     print(out)
     return 0
 

@@ -16,7 +16,10 @@ dofs.  These helpers form, point by point in that order, the parent
 barycentric coordinates, parent elements, physical coordinates and
 weights of the surface quadrature points, and the patch of each point:
 the tables the mesh once stored, there in triangle-major order, with each
-patch's points contiguous.
+patch's points contiguous.  ``savfem.assembly`` forms the point values a
+block of triangles at a time and keeps only their per-triangle integrals
+and vertex loads; ``interpolate_at_surface_qp``, ``triangle_integrals`` and
+``triangle_loads`` form them for all points and reduce them at once.
 
 The classification stage of ``build_active_mesh``, re-run on an active
 mesh's background mesh, gives the level-set values of every lattice
@@ -51,6 +54,9 @@ __all__ = [
     "point_coords",
     "point_weights",
     "point_patch",
+    "interpolate_at_surface_qp",
+    "triangle_integrals",
+    "triangle_loads",
     "lattice_stage",
     "patch_stage",
     "lapack_geometry",
@@ -123,6 +129,29 @@ def point_patch(active) -> np.ndarray:
     (``tri_patch_offsets``)."""
     offsets = active.tri_patch_offsets
     return _per_point(np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)))
+
+
+def interpolate_at_surface_qp(active, c) -> np.ndarray:
+    """(Q,) P1 values of the DOF vector c at the surface points, rule-major:
+    the rule's barycentrics times B_P c at each triangle's vertices."""
+    rule_bary, _ = triangle_bary_rule()
+    vertex_values = active.poly_interp @ np.asarray(c, dtype=float)
+    return (rule_bary @ vertex_values[active.tri_index.T]).reshape(-1)
+
+
+def triangle_integrals(active, values) -> np.ndarray:
+    """(T,) surface rule on each triangle of the rule-major point values
+    f: |T| w . f, the coefficient ``assemble_surface_stiffness`` takes."""
+    _, rule_w = triangle_bary_rule()
+    return active.tri_areas * (rule_w[None, :] @ np.reshape(values, (len(rule_w), -1)))[0]
+
+
+def triangle_loads(active, values) -> np.ndarray:
+    """(3, T) per-triangle vertex loads |T| (R^T diag(w) f) of the
+    rule-major point values f, the argument ``assemble_f0prime_load`` takes."""
+    rule_bary, rule_w = triangle_bary_rule()
+    weighted = np.ascontiguousarray(rule_bary.T * rule_w)
+    return (weighted @ np.reshape(values, (len(rule_w), -1))) * active.tri_areas
 
 
 def lattice_stage(active, levelset):

@@ -14,12 +14,15 @@ import scipy.sparse as sp
 from pointwise import (
     circumdiameters,
     cut_edge_points,
+    interpolate_at_surface_qp,
     point_bary,
     point_coords,
     point_elem,
     point_patch,
     point_weights,
     tangential_grads,
+    triangle_integrals,
+    triangle_loads,
 )
 from savfem import assembly
 from savfem.assembly import (
@@ -33,7 +36,6 @@ from savfem.assembly import (
     assemble_surface_stiffness,
     compute_E1,
     compute_mass,
-    interpolate_at_surface_qp,
     l2_norm_gamma,
     on_pattern,
 )
@@ -115,11 +117,12 @@ class TestPlaneOracle:
         # constant c = 1/2 gives M = 1/4 exactly, a pure rescaling
         c_qp = np.full(len(point_weights(plane_active)), 0.5)
         stiff = assemble_surface_stiffness(plane_active)
-        mob = assemble_surface_stiffness(plane_active, mobility(c_qp))
+        mob = assemble_surface_stiffness(plane_active, triangle_integrals(plane_active, mobility(c_qp)))
         assert abs(mob - 0.25 * stiff).max() < 1e-14
 
     def test_f0prime_load_vanishes_at_half(self, plane_active):
-        w = assemble_f0prime_load(plane_active, f0_prime(np.full(len(point_weights(plane_active)), 0.5)))
+        f0prime_qp = f0_prime(np.full(len(point_weights(plane_active)), 0.5))
+        w = assemble_f0prime_load(plane_active, triangle_loads(plane_active, f0prime_qp))
         assert np.abs(w).max() < 1e-15
 
     def test_E1_of_constant_half(self, plane_active):
@@ -207,7 +210,8 @@ class TestSphere:
         # nodal values outside [0, 1] still give a PSD matrix by clamping at
         # the quadrature points
         c = rng.uniform(-0.5, 1.5, sphere_l2.n_dofs)
-        mob = assemble_surface_stiffness(sphere_l2, mobility(interpolate_at_surface_qp(sphere_l2, c)))
+        vals = mobility(interpolate_at_surface_qp(sphere_l2, c))
+        mob = assemble_surface_stiffness(sphere_l2, triangle_integrals(sphere_l2, vals))
         for _ in range(5):
             v = rng.standard_normal(sphere_l2.n_dofs)
             assert v @ (mob @ v) >= -1e-12
@@ -328,7 +332,9 @@ class TestOperatorsAgainstElementScatter:
             )
         oracle = _load_oracle(sphere_l2, f0_prime(_interp_oracle(sphere_l2, bernoulli)))
         np.testing.assert_allclose(
-            assemble_f0prime_load(sphere_l2, f0_prime(interpolate_at_surface_qp(sphere_l2, bernoulli))),
+            assemble_f0prime_load(
+                sphere_l2, triangle_loads(sphere_l2, f0_prime(interpolate_at_surface_qp(sphere_l2, bernoulli)))
+            ),
             oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max(),
         )
 
@@ -439,7 +445,8 @@ class TestSurfaceTablesAgainstPatchStage:
         g = _patch_to_pattern(active, tangential_grads(active, _LEVELSETS[mesh_name]))
         k = 0.5 + 0.4 * np.sin(5.0 * point_coords(active)[:, 0])
         k_p = np.bincount(point_patch(active), point_weights(active) * k, active.n_patches)
-        mat, oracle = assemble_surface_stiffness(active, k), on_pattern(active, g @ k_p)
+        mat = assemble_surface_stiffness(active, triangle_integrals(active, k))
+        oracle = on_pattern(active, g @ k_p)
         np.testing.assert_array_equal(mat.indices, oracle.indices)
         self.assert_close(mat.data, oracle.data)
 
@@ -456,7 +463,8 @@ def test_E1_matches_quadrature_of_f0(sphere_l2, cell_l2, rng):
 
 
 def _separate_mobility(active, c):
-    return assemble_surface_stiffness(active, mobility(interpolate_at_surface_qp(active, c)))
+    vals = mobility(interpolate_at_surface_qp(active, c))
+    return assemble_surface_stiffness(active, triangle_integrals(active, vals))
 
 
 def _separate_load(active, c):
@@ -491,16 +499,18 @@ class TestOneInterpolationPerStep:
         assert e1 == pytest.approx(_separate_E1(sphere_l2, c), rel=1e-14)
 
     def test_interpolates_once(self, sphere_l2, field, monkeypatch):
-        calls = []
-        interpolate = assembly.interpolate_at_surface_qp
+        # B_P is applied to the reference field once per call: every block
+        # of points is formed from the one vector of vertex values
+        applied = []
 
-        def counting(active, c):
-            calls.append(len(c))
-            return interpolate(active, c)
+        class CountingInterp(sp.csr_matrix):
+            def __matmul__(self, other):
+                applied.append(np.shape(other))
+                return super().__matmul__(other)
 
-        monkeypatch.setattr(assembly, "interpolate_at_surface_qp", counting)
+        monkeypatch.setattr(sphere_l2, "poly_interp", CountingInterp(sphere_l2.poly_interp))
         assemble_coefficient_forms(sphere_l2, _fields(sphere_l2)[field])
-        assert calls == [sphere_l2.n_dofs]
+        assert applied == [(sphere_l2.n_dofs,)]
 
     @pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
     def test_mass_norm_equals_quadrature_norm(self, mesh_name, field, request):
@@ -510,3 +520,29 @@ class TestOneInterpolationPerStep:
         c = _fields(active)[field]
         mass = assemble_surface_mass(active)
         assert np.sqrt(c @ (mass @ c)) == pytest.approx(l2_norm_gamma(active, c), rel=1e-14)
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+def test_short_blocks_change_no_bit(mesh_name, request, monkeypatch):
+    # blocks of 48 triangles end inside two-triangle patches and inside
+    # elements.  The length is a multiple of 16, like the default: OpenBLAS's
+    # gemv sums the rows of a call past a multiple of its unroll (4 rows on
+    # Haswell) in another order, so an odd length moves the triangle
+    # integrals w . f at round-off
+    active = request.getfixturevalue(mesh_name)
+    c = _fields(active)["smooth"]
+
+    def results():
+        mob, w, e1 = assemble_coefficient_forms(active, c)
+        mass = assemble_surface_mass(active)
+        return [mob.data, w, e1, compute_E1(active, c), l2_norm_gamma(active, c), mass.data, mass.indices]
+
+    default = results()
+    monkeypatch.setattr(assembly, "_COLUMNS", 48)
+    for short, full in zip(results(), default):
+        np.testing.assert_array_equal(short, full)
+    ends = np.arange(48, len(active.tri_index), 48)
+    offsets = active.tri_patch_offsets
+    assert len(ends) > 10
+    assert not np.isin(ends, offsets).all()
+    assert not np.isin(ends, offsets[_operators(active).patch_indptr]).all()

@@ -91,6 +91,19 @@ def test_failed_base_side_counts_too():
     assert out == {}
 
 
+def test_summary_lines_give_medians_quartiles_wins_and_verdicts():
+    pairs = [pair(10.0 + 0.1 * i, 5.0 + 0.1 * i) for i in range(10)]
+    report = {"workloads": {"w1": {"summary": bench_compare.summary(pairs, METRICS)},
+                            "w2": {"summary": {}}}}
+    lines = bench_compare.summary_lines(report)
+    assert lines == [
+        "w1 wall_s (lower is better): base 10.45 [10.22, 10.67] head 5.45; "
+        "wins 10/10; gain_holds True; no_regression ok",
+        "w1 steps_per_s (higher is better): base 9.57 [9.368, 9.78] head 18.35; "
+        "wins 10/10; gain_holds True; no_regression ok",
+    ]
+
+
 def test_existing_workdir_base_is_refused(tmp_path, capsys):
     (tmp_path / "base").mkdir()
     with pytest.raises(SystemExit) as exc:

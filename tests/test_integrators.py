@@ -9,13 +9,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointwise import circumdiameters
-from savfem.assembly import (
-    assemble_f0prime_load,
-    assemble_surface_stiffness,
-    compute_E1,
-    interpolate_at_surface_qp,
-)
+from pointwise import circumdiameters, interpolate_at_surface_qp, triangle_integrals, triangle_loads
+from savfem.assembly import assemble_f0prime_load, assemble_surface_stiffness, compute_E1
 from savfem.experiments import initial_state
 from savfem.integrators import (
     BDF1,
@@ -404,12 +399,14 @@ def _on(form, data):
 
 
 def _oracle_mobility(active, c):
-    return assemble_surface_stiffness(active, mobility(interpolate_at_surface_qp(active, c)))
+    vals = mobility(interpolate_at_surface_qp(active, c))
+    return assemble_surface_stiffness(active, triangle_integrals(active, vals))
 
 
 def _oracle_reference(forms, c_ref, physics):
     mob = _oracle_mobility(forms.active, c_ref)
-    w = assemble_f0prime_load(forms.active, f0_prime(interpolate_at_surface_qp(forms.active, c_ref)))
+    f0prime_qp = f0_prime(interpolate_at_surface_qp(forms.active, c_ref))
+    w = assemble_f0prime_load(forms.active, triangle_loads(forms.active, f0prime_qp))
     s = guarded_shifted_energy(compute_E1(forms.active, c_ref), physics.c_shift)
     return mob, w, s
 
