@@ -1,6 +1,6 @@
 """Resident memory after each set-up stage and in the time steps of one run.
 
-    python3 scripts/rss_stages.py CONFIG [--override K=V ...] [--levels L ...]
+    python3 scripts/rss_stages.py CONFIG [--override K=V ...] [--levels L ...] [--traced]
 
 Runs ``savfem solve`` on CONFIG with the overrides, from this checkout's
 ``src``, or with ``--levels`` the convergence study of its epsilon, scheme
@@ -10,7 +10,13 @@ resident set (VmRSS) and the maximum so far (ru_maxrss), in MiB.  Probes
 follow ``build_mesh``, every stage of ``build_active_mesh``,
 ``assemble_forms``, the forcing load of a convergence level
 (``assemble_load``), ``initial_state``, every VTK snapshot and every
-factorization; set ``t_end`` to keep to the first steps, e.g.
+factorization.  With ``--traced`` the run is traced by tracemalloc, which
+numpy reports its data buffers to, and each line also prints the traced
+memory and the traced peak since the previous probe, in MiB: a high-water
+mark per stage that heap layout does not decide (SuperLU's own storage is
+not traced).  Tracing keeps a record of every allocation in the heap, so
+the resident columns of a traced run are not those of a plain one.  Set
+``t_end`` to keep to the first steps, e.g.
 
     python3 scripts/rss_stages.py configs/sphere_a05.cfg \\
         --override t_end=0.02 --override vtk_interval=4 --override output_dir=/tmp/rss
@@ -31,6 +37,7 @@ import importlib
 import os
 import resource
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +64,17 @@ def max_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def probe_line(name: str) -> str:
+    """One output line: the resident set and, while tracing, the traced
+    memory and the traced peak since the previous line."""
+    line = f"{name:<22} {rss_mib():9.1f} {max_rss_mib():9.1f}"
+    if tracemalloc.is_tracing():
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        line += f" {current / 2**20:10.1f} {peak / 2**20:10.1f}"
+    return line
+
+
 def install(probes) -> None:
     for module_name, names in probes.items():
         module = importlib.import_module(module_name)
@@ -68,7 +86,7 @@ def install(probes) -> None:
             @functools.wraps(fn)
             def probed(*args, _fn=fn, _name=name, **kwargs):
                 result = _fn(*args, **kwargs)
-                print(f"{_name:<22} {rss_mib():9.1f} {max_rss_mib():9.1f}", flush=True)
+                print(probe_line(_name), flush=True)
                 return result
 
             setattr(module, name, probed)
@@ -80,6 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("--override", action="append", default=[], metavar="K=V")
     parser.add_argument("--levels", type=int, nargs="+", default=None,
                         help="run the convergence study on these levels")
+    parser.add_argument("--traced", action="store_true",
+                        help="also print tracemalloc's memory and peak since the previous line")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -88,16 +108,22 @@ def main(argv=None) -> int:
 
     config = load_config(args.config, args.override)
     install(PROBES)
-    print(f"{'after':<22} {'rss_mib':>9} {'max_mib':>9}", flush=True)
-    if args.levels:
-        run_convergence(
-            args.levels, epsilon=config.epsilon, scheme=config.scheme, t_end=config.t_end,
-            c_shift=config.c_shift, solver_config=config.solver_config(),
-            geometry_divisions=config.geometry_divisions,
-        )
-    else:
-        run_phase_separation(config)
-    print(f"{'end of run':<22} {rss_mib():9.1f} {max_rss_mib():9.1f}", flush=True)
+    header = f"{'after':<22} {'rss_mib':>9} {'max_mib':>9}"
+    print(header + (f" {'traced_mib':>10} {'tpeak_mib':>10}" if args.traced else ""), flush=True)
+    if args.traced:
+        tracemalloc.start()
+    try:
+        if args.levels:
+            run_convergence(
+                args.levels, epsilon=config.epsilon, scheme=config.scheme, t_end=config.t_end,
+                c_shift=config.c_shift, solver_config=config.solver_config(),
+                geometry_divisions=config.geometry_divisions,
+            )
+        else:
+            run_phase_separation(config)
+        print(probe_line("end of run"), flush=True)
+    finally:
+        tracemalloc.stop()
     return 0
 
 

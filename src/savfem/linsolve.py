@@ -112,6 +112,7 @@ FRESH_TOL = 1e-15  # GMRES target on a fresh LU, relative to ||rhs||
 GMRES_TOL = 1e-13  # GMRES target on a reused LU, relative to ||rhs||
 GMRES_MAX_ITER = 20  # GMRES iteration cap
 REFRESH_ITER = 5  # a reuse above this many iterations in a steady run drops the LU
+_KEY_BITS = 62  # widest packed sort key of BlockPattern.build, below the int64 sign bit
 
 
 class LinearSolveError(RuntimeError):
@@ -266,7 +267,7 @@ class BlockPattern:
         cols = slot[block.indices]
         prow = np.concatenate([2 * rows + a for a in (0, 0, 1, 1)])
         pcol = np.concatenate([2 * cols + b for b in (0, 1, 0, 1)])
-        sort = np.lexsort((prow, pcol))
+        sort = _column_major(prow, pcol)
         where = np.empty(len(sort), dtype=np.int32)  # int32 CSC pattern and positions: read per factorization
         where[sort] = np.arange(len(sort))
         nnz = block.nnz
@@ -298,6 +299,19 @@ class BlockPattern:
             data[where] = block.data
         size = len(self.order)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+
+def _column_major(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The permutation that sorts distinct (row, col) pairs by column, then
+    row: np.lexsort((rows, cols)), as one np.sort of the packed keys (col,
+    row, position) while they fit in _KEY_BITS."""
+    pos_bits = (len(rows) - 1).bit_length()
+    row_bits = int(rows.max()).bit_length()
+    if pos_bits + row_bits + int(cols.max()).bit_length() > _KEY_BITS:
+        return np.lexsort((rows, cols))
+    key = (cols << (row_bits + pos_bits)) | (rows << pos_bits) | np.arange(len(rows))
+    key.sort()
+    return key & ((1 << pos_bits) - 1)
 
 
 def apply_operator(system: BlockSystem, x: np.ndarray) -> np.ndarray:

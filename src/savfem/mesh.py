@@ -38,7 +38,14 @@ and B_P (P x N), the one map from dof values to the vertices, is kept.
 
 ``build_active_mesh`` runs in stages, one function each: classification,
 element geometry, patches, polygon extraction, triangle areas and Gram
-tables, so that the temporaries of a stage are freed when it returns.
+tables.  Classification, patches, triangle areas and Gram tables run over
+blocks of ``_BLOCK`` band tetrahedra, band edges, parents, triangles or
+patches, and keep values and ids of the cut parents only, so no temporary
+spans the band; the extraction, which numbers the crossings of all
+patches at once, narrows its index arrays and frees each once used.  A
+midpoint's mesh-edge id is closed-form: the band edges are numbered in
+(lower, upper) node-id order by a table of 7 slots per node (the seven
+Kuhn edge directions from it), marked and numbered in two passes.
 """
 
 from __future__ import annotations
@@ -57,6 +64,11 @@ BAND_FACTOR = 2.0 * np.sqrt(3.0)
 # Exact zeros of the level set are shifted by +ZERO_SHIFT_SCALE * h before
 # sign decisions so the cut topology is unambiguous.
 ZERO_SHIFT_SCALE = 1e-13
+
+# Stages that run over the band tetrahedra, the band edges, the parents,
+# the patches or the triangles take them in blocks of this many (see
+# _blocks), so that no temporary spans them all.
+_BLOCK = 4096
 
 # Kuhn split: each tet is {x : x_{p0} >= x_{p1} >= x_{p2}} in cube-local
 # coordinates; all six share the main diagonal, which makes the split
@@ -119,8 +131,10 @@ class MeshError(RuntimeError):
 class BackgroundMesh:
     """Band-restricted uniform tetrahedral mesh.
 
-    nodes : (n, 3) coordinates, tets : (m, 4) node indices.  ``h`` is the
-    cube edge; every tetrahedron has circumscribed diameter sqrt(3)*h.
+    nodes : (n, 3) coordinates, numbered in ascending grid order, tets :
+    (m, 4) node indices, each row ascending: a Kuhn tetrahedron's vertices
+    x_0 <= x_1 <= x_2 <= x_3 componentwise.  ``h`` is the cube edge; every
+    tetrahedron has circumscribed diameter sqrt(3)*h.
     """
 
     box: np.ndarray  # (3, 2)
@@ -129,6 +143,7 @@ class BackgroundMesh:
     h: float
     nodes: np.ndarray
     tets: np.ndarray
+    node_grid: np.ndarray  # (n,) ravel index of each node in the (divisions + 1) grid, ascending
 
 
 def _base_divisions(lengths, tol: float = 1e-9) -> tuple[int, int, int]:
@@ -200,9 +215,12 @@ def build_mesh(
     used = np.zeros(phi.size, dtype=bool)
     used[tets_grid] = True
     tets = (np.cumsum(used) - 1)[tets_grid]  # int64: the edge keys min * n + max overflow int32
-    nodes = grid.reshape(-1, 3)[used]
+    node_grid = np.flatnonzero(used)
 
-    return BackgroundMesh(box=box, level=level, divisions=div, h=h, nodes=nodes, tets=tets)
+    return BackgroundMesh(
+        box=box, level=level, divisions=div, h=h, nodes=grid.reshape(-1, 3)[node_grid], tets=tets,
+        node_grid=node_grid,
+    )
 
 
 @dataclass
@@ -268,23 +286,55 @@ class ActiveMesh:
         return float(self.volumes.sum())
 
 
-def _lattice_values(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
-    """Level-set samples at the lattice points of every band tetrahedron,
-    (m, L), and the mesh-edge ids of its midpoints (m, L - 4).  Midpoint
-    samples come from the level set itself, one evaluation per mesh edge.
-    """
-    vertex_vals = phi[mesh.tets]  # (m, 4)
-    if divisions == 1:
-        return vertex_vals, np.empty((len(mesh.tets), 0), dtype=np.int64)
-    a, b = mesh.tets[:, _LATTICE_EDGES[:, 0]], mesh.tets[:, _LATTICE_EDGES[:, 1]]
-    n = len(mesh.nodes)
-    edges, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
-    lo, hi = np.divmod(edges, n)
-    edge_vals = levelset.evaluate(0.5 * (mesh.nodes[lo] + mesh.nodes[hi]))
+def _blocks(n: int) -> list[slice]:
+    """Slices of _BLOCK rows that cover n rows in order.  A last block of
+    one row joins the block before it: einsum sums over a lone row in
+    another order, which would move the results at round-off."""
+    starts = list(range(0, n, _BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _kuhn_rank(mesh: BackgroundMesh) -> np.ndarray:
+    """Rank of each Kuhn edge direction among the seven, by its grid offset
+    from the lower end: a table indexed by the offset."""
+    shape = tuple(d + 1 for d in mesh.divisions)
+    steps = np.array(np.unravel_index(np.arange(1, 8), (2, 2, 2)))  # the 0/1 directions
+    offsets = np.ravel_multi_index(steps, shape)  # ascending
+    rank = np.zeros(offsets[-1] + 1, dtype=np.int64)
+    rank[offsets] = np.arange(7)
+    return rank
+
+
+def _edge_keys(mesh: BackgroundMesh, rank: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Keys lo * 7 + r (b, 6) of the lattice edges of the band tetrahedra
+    ``tets`` (b, 4), lo the node id of an edge's first end and r the rank of
+    its direction (``_kuhn_rank``).  The first end of a Kuhn edge is its
+    lower end, with the smaller grid index and so the smaller node id, so
+    the keys sort like the (lower, upper) node-id pairs."""
+    grid = mesh.node_grid[tets]
+    first, second = _LATTICE_EDGES[:, 0], _LATTICE_EDGES[:, 1]
+    return tets[:, first] * 7 + rank[grid[:, second] - grid[:, first]]
+
+
+def _band_edges(mesh: BackgroundMesh, rank: np.ndarray, levelset):
+    """The mesh-edge id of every edge key (an (n_nodes * 7,) table; band
+    edges numbered in (lower, upper) node-id order) and the level-set value
+    at each band edge's midpoint, one evaluation per edge."""
+    edge_id = np.full(7 * len(mesh.nodes), -1, dtype=np.int64)
+    for block in _blocks(len(mesh.tets)):
+        tets = mesh.tets[block]
+        edge_id[_edge_keys(mesh, rank, tets)] = tets[:, _LATTICE_EDGES[:, 1]]  # the upper end, for now
+    keys = np.flatnonzero(edge_id >= 0)
+    edge_vals = np.empty(len(keys))
+    for block in _blocks(len(keys)):
+        lo, hi = keys[block] // 7, edge_id[keys[block]]
+        edge_vals[block] = levelset.evaluate(0.5 * (mesh.nodes[lo] + mesh.nodes[hi]))
     if not np.all(np.isfinite(edge_vals)):
         raise MeshError("level set is not finite at lattice midpoints")
-    mid = edge_of.reshape(len(mesh.tets), 6)
-    return np.concatenate([vertex_vals, edge_vals[mid]], axis=1), mid
+    edge_id[keys] = np.arange(len(keys))
+    return edge_id, edge_vals
 
 
 def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
@@ -292,20 +342,40 @@ def _classify(mesh: BackgroundMesh, phi: np.ndarray, levelset, divisions: int):
     sub-tetrahedra, (n_e, S, 4) and (n_e, S), from the nodal values ``phi``,
     and the global ids of their lattice points (n_e, L): band node ids,
     then n_nodes plus the mesh-edge id for the midpoints.  Exact zeros of
-    the lattice values are shifted to +ZERO_SHIFT_SCALE * h."""
+    the lattice values are shifted to +ZERO_SHIFT_SCALE * h.
+
+    The band is classified in blocks of tetrahedra.  A parent is cut when
+    one of its sub-tetrahedra has one to three negative vertex values,
+    which is when its lattice values are not all of one sign (an exact zero
+    counts as positive here, as it does shifted): the sub-tetrahedra of a
+    red refinement connect every lattice point.  Values and ids are kept
+    for the cut parents only.
+    """
     subtets = _SUBTETS[divisions]
-    lat_vals, mid_edges = _lattice_values(mesh, phi, levelset, divisions)  # (m, L), (m, L - 4)
-    # A sub-tetrahedron is cut when one to three of its vertex values are
-    # negative; an exact zero counts as positive here, as it does shifted.
-    n_neg = (lat_vals < 0.0)[:, subtets].sum(axis=2)  # (m, S)
-    sub_cut = (n_neg > 0) & (n_neg < 4)
-    cut_tets = np.flatnonzero(sub_cut.any(axis=1))
+    n_nodes = len(mesh.nodes)
+    if divisions == 2:
+        rank = _kuhn_rank(mesh)
+        edge_id, edge_vals = _band_edges(mesh, rank, levelset)
+    cut_tets, lat_vals, lat_ids = [], [], []
+    for block in _blocks(len(mesh.tets)):
+        tets = mesh.tets[block]
+        vals = phi[tets]
+        if divisions == 2:
+            mid = edge_id[_edge_keys(mesh, rank, tets)]
+            vals = np.concatenate([vals, edge_vals[mid]], axis=1)
+        n_neg = np.count_nonzero(vals < 0.0, axis=1)
+        rows = np.flatnonzero((n_neg > 0) & (n_neg < vals.shape[1]))
+        cut_tets.append(block.start + rows)
+        lat_vals.append(vals[rows])
+        ids = tets[rows]
+        lat_ids.append(ids if divisions == 1 else np.concatenate([ids, n_nodes + mid[rows]], axis=1))
+    cut_tets = np.concatenate(cut_tets)
     if len(cut_tets) == 0:
         raise MeshError("no cut tetrahedra: the surface misses the mesh band")
-    lat_ids = np.concatenate([mesh.tets[cut_tets], len(mesh.nodes) + mid_edges[cut_tets]], axis=1)
-    sub_vals = lat_vals[cut_tets][:, subtets]
+    sub_vals = np.concatenate(lat_vals)[:, subtets]
+    n_neg = np.count_nonzero(sub_vals < 0.0, axis=2)  # (n_e, S)
     sub_vals[sub_vals == 0.0] = ZERO_SHIFT_SCALE * mesh.h
-    return cut_tets, sub_vals, sub_cut[cut_tets], lat_ids
+    return cut_tets, sub_vals, (n_neg > 0) & (n_neg < 4), np.concatenate(lat_ids)
 
 
 def _element_geometry(coords: np.ndarray):
@@ -330,33 +400,43 @@ def _patches(grads, volumes, sub_vals, sub_cut, divisions: int):
     """
     n_sub = sub_cut.shape[1]
     sub_inv = np.linalg.inv(_lattice_bary(divisions)[_SUBTETS[divisions]])  # (S, 4, 4)
-    sub_grad = np.einsum("esk,sjk,ejx->esx", sub_vals, sub_inv, grads, optimize=True)
-    sub_norm = np.linalg.norm(sub_grad, axis=2, keepdims=True)
-    if np.any(sub_norm[sub_cut] == 0.0):
-        raise MeshError("grad(phi_h) vanishes on a cut sub-tetrahedron")
-    unit = np.divide(sub_grad, sub_norm, out=np.zeros_like(sub_grad), where=sub_norm > 0.0)
-    stab_metric = (volumes / n_sub)[:, None, None] * np.einsum("esi,esj->eij", unit, unit)
-
     # Patches: the cut sub-tetrahedra, parent-major order.
     patch_elem, patch_sub = np.nonzero(sub_cut)
-    patch_ids = _SUBTETS[divisions][patch_sub]
-    return stab_metric, patch_elem, patch_ids, unit[sub_cut], sub_vals[sub_cut]
+    stab_metric = np.empty((len(grads), 3, 3))
+    normals = np.empty((len(patch_elem), 3))
+    for block in _blocks(len(grads)):
+        sub_grad = np.einsum("esk,sjk,ejx->esx", sub_vals[block], sub_inv, grads[block], optimize=True)
+        sub_norm = np.linalg.norm(sub_grad, axis=2, keepdims=True)
+        cut = sub_cut[block]
+        if np.any(sub_norm[cut] == 0.0):
+            raise MeshError("grad(phi_h) vanishes on a cut sub-tetrahedron")
+        unit = np.divide(sub_grad, sub_norm, out=np.zeros_like(sub_grad), where=sub_norm > 0.0)
+        stab_metric[block] = (volumes[block] / n_sub)[:, None, None] * np.einsum("esi,esj->eij", unit, unit)
+        first = np.searchsorted(patch_elem, block.start)
+        normals[first : first + np.count_nonzero(cut)] = unit[cut]
+    return stab_metric, patch_elem, _SUBTETS[divisions][patch_sub], normals, sub_vals[sub_cut]
 
 
 def _triangle_areas(points, tri_index):
     """Areas of the surface triangles of the polygon vertices ``points``."""
-    tri_coords = points[tri_index]  # (T, 3, 3)
-    return 0.5 * np.linalg.norm(
-        np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
-    )
+    areas = np.empty(len(tri_index))
+    for block in _blocks(len(tri_index)):
+        tri_coords = points[tri_index[block]]  # (b, 3, 3)
+        areas[block] = 0.5 * np.linalg.norm(
+            np.cross(tri_coords[:, 1] - tri_coords[:, 0], tri_coords[:, 2] - tri_coords[:, 0]), axis=1
+        )
+    return areas
 
 
 def _patch_gram(grads, patch_elem, normals):
     """(n_p, 16) Gram table grad_G psi_i . grad_G psi_j of every patch, with
     grad_G the parent basis gradients projected onto the patch's plane."""
-    pg = grads[patch_elem]  # (n_p, 4, 3)
-    tangential = pg - np.einsum("pik,pk->pi", pg, normals)[:, :, None] * normals[:, None, :]
-    return np.einsum("pik,pjk->pij", tangential, tangential).reshape(-1, 16)
+    gram = np.empty((len(patch_elem), 4, 4))
+    for block in _blocks(len(patch_elem)):
+        pg, n = grads[patch_elem[block]], normals[block]  # (b, 4, 3), (b, 3)
+        tangential = pg - np.einsum("pik,pk->pi", pg, n)[:, :, None] * n[:, None, :]
+        np.einsum("pik,pjk->pij", tangential, tangential, out=gram[block])
+    return gram.reshape(-1, 16)
 
 
 def build_active_mesh(
@@ -368,8 +448,8 @@ def build_active_mesh(
     the edge midpoints.  Exact zeros are shifted by +1e-13*h before
     classification so the cut topology is unambiguous.  A tetrahedron is
     active when any of its geometry-lattice sub-tetrahedra is cut.  Each
-    stage below is a function of its own, so its temporaries are freed when
-    it returns.
+    stage below is a function of its own, and what a later stage does not
+    read is freed once used.
     """
     if geometry_divisions not in _SUBTETS:
         raise ValueError("geometry_divisions must be 1 or 2")
@@ -383,11 +463,14 @@ def build_active_mesh(
     stab_metric, patch_elem, patch_ids, normals, patch_vals = _patches(
         grads, volumes, sub_vals, sub_cut, geometry_divisions
     )
+    del elem_nodes, sub_vals, sub_cut
+    patch_keys = lattice_ids[patch_elem[:, None], patch_ids]
+    del lattice_ids
     poly_bary, poly_patch, tri_index, tri_patch_offsets = _extract_polygons(
-        patch_vals, patch_ids, lattice_ids[patch_elem[:, None], patch_ids], _lattice_bary(geometry_divisions)
+        patch_vals, patch_ids, patch_keys, _lattice_bary(geometry_divisions)
     )
-    poly_elem = patch_elem[poly_patch]  # kept to the return: freed here, it raised the convergence study's peak RSS by 6 MiB
-    cols = elem_dofs.astype(np.int32)[poly_elem].reshape(-1)  # int32: kept by the CSR constructor
+    del patch_ids, patch_keys, patch_vals
+    cols = elem_dofs.astype(np.int32)[patch_elem[poly_patch]].reshape(-1)  # int32: kept by the CSR constructor
     ptr = np.arange(0, len(cols) + 1, 4, dtype=np.int32)
     poly_interp = sp.csr_matrix((poly_bary.reshape(-1), cols, ptr), shape=(len(poly_bary), len(active_nodes)))
     tri_areas = _triangle_areas(poly_interp @ mesh.nodes[active_nodes], tri_index)
@@ -444,14 +527,15 @@ def _extract_polygons(vals, ids, keys, lattice):
     pv_off = np.concatenate([[0], np.cumsum(nv)])
     tri_off = np.concatenate([[0], np.cumsum(ntri)])
 
-    a, b = np.empty((2, pv_off[-1]), dtype=np.intp)  # each patch's crossed edges a-b, by slot
-    tri_index = np.empty((tri_off[-1], 3), dtype=np.intp)  # intp: gathered every step, no cast per call
+    a, b = np.empty((2, pv_off[-1]), dtype=np.int8)  # each patch's crossed edges a-b, by local slot
+    tri_index = np.empty((tri_off[-1], 3), dtype=np.int32)  # crossing slots; the vertex table returned is intp
 
     rows = np.flatnonzero(n_neg != 2)
     lone = np.where(n_neg[rows] == 1, np.argmax(neg[rows], axis=1), np.argmax(~neg[rows], axis=1))
     slot = pv_off[rows][:, None] + np.arange(3)[None, :]
     a[slot], b[slot] = lone[:, None], _OTHERS[lone]
     tri_index[tri_off[rows]] = slot
+    del lone
 
     rows = np.flatnonzero(n_neg == 2)
     negs = np.argsort(~neg[rows], axis=1, kind="stable")[:, :2]
@@ -460,13 +544,21 @@ def _extract_polygons(vals, ids, keys, lattice):
     a[slot], b[slot] = negs[:, [0, 0, 1, 1]], poss[:, [0, 1, 1, 0]]
     tri_index[tri_off[rows]] = slot[:, [0, 1, 2]]
     tri_index[tri_off[rows] + 1] = slot[:, [0, 2, 3]]
+    del neg, n_neg, ntri, rows, negs, poss, slot
 
     # one vertex per crossed edge, keyed by its ends' global ids
-    patch = np.repeat(np.arange(len(vals)), nv)
+    patch = np.repeat(np.arange(len(vals), dtype=np.int32), nv)
+    del nv, pv_off
     key_a, key_b = keys[patch, a], keys[patch, b]
-    edge_keys = np.minimum(key_a, key_b) * (keys.max() + 1) + np.maximum(key_a, key_b)
+    a_lower = key_a < key_b
+    edge_keys = np.minimum(key_a, key_b)
+    edge_keys *= keys.max() + 1
+    edge_keys += np.maximum(key_a, key_b)
+    del key_a, key_b
     _, first, vertex_of = np.unique(edge_keys, return_index=True, return_inverse=True)
-    patch, lo, hi = patch[first], np.where(key_a < key_b, a, b)[first], np.where(key_a < key_b, b, a)[first]
+    del edge_keys
+    a_lower, a, b = a_lower[first], a[first], b[first]
+    patch, lo, hi = patch[first], np.where(a_lower, a, b), np.where(a_lower, b, a)
     t = (vals[patch, lo] / (vals[patch, lo] - vals[patch, hi]))[:, None]
     poly_bary = (1.0 - t) * lattice[ids[patch, lo]] + t * lattice[ids[patch, hi]]
     return poly_bary, patch, vertex_of[tri_index], tri_off

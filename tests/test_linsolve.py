@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savfem import integrators, linsolve
-from savfem.assembly import assemble_coefficient_forms
+from savfem.assembly import assemble_coefficient_forms, assemble_surface_mass
 from savfem.experiments import bernoulli_ic, initial_state
 from savfem.linsolve import (
     REFRESH_ITER,
@@ -203,6 +203,29 @@ def test_pattern_path_matches_dense_oracle_on_sphere_forms(sphere_l3_forms):
     assert err < 1e-10
     assert stats.fallback is False
     assert stats.rel_residual <= 1e-10
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2"])
+def test_pattern_sort_is_lexsort(mesh_name, packed, request, monkeypatch):
+    # the column-major order of the block pattern, by one sort of packed
+    # (col, row, position) keys or, when they do not fit, by np.lexsort, is
+    # np.lexsort's
+    active = request.getfixturevalue(mesh_name)
+    block = assemble_surface_mass(active)
+    with monkeypatch.context() as m:
+        m.setattr(linsolve, "_column_major", lambda rows, cols: np.lexsort((rows, cols)))
+        reference = BlockPattern.build(active.dof_coords, block)
+    if not packed:
+        monkeypatch.setattr(linsolve, "_KEY_BITS", 0)
+    pattern = BlockPattern.build(active.dof_coords, block)
+
+    def arrays(p):
+        return [p.order, p.indptr, p.indices, *p.positions]
+
+    for got, want in zip(arrays(pattern), arrays(reference)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def interleaved_trap(rng, n=50, cc=1e-30):

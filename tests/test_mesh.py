@@ -5,8 +5,10 @@ partition of cubes into six Kuhn tetrahedra, single-tet polygon extraction
 from tests/cutcells.py as the reference for the batched extraction, the
 per-point quadrature tables, the per-sub-tetrahedron LAPACK geometry and
 the circumscribed diameters of tests/pointwise.py, the exact sphere
-area 4*pi as the limit of the discrete area, and the topology of a closed
-surface of genus 0 (every edge in two triangles, V - E + F = 2).
+area 4*pi as the limit of the discrete area, the topology of a closed
+surface of genus 0 (every edge in two triangles, V - E + F = 2), the
+np.unique numbering of every band edge for the midpoint ids, and the
+stages run in blocks of the default length for short blocks.
 """
 
 import dataclasses
@@ -33,10 +35,21 @@ from pointwise import (
     tri_elem,
     two_step_poly_bary,
 )
-from savfem.assembly import assemble_load
+from savfem import mesh as mesh_module
+from savfem.assembly import assemble_forms, assemble_load
 from savfem.config import CELL_BOX, SPHERE_BOX
-from savfem.levelset import idealized_cell, interpolate_p1, sphere
-from savfem.mesh import _SUBTETS, MeshError, _lattice_bary, build_active_mesh, build_mesh
+from savfem.levelset import LevelSetField, idealized_cell, interpolate_p1, sphere
+from savfem.mesh import (
+    _LATTICE_EDGES,
+    _SUBTETS,
+    ActiveMesh,
+    MeshError,
+    _blocks,
+    _classify,
+    _lattice_bary,
+    build_active_mesh,
+    build_mesh,
+)
 from savfem.quadrature import triangle_bary_rule
 
 
@@ -88,6 +101,86 @@ def test_missing_surface_raises():
         build_mesh(sphere(0.01, center=(50.0, 0.0, 0.0)), SPHERE_BOX, 1)
     with pytest.raises(ValueError, match="level"):
         build_mesh(sphere(1.0), SPHERE_BOX, 0)
+
+
+def test_band_nodes_ascend_in_grid_order():
+    # the midpoint ids rest on this: node ids ascend with the grid index,
+    # and every tetrahedron lists its Kuhn chain from the lower end
+    mesh = build_mesh(idealized_cell(), CELL_BOX, 2)
+    shape = tuple(d + 1 for d in mesh.divisions)
+    assert np.all(np.diff(mesh.node_grid) > 0)
+    index = np.array(np.unravel_index(mesh.node_grid, shape)).T
+    np.testing.assert_allclose(mesh.box[:, 0] + index * mesh.h, mesh.nodes, rtol=0, atol=1e-12)
+    steps = np.diff(index[mesh.tets], axis=1)  # (m, 3, 3) grid steps along each chain
+    assert np.all((steps == 0) | (steps == 1)) and np.all(steps.sum(axis=2) == 1)
+
+
+def test_midpoint_ids_number_the_band_edges_in_node_order(sphere_l2, cell_l2):
+    # the global id of a midpoint is n_nodes plus its edge's rank among all
+    # band edges sorted by (lower node, upper node), as np.unique numbers them
+    for active, levelset in ((sphere_l2, sphere(1.0)), (cell_l2, idealized_cell())):
+        mesh = active.mesh
+        n = len(mesh.nodes)
+        a, b = mesh.tets[:, _LATTICE_EDGES[:, 0]], mesh.tets[:, _LATTICE_EDGES[:, 1]]
+        _, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        cut_tets, _, _, lat_ids = _classify(mesh, interpolate_p1(levelset, mesh), levelset, 2)
+        np.testing.assert_array_equal(lat_ids[:, :4], mesh.tets[cut_tets])
+        np.testing.assert_array_equal(lat_ids[:, 4:], n + edge_of.reshape(-1, 6)[cut_tets])
+
+
+def test_classification_errors():
+    # a level set the band holds but that no lattice value crosses, and one
+    # that is finite at the nodes but not at the edge midpoints
+    positive = LevelSetField("positive", lambda x: np.full(len(x), 0.01))
+    with pytest.raises(MeshError, match="no cut tetrahedra"):
+        build_active_mesh(build_mesh(positive, SPHERE_BOX, 1), positive)
+    mesh = build_mesh(sphere(1.0), SPHERE_BOX, 1)
+
+    def off_grid_nan(x):
+        steps = (x - mesh.box[:, 0]) / mesh.h
+        on_grid = np.all(np.abs(steps - np.round(steps)) < 0.25, axis=1)
+        return np.where(on_grid, sphere(1.0).evaluate(x), np.nan)
+
+    nan_off_grid = LevelSetField("nan off grid", off_grid_nan)
+    with pytest.raises(MeshError, match="lattice midpoints"):
+        build_active_mesh(mesh, nan_off_grid)
+    assert build_active_mesh(mesh, nan_off_grid, geometry_divisions=1).n_elements > 0
+
+
+def test_blocks_leave_no_lone_row(monkeypatch):
+    monkeypatch.setattr(mesh_module, "_BLOCK", 37)
+    assert _blocks(0) == [] and _blocks(37) == [slice(0, 37)]
+    assert _blocks(75) == [slice(0, 37), slice(37, 75)]
+    assert _blocks(76) == [slice(0, 37), slice(37, 74), slice(74, 76)]
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere_l2", "cell_l2", "sphere_l3"])
+def test_short_mesh_blocks_change_no_bit(mesh_name, request, monkeypatch):
+    # blocks of 37 end inside elements and inside two-triangle patches; the
+    # classification, the active mesh and its forms repeat bit for bit
+    active = request.getfixturevalue(mesh_name)
+    mesh = active.mesh
+    levelset = idealized_cell() if mesh_name == "cell_l2" else sphere(1.0)
+    phi = interpolate_p1(levelset, mesh)
+    classified = _classify(mesh, phi, levelset, 2)
+    forms = assemble_forms(active)
+    monkeypatch.setattr(mesh_module, "_BLOCK", 37)
+    short = build_active_mesh(mesh, levelset)
+    for short_array, full_array in zip(_classify(mesh, phi, levelset, 2), classified):
+        np.testing.assert_array_equal(short_array, full_array)
+    for f in dataclasses.fields(ActiveMesh):
+        if f.name not in ("mesh", "geometry_divisions", "poly_interp", "_cache"):
+            np.testing.assert_array_equal(getattr(short, f.name), getattr(active, f.name), err_msg=f.name)
+    short_forms = assemble_forms(short)
+    pairs = [(short.poly_interp, active.poly_interp)]
+    pairs += [(getattr(short_forms, name), getattr(forms, name)) for name in ("mass", "stiffness", "stab")]
+    for short_matrix, full_matrix in pairs:
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(short_matrix, part), getattr(full_matrix, part))
+    ends = np.arange(37, active.n_patches, 37)
+    assert np.any(active.patch_elem[ends - 1] == active.patch_elem[ends])
+    ends = np.arange(37, len(active.tri_index), 37)
+    assert not np.isin(ends, active.tri_patch_offsets).all()
 
 
 def test_active_mesh_dof_numbering(sphere_l2):

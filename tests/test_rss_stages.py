@@ -1,9 +1,12 @@
-"""scripts/rss_stages.py: every probed function exists where it is wrapped."""
+"""scripts/rss_stages.py: every probed function exists where it is wrapped,
+and the traced columns of ``--traced``."""
 
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "rss_stages.py"
@@ -38,3 +41,22 @@ def test_convergence_study_probes_the_forcing_load(monkeypatch, capsys):
     assert probed[probed.index("assemble_forms") + 1] == "assemble_load"
     assert probed.index("assemble_load") < probed.index("initial_state")
     assert "_lu_solver" in probed
+
+
+def test_traced_lines_give_memory_and_peak_since_the_last(monkeypatch, capsys):
+    # --traced adds tracemalloc's memory and its peak since the previous
+    # line to every line, and stops tracing at the end
+    for module_name, names in rss_stages.PROBES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            monkeypatch.setattr(module, name, getattr(module, name))
+    config = Path(rss_stages.ROOT) / "configs" / "table1_eps005.cfg"
+    overrides = ["epsilon=1", "scheme=bdf2", "t_end=0.04"]
+    rss_stages.main([str(config), *[f"--override={o}" for o in overrides], "--levels", "2", "--traced"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split()[-2:] == ["traced_mib", "tpeak_mib"]
+    assert [line.split()[0] for line in lines[:2]] == ["build_mesh", "_classify"]
+    traced = np.array([[float(v) for v in line.split()[-2:]] for line in lines])  # MiB to 0.1
+    assert np.all((0.0 <= traced[:, 0]) & (traced[:, 0] <= traced[:, 1]))
+    assert traced[:, 1].max() > 0.0
+    assert not tracemalloc.is_tracing()
